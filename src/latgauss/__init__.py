@@ -10,8 +10,7 @@ tolerances or confidence half-widths.
 
 from .convex import (AxisBox, Ball, ConvexBody, Ellipsoid, FullSpace, Halfspace,
                      HPolytope, OracleBody, body_from_document, body_to_document,
-                     bounding_radius, contains, gauge, minkowski_combination,
-                     slice_at)
+                     bounding_radius, gauge, minkowski_combination)
 from .errors import (CalibrationError, DimensionMismatchError,
                      EnumerationCapExceededError, InvalidBodyError,
                      InvalidLatticeError, LatgaussError,

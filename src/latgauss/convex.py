@@ -91,10 +91,6 @@ class ConvexBody:
         """Radius of the smallest origin-centered ball containing the body (inf if unbounded)."""
         raise NotImplementedError
 
-    def inradius(self) -> float:
-        """Radius of the largest origin-centered ball inside the body (symmetric bodies)."""
-        raise NotImplementedError
-
     def scale(self, s: float) -> "ConvexBody":
         """Dilate about the origin by s > 0."""
         raise NotImplementedError
@@ -145,7 +141,6 @@ class Halfspace(ConvexBody):
 
     def gauge_many(self, points):
         self._require_gauge()  # always raises: halfspaces are never symmetric
-        raise AssertionError("unreachable")
 
     def slice_at(self, x):
         if self.dim == 1:
@@ -160,9 +155,6 @@ class Halfspace(ConvexBody):
 
     def circumradius(self):
         return math.inf
-
-    def inradius(self):
-        return math.inf if self.offset > 0 else 0.0
 
     def scale(self, s):
         return Halfspace(self.normal, s * self.offset)
@@ -230,9 +222,6 @@ class AxisBox(ConvexBody):
     def circumradius(self):
         return float(np.linalg.norm(self.semiwidths))
 
-    def inradius(self):
-        return float(self.semiwidths.min())
-
     def scale(self, s):
         return AxisBox(s * self.semiwidths)
 
@@ -296,9 +285,6 @@ class Ball(ConvexBody):
     def circumradius(self):
         return float(np.linalg.norm(self.center) + self.radius)
 
-    def inradius(self):
-        return self.radius  # valid in the symmetric (centered) case
-
     def scale(self, s):
         return Ball(s * self.radius, s * self.center)
 
@@ -358,9 +344,6 @@ class Ellipsoid(ConvexBody):
 
     def circumradius(self):
         return float(self.semiaxes.max())
-
-    def inradius(self):
-        return float(self.semiaxes.min())
 
     def scale(self, s):
         return Ellipsoid(s * self.semiaxes)
@@ -427,7 +410,8 @@ class HPolytope(ConvexBody):
         self._require_gauge()
         if np.any(self.offsets <= 0):
             raise InvalidBodyError("gauge needs the origin strictly inside")
-        ratios = (points @ self.normals.T) / self.offsets
+        ratios = points @ self.normals.T
+        ratios /= self.offsets  # in place: one (k, m) array at a time
         return np.maximum(ratios.max(axis=1), 0.0)
 
     def slice_at(self, x):
@@ -448,9 +432,6 @@ class HPolytope(ConvexBody):
 
     def circumradius(self):
         return math.inf  # not computed for H-polytopes; use bounding_radius
-
-    def inradius(self):
-        return float(np.min(self.offsets / np.linalg.norm(self.normals, axis=1)))
 
     def scale(self, s):
         return HPolytope(self.normals, s * self.offsets,
@@ -505,9 +486,6 @@ class FullSpace(ConvexBody):
         return FullSpace(self.dim - 1)
 
     def circumradius(self):
-        return math.inf
-
-    def inradius(self):
         return math.inf
 
     def scale(self, s):
@@ -582,9 +560,6 @@ class OracleBody(ConvexBody):
     def circumradius(self):
         return self.bounding_radius_hint
 
-    def inradius(self):
-        raise UnsupportedBodyError("oracle bodies do not expose an inradius")
-
     def scale(self, s):
         pred = self.predicate
         return OracleBody(self.dim, lambda x, _p=pred, _s=s: _p(np.asarray(x) / _s),
@@ -620,16 +595,8 @@ def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
 # Module-level operation surface
 # ---------------------------------------------------------------------------
 
-def contains(body: ConvexBody, point) -> bool:
-    return body.contains(point)
-
-
 def gauge(body: ConvexBody, point) -> float:
     return body.gauge(point)
-
-
-def slice_at(body: ConvexBody, x: float) -> Optional[ConvexBody]:
-    return body.slice_at(x)
 
 
 def _same_body(a: ConvexBody, b: ConvexBody) -> bool:

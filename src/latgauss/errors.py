@@ -39,7 +39,7 @@ class EnumerationCapExceededError(LatgaussError):
 
 
 class CalibrationError(LatgaussError):
-    """Scale calibration did not converge to the target measure."""
+    """The target measure is unreachable by scaling the body."""
 
 
 class ResolutionTooCoarseError(LatgaussError):

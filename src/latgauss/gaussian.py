@@ -6,6 +6,12 @@ boxes (product of interval measures), halfspaces, centered balls
 (chi-square CDF) and the full space; everything else goes through the
 seeded Monte Carlo estimator.
 
+Scale calibration rests on one fact: for a body K with the origin inside
+and gauge g, the dilate sK is the sublevel set {g <= s}, so
+gamma_n(sK) = P(g(X) <= s) is the distribution function of g(X). A
+target measure is therefore a quantile of the gauge: a root of the closed
+form where one exists, an order statistic of the seeded draw otherwise.
+
 All confidence half-widths use the two-sided 99% convention, z = 2.576.
 """
 
@@ -15,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .convex import AxisBox, Ball, ConvexBody, FullSpace, Halfspace
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
@@ -167,25 +173,25 @@ def measure_exact(body: ConvexBody) -> MeasureEstimate:
     return MeasureEstimate(value=min(max(value, 0.0), 1.0), method="exact")
 
 
-def mc_fraction(dim: int, membership, samples: int, seed: int) -> tuple[float, float]:
-    """(hit fraction, 99% half-width) of standard normal points under a
-    vectorized membership predicate; deterministic given (seed, shard layout).
+def _normal_shards(dim: int, samples: int, seed: int):
+    """Seeded standard normal draw, one (n, dim) array per shard.
 
     Each shard of MC_SHARD_SIZE points draws its own substream from
-    (seed, shard index), so the aggregate count is schedule-independent.
+    (seed, shard index), so any shard schedule aggregates to the same draw.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    hits = 0
-    done = 0
-    shard = 0
-    while done < samples:
-        n = min(MC_SHARD_SIZE, samples - done)
+    for shard, start in enumerate(range(0, samples, MC_SHARD_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
-        pts = rng.standard_normal((n, dim))
-        hits += int(np.count_nonzero(membership(pts)))
-        done += n
-        shard += 1
+        yield rng.standard_normal((min(MC_SHARD_SIZE, samples - start), dim))
+
+
+def mc_fraction(dim: int, membership, samples: int, seed: int) -> tuple[float, float]:
+    """(hit fraction, 99% half-width) of standard normal points under a
+    vectorized membership predicate; deterministic given (seed, shard layout).
+    """
+    hits = sum(int(np.count_nonzero(membership(pts)))
+               for pts in _normal_shards(dim, samples, seed))
     p = hits / samples
     hw = Z99 * math.sqrt(p * (1.0 - p) / samples)
     return p, hw
@@ -208,56 +214,39 @@ def measure_auto(body: ConvexBody, samples: int = 1 << 16, seed: int = 0) -> Mea
         return measure_mc(body, samples, seed)
 
 
-def calibrate_scale(body: ConvexBody, target: float, tol: float = 1e-9,
-                    samples: int = 1 << 16, seed: int = 0,
-                    max_iter: int = 200) -> float:
-    """Scale s with gamma_n(s * body) = target, by bisection on s.
+def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
+                    seed: int = 0) -> float:
+    """Scale s with gamma_n(s * body) = target: the target-quantile of g(X).
 
-    The measure of s*body is nondecreasing in s for bodies with the origin
-    in the interior. Monte Carlo evaluations reuse one seed, so the hit sets
-    are nested across scales and the bisection stays monotone.
+    Closed-form bodies get one bracketed root, solved to machine precision.
+    Every other body gets the ceil(target * samples)-th smallest gauge of
+    the seeded draw that ``mc_fraction`` uses, so
+    ``measure_mc(body.scale(s), samples, seed)`` hits at least that many
+    points. Raises CalibrationError when no scale reaches the target and
+    InvalidBodyError for a body without a gauge.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if not body.contains(np.zeros(body.dim)):
         raise InvalidBodyError("calibration needs the origin inside the body")
+    try:
+        measure_exact(body)
+    except UnsupportedBodyError:
+        gauges = np.concatenate([body.gauge_many(pts)
+                                 for pts in _normal_shards(body.dim, samples, seed)])
+        k = math.ceil(target * samples)
+        return float(np.partition(gauges, k - 1)[k - 1])
 
-    def mval(s: float) -> float:
-        return measure_auto(body.scale(s), samples=samples, seed=seed).value
+    def excess(s: float) -> float:
+        return measure_exact(body.scale(s)).value - target
 
     lo = hi = 1.0
-    m = mval(1.0)
-    if m < target:
-        for _ in range(80):
-            hi *= 2.0
-            if mval(hi) >= target:
-                break
-        else:
-            raise CalibrationError(f"target {target} unreachable by upscaling")
-    elif m > target:
-        for _ in range(80):
+    for _ in range(64):
+        if excess(lo) > 0.0:
             lo /= 2.0
-            if mval(lo) <= target:
-                break
+        elif excess(hi) < 0.0:
+            hi *= 2.0
         else:
-            raise CalibrationError(f"target {target} unreachable by downscaling")
-    else:
-        return 1.0
-    s = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        s = 0.5 * (lo + hi)
-        if s == lo or s == hi:
-            break
-        v = mval(s)
-        if abs(v - target) <= 0.25 * tol:
-            return s
-        if v < target:
-            lo = s
-        else:
-            hi = s
-    err = abs(mval(s) - target)
-    if err > tol:
-        raise CalibrationError(
-            f"calibration stalled at |measure - target| = {err:.3g} > tol={tol} "
-            "(estimator noise may exceed tol)")
-    return s
+            return float(optimize.brentq(excess, lo, hi, xtol=1e-300,
+                                         rtol=4.0 * np.finfo(float).eps))
+    raise CalibrationError(f"target {target} unreachable by scaling a {body.kind}")

@@ -189,7 +189,7 @@ class TestAlphaSearch:
 
     def test_corollary_bound_when_measure_at_least_half(self):
         # calibrated cube: gaussian measure 1/2, so the ratio obeys 1/theta
-        s = lg.calibrate_scale(lg.AxisBox([0.5, 0.5]), 0.5, tol=1e-12)
+        s = lg.calibrate_scale(lg.AxisBox([0.5, 0.5]), 0.5)
         v = lg.AxisBox([0.5 * s, 0.5 * s])
         ratio, _ = lg.alpha_lower_bound_search(2, _ball(2), v, restarts=6, seed=1,
                                                resolution=8)

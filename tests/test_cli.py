@@ -125,6 +125,16 @@ class TestRecords:
         assert rec["verdict"] == "holds"
         assert rec["identity_residual"] <= rec["identity_tol"]
 
+    def test_w_profile_coarse_grid_box_holds(self):
+        # at 51 slices |S_h - S_2h| nearly cancels on this box, so the error
+        # estimate also needs the coarser difference to cover the residual
+        box = json.dumps({"kind": "axis_box", "dim": 2,
+                          "semiwidths": [1.3904961298422887, 1.853211111112718]})
+        code, out = run_cli("w-profile", "--body", box, "--grid-size", "51",
+                            "--seed", "751109276")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "holds"
+
     def test_beta_curve_emits_data_records(self):
         # ball-vs-cube lower-bound curve: data only, no asserted trend
         code, out = run_cli("beta", "--curve", "--n", "5", "--restarts", "2",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import latgauss as lg
-from latgauss.errors import CalibrationError, UnsupportedBodyError
+from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 THETA_PRINTED = 1.3489795  # reference value the constant must reproduce
 
@@ -198,19 +198,19 @@ class TestMeasureMC:
 
 class TestCalibrate:
     def test_ball_half_mass_closed_form(self):
-        s = lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5, tol=1e-12)
+        s = lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5)
         assert s == pytest.approx(math.sqrt(2.0 * math.log(2.0)), abs=1e-9)
 
     def test_unit_square_closed_form(self):
         # 1-d quantile composition oracle: (2*Phi(s/2) - 1)^2 = 1/2
         expected = 2.0 * lg.std_normal_quantile((1.0 + 2.0 ** -0.5) / 2.0)
-        s = lg.calibrate_scale(lg.AxisBox([0.5, 0.5]), 0.5, tol=1e-12)
+        s = lg.calibrate_scale(lg.AxisBox([0.5, 0.5]), 0.5)
         assert s == pytest.approx(expected, abs=1e-9)
 
     def test_fixed_point(self):
         body = lg.Ball(1.4, dim=2)
         target = lg.measure_exact(body).value
-        s = lg.calibrate_scale(body, target, tol=1e-10)
+        s = lg.calibrate_scale(body, target)
         assert s == pytest.approx(1.0, abs=1e-7)
 
     def test_rejects_target_out_of_range(self):
@@ -221,6 +221,62 @@ class TestCalibrate:
         # a halfspace with positive offset has measure in (1/2, 1)
         with pytest.raises(CalibrationError):
             lg.calibrate_scale(lg.Halfspace([1.0], 0.5), 0.3)
+
+    def test_off_center_ball_has_no_gauge(self):
+        with pytest.raises(InvalidBodyError):
+            lg.calibrate_scale(lg.Ball(1.0, center=[0.3, 0.0]), 0.5)
+
+
+_widths = st.floats(min_value=0.2, max_value=3.0)
+
+
+@st.composite
+def _exact_bodies(draw):
+    """(body, target) pairs of every kind with a closed-form measure."""
+    kind = draw(st.sampled_from(["ball", "box", "slab", "halfspace"]))
+    dim = draw(st.integers(1, 5))
+    target = draw(st.floats(min_value=0.01, max_value=0.99))
+    if kind == "ball":
+        return lg.Ball(draw(_widths), dim=dim), target
+    if kind == "halfspace":
+        normal = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+                      .filter(lambda v: np.linalg.norm(v) > 0.1))
+        return lg.Halfspace(normal, draw(_widths)), max(target, 0.51)
+    widths = draw(st.lists(_widths, min_size=dim, max_size=dim))
+    if kind == "slab":
+        unbounded = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        widths = [math.inf if u and i > 0 else w
+                  for i, (w, u) in enumerate(zip(widths, unbounded))]
+    return lg.AxisBox(widths), target
+
+
+@st.composite
+def _gauge_bodies(draw):
+    """Symmetric bodies without a closed form: H-polytopes and ellipsoids."""
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return lg.Ellipsoid(draw(st.lists(_widths, min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.standard_normal((dim + draw(st.integers(0, 3)), dim))
+    return lg.HPolytope(np.vstack([normals, -normals]),
+                        np.tile(rng.uniform(0.5, 1.5, len(normals)), 2))
+
+
+class TestCalibrateRoundTrip:
+    @given(_exact_bodies())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_exact_kinds_hit_target_to_machine_precision(self, case):
+        body, target = case
+        s = lg.calibrate_scale(body, target)
+        assert abs(lg.measure_exact(body.scale(s)).value - target) <= 1e-12
+
+    @given(_gauge_bodies(), st.floats(min_value=0.05, max_value=0.95),
+           st.integers(1000, 40_000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_gauge_kinds_hit_the_order_statistic(self, body, target, samples, seed):
+        s = lg.calibrate_scale(body, target, samples=samples, seed=seed)
+        est = lg.measure_mc(body.scale(s), samples, seed)
+        assert round(est.value * samples) == math.ceil(target * samples)
 
 
 class TestMeasureEstimateInvariants:

@@ -57,7 +57,7 @@ class TestFindCosetPoint:
         # oracle: exhaustive enumeration at small radius must agree
         lat = lg.random_theta_lattice(2, 3)
         coset = lg.Coset(lat, np.array([0.3, -0.2]))
-        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5, tol=1e-9), dim=2)
+        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5), dim=2)
         res = lg.find_coset_point_in_body(coset, body)
         assert res.status == "found"
         pts = lg.enumerate_coset_in_ball(coset, np.zeros(2), body.radius)
@@ -179,7 +179,7 @@ class TestLemma:
         assert rep.measure.value == pytest.approx(lg.std_normal_cdf(0.5 / proj), abs=1e-12)
 
     def test_centered_ball_slice_dominates(self):
-        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=3), 0.6, tol=1e-9), dim=3)
+        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=3), 0.6), dim=3)
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 2)))
         rep = lg.check_lemma_instance(body, q.T, seed=3)
         assert rep.verdict == "holds"
@@ -322,7 +322,7 @@ class TestCorollary:
     def test_calibrated_ball_below_bound(self):
         th = lg.theta()
         # tight tolerance keeps the calibrated measure from dipping below 1/2
-        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5, tol=1e-12), dim=2)
+        body = lg.Ball(lg.calibrate_scale(lg.Ball(1.0, dim=2), 0.5), dim=2)
         ratio = lg.corollary_ratio(lg.Lattice(np.eye(2)), body, resolution=12)
         lower, upper = lg.covering_radius(lg.Lattice(np.eye(2)), body, 12)
         lam = lg.nth_minimum(lg.Lattice(np.eye(2)), lg.Ball(1.0, dim=2))
