@@ -218,12 +218,15 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
                     seed: int = 0) -> float:
     """Scale s with gamma_n(s * body) = target: the target-quantile of g(X).
 
-    Closed-form bodies get one bracketed root, solved to machine precision.
-    Every other body gets the ceil(target * samples)-th smallest gauge of
-    the seeded draw that ``mc_fraction`` uses, so
-    ``measure_mc(body.scale(s), samples, seed)`` hits at least that many
-    points. Raises CalibrationError when no scale reaches the target and
-    InvalidBodyError for a body without a gauge.
+    Closed-form bodies (those ``measure_exact`` accepts) get one bracketed
+    root, solved to machine precision. Every other body gets the
+    ceil(target * samples)-th smallest gauge of the seeded draw that
+    ``mc_fraction`` uses, so ``measure_mc(body.scale(s), samples, seed)``
+    hits at least that many points. That branch needs ``gauge_many``, which
+    is defined only for centrally symmetric bodies: an off-center ball, an
+    asymmetric H-polytope or a non-symmetric oracle raises InvalidBodyError.
+    An OracleBody gauge costs about 40 membership passes over the draw.
+    Raises CalibrationError when no scale reaches the target.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")

@@ -55,6 +55,13 @@ class TestExitCodes:
         summary = json.loads(lines[-1])
         assert summary["holds"] == 5 and summary["violated"] == 0
 
+    def test_check_theorem_suite_at_low_sample_count(self):
+        # hpolytope bodies must re-certify at any --samples the CLI accepts
+        code, out = run_cli("check-theorem", "--n", "3", "--trials", "50", "--samples", "4096")
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["violated"] == 0
+
     def test_check_theorem_explicit_instance(self):
         # the tight slab instance: witness sits exactly on the boundary
         theta = 1.348979500392164

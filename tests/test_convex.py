@@ -236,6 +236,18 @@ class TestOracleBody:
         b = lg.measure_mc(lg.Ball(1.0, dim=2), 10_000, seed=2).value
         assert a == b
 
+    def test_gauge_matches_ellipsoid(self):
+        semiaxes = np.array([0.7, 1.9, 1.2])
+        oracle = lg.OracleBody(3, lambda pts: np.sum((pts / semiaxes) ** 2, axis=1) <= 1.0,
+                               bounding_radius_hint=2.0, symmetric_flag=True,
+                               vectorized=True)
+        pts = np.random.default_rng(4).normal(0.0, 2.0, size=(500, 3))
+        pts[0] = 0.0
+        expected = lg.Ellipsoid(semiaxes).gauge_many(pts)
+        assert np.allclose(oracle.gauge_many(pts), expected, rtol=1e-11, atol=0.0)
+        assert lg.calibrate_scale(oracle, 0.6, samples=5000, seed=3) == pytest.approx(
+            lg.calibrate_scale(lg.Ellipsoid(semiaxes), 0.6, samples=5000, seed=3), rel=1e-11)
+
     def test_scaling(self):
         disk = lg.OracleBody(2, lambda x: float(np.linalg.norm(x)) <= 1.0,
                              bounding_radius_hint=1.0, symmetric_flag=True)
