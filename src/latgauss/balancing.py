@@ -143,9 +143,14 @@ def _boundary_point(body: ConvexBody, direction: np.ndarray) -> np.ndarray:
     return direction / g
 
 
+# Perturbation schedule of the worst-case searches: passes of halving step
+# size, each trying this many random probes (per vector for beta).
+_BETA_PASSES, _BETA_PROBES = 4, 6
+_ALPHA_PASSES, _ALPHA_PROBES = 3, 4
+
+
 def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
-                            restarts: int = 32, seed: int = 0,
-                            passes: int = 4, probes: int = 6) -> tuple[float, np.ndarray]:
+                            restarts: int = 32, seed: int = 0) -> tuple[float, np.ndarray]:
     """Certified lower bound on the sup-over-sequences balancing constant.
 
     Maximizes the exact balancing radius over n-vector sequences on the
@@ -164,9 +169,9 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
                          for _ in range(n)])
         radius = balance_exhaustive(vecs, v_body).radius
         step = 0.5
-        for _ in range(passes):
+        for _ in range(_BETA_PASSES):
             for i in range(n):
-                for _ in range(probes):
+                for _ in range(_BETA_PROBES):
                     cand = vecs.copy()
                     cand[i] = _boundary_point(u_body, vecs[i] + step * rng.standard_normal(d))
                     r = balance_exhaustive(cand, v_body).radius
@@ -203,8 +208,7 @@ def ellipsoid_for_formula(alphas) -> Ellipsoid:
 
 def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
                              restarts: int = 8, seed: int = 0,
-                             resolution: int = 8, passes: int = 3,
-                             probes: int = 4) -> tuple[float, lat.Lattice]:
+                             resolution: int = 8) -> tuple[float, lat.Lattice]:
     """Certified lower bound on sup over lattices of mu(L, V) / lambda_n(L, U).
 
     The ratio for each candidate lattice uses the certified covering-radius
@@ -238,8 +242,8 @@ def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
         else:
             raise RuntimeError("could not draw a usable random lattice")
         step = 0.4
-        for _ in range(passes):
-            for _ in range(probes):
+        for _ in range(_ALPHA_PASSES):
+            for _ in range(_ALPHA_PROBES):
                 cand = basis + step * rng.standard_normal((n, n))
                 rc = ratio(cand)
                 if rc > r:

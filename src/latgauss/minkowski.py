@@ -8,8 +8,9 @@ Every check returns a CheckReport with one of three verdicts:
 * ``violated``     -- a concrete counterexample (witness) or a completed
                       enumeration certifies failure;
 * ``inconclusive`` -- a precondition could not be certified at the requested
-                      confidence, or an unbounded search exhausted its
-                      truncation retries. Never reported as a violation.
+                      confidence, or a search stopped at its node cap or,
+                      for an unbounded body, at its largest radius. Never
+                      reported as a violation.
 
 Statistical acceptance follows one convention: an estimate certifies
 ``x >= b`` only when ``estimate - 3 * half_width >= b`` (99% half-widths).
@@ -27,7 +28,7 @@ from . import gaussian
 from .convex import (AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
                      bounding_radius, minkowski_combination)
 from .errors import EnumerationCapExceededError, InvalidBodyError, UnsupportedBodyError
-from .gaussian import MeasureEstimate, measure_auto, measure_exact, measure_mc
+from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import (Coset, Lattice, DEFAULT_NODE_CAP, enumerate_coset_in_ball,
                       lll_reduce, nth_minimum, covering_radius)
 
@@ -97,11 +98,15 @@ class WProfile:
 
 @dataclass(frozen=True)
 class CosetSearch:
-    """Result of hunting for a coset point inside a (truncated) body."""
+    """Result of hunting for a coset point inside a (truncated) body.
+
+    ``radius`` is the largest radius enumerated around the body's anchor;
+    after a node-cap hit it is the radius whose enumeration hit the cap.
+    """
 
     point: np.ndarray | None
     status: str            # "found" | "empty" | "truncated"
-    radius: float          # truncation radius actually used
+    radius: float
     note: str = ""
 
 
@@ -109,87 +114,85 @@ class CosetSearch:
 # Instance construction
 # ---------------------------------------------------------------------------
 
-def random_theta_lattice(n: int, seed: int, max_tries: int = 500) -> Lattice:
+_BASIS_DRAW_CAP = 500  # rejection cap on nearly dependent basis draws
+
+
+def random_theta_lattice(n: int, seed: int) -> Lattice:
     """Random lattice whose basis vectors all have norm at most theta().
 
     Directions are uniform on the sphere, norms uniform in (0.3*theta, theta].
     Nearly dependent draws are rejected (they blow up enumeration without
-    adding coverage), and the theta-coset criterion nth_minimum <= theta is
-    asserted on the result.
+    adding coverage). The theta-coset criterion nth_minimum <= theta holds by
+    construction: the n basis vectors are independent lattice vectors of norm
+    at most theta, so lambda_n <= max |b_i| <= theta.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     th = gaussian.theta()
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_BASIS_DRAW_CAP):
         dirs = rng.standard_normal((n, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         norms = rng.uniform(0.3 * th, th, size=n)
         basis = dirs * norms[:, None]
-        if abs(np.linalg.det(basis)) < 0.2 * float(np.prod(norms)):
-            continue
-        lat = Lattice(basis)
-        lam = nth_minimum(lat, Ball(1.0, dim=n))
-        if lam <= th + 1e-9:
-            return lat
-        raise AssertionError(f"construction broke its own bound: lambda_n = {lam}")
-    raise RuntimeError(f"rejection cap {max_tries} exceeded while drawing a basis")
+        if abs(np.linalg.det(basis)) >= 0.2 * float(np.prod(norms)):
+            return Lattice(basis)
+    raise RuntimeError(f"rejection cap {_BASIS_DRAW_CAP} exceeded while drawing a basis")
 
 
 # ---------------------------------------------------------------------------
 # Coset-meets-body search
 # ---------------------------------------------------------------------------
 
+_COSET_DOUBLINGS = 3  # unbounded bodies: search out to 2**3 times the truncation
+
+
 def find_coset_point_in_body(coset: Coset, body: ConvexBody,
                              tail_eps: float = DEFAULT_TAIL_EPS,
-                             cap: int = DEFAULT_NODE_CAP,
-                             max_doublings: int = 3) -> CosetSearch:
+                             cap: int = DEFAULT_NODE_CAP) -> CosetSearch:
     """First coset point inside the body, searching outward from its anchor.
 
-    The body is truncated at R = bounding_radius(body, tail_eps). Candidate
-    points are visited in order of distance from the anchor (ties by the
-    coefficient spiral key), so the returned witness is deterministic. For a
-    bounded body an exhausted search is a certificate of empty intersection;
-    for an unbounded body the radius doubles up to ``max_doublings`` times
-    before giving up, since emptiness beyond the truncation is not decidable.
+    The body is truncated at R = bounding_radius(body, tail_eps). Shells
+    around the anchor double in radius up to R for a bounded body and up to
+    R * 2**_COSET_DOUBLINGS for an unbounded one. Candidate points are
+    visited in order of distance from the anchor (ties by the coefficient
+    spiral key), so the returned witness is deterministic. For a bounded body
+    an exhausted search is a certificate of empty intersection; for an
+    unbounded body it is ``truncated``, since emptiness beyond the truncation
+    is not decidable. ``radius`` is the largest radius enumerated.
     """
     r_trunc = bounding_radius(body, tail_eps)
     anchor = body.anchor()
     bounded = math.isfinite(body.circumradius())
+    r_max = r_trunc if bounded else r_trunc * 2.0 ** _COSET_DOUBLINGS
     # every point of space is within half a basis-cell diagonal of the lattice
     b = lll_reduce(coset.lattice).basis
-    first_shell = 0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9
-
-    radius_budget = r_trunc
-    for attempt in range(max_doublings + 1):
-        shell = min(first_shell, radius_budget)
-        while True:
-            try:
-                pts = enumerate_coset_in_ball(coset, anchor, shell, cap=cap)
-            except EnumerationCapExceededError as e:
-                return CosetSearch(None, "truncated", shell,
-                                   note=f"enumeration cap hit: {e}")
-            if len(pts):
-                # stable sort on quantized distance keeps the spiral key as
-                # tie-break; any point nearer than a hit is already enumerated,
-                # so the first hit is the global nearest in-body point
-                dist = np.linalg.norm(pts - anchor, axis=1)
-                order = np.argsort(np.round(dist / 1e-9).astype(np.int64), kind="stable")
-                hits = body.contains_many(pts[order])
-                idx = np.flatnonzero(hits)
-                if idx.size:
-                    return CosetSearch(pts[order][idx[0]], "found", radius_budget)
-            if shell >= radius_budget:
-                break
-            shell = min(shell * 2.0, radius_budget)
-        if bounded:
-            return CosetSearch(None, "empty", radius_budget,
-                               note="complete enumeration of the coset inside the "
-                                    "truncated body found no point")
-        radius_budget *= 2.0
-    return CosetSearch(None, "truncated", radius_budget / 2.0,
+    shell = min(0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9, r_max)
+    while True:
+        try:
+            pts = enumerate_coset_in_ball(coset, anchor, shell, cap=cap)
+        except EnumerationCapExceededError as e:
+            return CosetSearch(None, "truncated", shell, note=f"enumeration cap hit: {e}")
+        if len(pts):
+            # stable sort on quantized distance keeps the spiral key as
+            # tie-break; any point nearer than a hit is already enumerated,
+            # so the first hit is the global nearest in-body point
+            dist = np.linalg.norm(pts - anchor, axis=1)
+            order = np.argsort(np.round(dist / 1e-9).astype(np.int64), kind="stable")
+            hits = body.contains_many(pts[order])
+            idx = np.flatnonzero(hits)
+            if idx.size:
+                return CosetSearch(pts[order][idx[0]], "found", shell)
+        if shell >= r_max:
+            break
+        shell = min(shell * 2.0, r_max)
+    if bounded:
+        return CosetSearch(None, "empty", r_max,
+                           note="complete enumeration of the coset inside the "
+                                "truncated body found no point")
+    return CosetSearch(None, "truncated", r_max,
                        note=f"no intersection inside truncation after "
-                            f"{max_doublings} radius doublings (unbounded body)")
+                            f"{_COSET_DOUBLINGS} radius doublings (unbounded body)")
 
 
 def _certify_at_least_half(body: ConvexBody, samples: int, seed: int) -> tuple[bool, MeasureEstimate]:
@@ -205,10 +208,10 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
                            cap: int = DEFAULT_NODE_CAP) -> CheckReport:
     """Does the body meet the coset? (It must, on certified inputs.)
 
-    Preconditions are re-verified here: gaussian measure >= 1/2 (exactly, or
-    by estimate - 3*half_width >= 1/2) and nth_minimum(lattice) <= theta.
-    An unverifiable measure yields ``inconclusive``; a non-theta coset is a
-    caller error.
+    Both preconditions are certified here, and only here: gaussian measure
+    >= 1/2 (exactly, or by estimate - 3*half_width >= 1/2) and
+    nth_minimum(lattice) <= theta. An unverifiable measure yields
+    ``inconclusive``; a non-theta coset is a caller error.
     """
     ok, est = _certify_at_least_half(body, mc_samples, seed)
     if not ok:
@@ -328,8 +331,7 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
 # ---------------------------------------------------------------------------
 
 def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
-                  samples: int = 1 << 16, seed: int = 0,
-                  tol: float = _EXACT_MARGIN_TOL) -> CheckReport:
+                  samples: int = 1 << 16, seed: int = 0) -> CheckReport:
     """Quantile concavity along the Minkowski interpolation of two bodies.
 
     Compares Phi^{-1}(measure(lam*A + (1-lam)*B)) against the affine
@@ -343,9 +345,7 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
     comb = minkowski_combination(a, b, lam)
 
     def bracket(body: ConvexBody, sub: int) -> tuple[float, float, MeasureEstimate]:
-        est = measure_auto(body, samples=samples,
-                           seed=int(np.random.SeedSequence(seed, spawn_key=(sub,))
-                                    .generate_state(1)[0]))
+        est = measure_auto(body, samples=samples, seed=_sub_seed(seed, sub))
         lo = np.clip(est.value - 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
         hi = np.clip(est.value + 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
         return (gaussian.std_normal_quantile(lo),
@@ -357,9 +357,9 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
     rhs_lo = lam * a_lo + (1.0 - lam) * b_lo
     rhs_hi = lam * a_hi + (1.0 - lam) * b_hi
     margin = lhs_lo - rhs_hi
-    if margin >= -tol:
+    if margin >= -_EXACT_MARGIN_TOL:
         verdict = "holds"
-    elif lhs_hi < rhs_lo - tol:
+    elif lhs_hi < rhs_lo - _EXACT_MARGIN_TOL:
         verdict = "violated"  # certified: intervals separate the wrong way
     else:
         verdict = "inconclusive"
@@ -404,9 +404,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
         if sl is None:
             measures[i], hws[i] = 0.0, 0.0
             continue
-        est = measure_auto(sl, samples=samples,
-                           seed=int(np.random.SeedSequence(seed, spawn_key=(i,))
-                                    .generate_state(1)[0]))
+        est = measure_auto(sl, samples=samples, seed=_sub_seed(seed, i))
         measures[i], hws[i] = est.value, est.half_width
 
     support = measures > 0.0
@@ -451,9 +449,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     wsimp[2:-1:2] = 2.0
     wsimp *= h / 3.0
     hw_lhs = float(np.sqrt(np.sum((wsimp * weights * hws) ** 2)))
-    rhs = measure_auto(body, samples=4 * samples,
-                       seed=int(np.random.SeedSequence(seed, spawn_key=(grid_size + 1,))
-                                .generate_state(1)[0]))
+    rhs = measure_auto(body, samples=4 * samples, seed=_sub_seed(seed, grid_size + 1))
     tol = 3.0 * math.hypot(hw_lhs, rhs.half_width) + quad_err
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
@@ -514,15 +510,20 @@ def _instance_seed(seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(trial,))
 
 
+def _sub_seed(seed: int, key: int) -> int:
+    """Independent integer seed for sub-draw ``key`` of a seeded check."""
+    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
+
+
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-# Headroom of the hpolytope re-certification, in binomial standard deviations
-# sigma = sqrt(p(1-p)/samples): the 3 * Z99 of the certificate itself plus
-# six sigmas of the noise in (calibrated measure - fresh estimate), which is
-# the difference of two independent draws.
+# Headroom of a calibrated hpolytope against the checker's certificate, in
+# binomial standard deviations sigma = sqrt(p(1-p)/samples): the 3 * Z99 of
+# the certificate itself plus six sigmas of the noise in (calibrated measure
+# - the checker's estimate), which is the difference of two independent draws.
 _RECERT_SIGMAS = 3.0 * gaussian.Z99 + 6.0 * math.sqrt(2.0)
 
 
@@ -539,7 +540,13 @@ def _recertifiable_target(samples: int) -> float:
 
 def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
                             mc_samples: int = 1 << 16) -> ConvexBody:
-    """Body of the requested kind with certified gaussian measure >= 1/2."""
+    """Body of the requested kind with gaussian measure >= 1/2.
+
+    Closed-form kinds meet the bound exactly. An hpolytope is calibrated on
+    an ``mc_samples`` draw to clear the checker's certificate (estimate - 3
+    half-widths >= 1/2 on its own draw); certification is left to
+    ``check_theorem_instance``, which reports a miss as ``inconclusive``.
+    """
     if kind == "halfspace":
         return Halfspace(_random_unit(rng, n), abs(rng.normal(0.0, 0.7)))
     if kind == "box":
@@ -562,14 +569,8 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
         normals = np.vstack([normals, -normals])
         base = HPolytope(normals, np.ones(2 * pairs) * rng.uniform(0.8, 1.4))
         target = _recertifiable_target(mc_samples)
-        body = base.scale(gaussian.calibrate_scale(base, target, samples=mc_samples,
+        return base.scale(gaussian.calibrate_scale(base, target, samples=mc_samples,
                                                    seed=int(rng.integers(2**62))))
-        # re-certify on a fresh draw: the calibration draw itself is biased;
-        # the target leaves six sigmas of headroom at any sample count
-        est = measure_mc(body, mc_samples, seed=int(rng.integers(2**62)))
-        if est.value - 3.0 * est.half_width < 0.5:
-            raise RuntimeError("could not certify a random symmetric polytope")
-        return body
     raise ValueError(f"unknown body kind {kind!r}")
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import latgauss as lg
-from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target,
-                                 generate_certified_body, generate_theorem_instance)
+from latgauss.minkowski import (DEFAULT_TAIL_EPS, _RECERT_SIGMAS, _recertifiable_target,
+                                 generate_theorem_instance)
 
 
 class TestRandomThetaLattice:
@@ -26,9 +26,10 @@ class TestRandomThetaLattice:
 
     def test_postcondition_nth_minimum(self):
         th = lg.theta()
-        for seed in range(5):
-            lat = lg.random_theta_lattice(2, seed)
-            assert lg.nth_minimum(lat, lg.Ball(1.0, dim=2)) <= th + 1e-9
+        for n in range(1, 5):
+            for seed in range(5):
+                lat = lg.random_theta_lattice(n, seed)
+                assert lg.nth_minimum(lat, lg.Ball(1.0, dim=n)) <= th + 1e-9
 
     def test_1d(self):
         th = lg.theta()
@@ -71,6 +72,20 @@ class TestFindCosetPoint:
         res = lg.find_coset_point_in_body(coset, lg.Ball(1.0, dim=2))
         assert res.status == "empty"
         assert "complete enumeration" in res.note
+
+    def test_unbounded_miss_truncated_at_eight_times_truncation(self):
+        # every coset point has |x| >= 1/2, outside the thin unbounded slab
+        body = lg.AxisBox([0.01, math.inf])
+        coset = lg.Coset(lg.Lattice(np.eye(2)), np.array([0.5, 0.0]))
+        res = lg.find_coset_point_in_body(coset, body)
+        assert res.status == "truncated" and res.point is None
+        assert res.radius == pytest.approx(8.0 * lg.bounding_radius(body, DEFAULT_TAIL_EPS))
+
+    def test_node_cap_hit_is_truncated(self):
+        coset = lg.Coset(lg.Lattice(np.eye(2)), np.array([0.5, 0.5]))
+        res = lg.find_coset_point_in_body(coset, lg.Ball(0.6, dim=2), cap=1)
+        assert res.status == "truncated" and res.point is None
+        assert "enumeration cap" in res.note
 
 
 class TestTheoremCheck:
@@ -374,12 +389,12 @@ class TestInstanceGeneration:
 
     @pytest.mark.parametrize("samples", [1000, 4096, 8192])
     def test_hpolytopes_recertify_at_small_sample_counts(self, samples):
-        # with a fixed 0.57 target a 4096-sample draw failed the fresh-seed
+        # with a fixed 0.57 target a 4096-sample draw failed the checker's
         # certificate on about one body in six
-        for trial in range(60):
-            rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(samples, trial)))
-            body = generate_certified_body(1 + trial % 4, "hpolytope", rng, mc_samples=samples)
-            assert isinstance(body, lg.HPolytope)
+        verdicts = [report.verdict for n in range(1, 5)
+                    for _, kind, report in lg.theorem_suite(n, 75, seed=8, mc_samples=samples)
+                    if kind == "hpolytope"]
+        assert verdicts == ["holds"] * 60
 
     def test_recertifiable_target(self):
         assert _recertifiable_target(1 << 16) == 0.57  # default seeded scales unchanged
