@@ -10,6 +10,7 @@ lower bounds for the sup-over-sequences constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ from .errors import (DimensionMismatchError, EnumerationCapExceededError,
 from . import lattice as lat
 
 MAX_EXHAUSTIVE = 24
-_CHUNK_BITS = 18
+# sign rows cached for the low block of an exhaustive scan: 2^16 x 16 floats
+_LOW_BITS = 16
 
 # Resolved parameterization of the closed-form ellipsoid constants: the
 # coefficients alpha multiply coordinates, E = {x : sum (alpha_i x_i)^2 <= 1},
@@ -54,10 +56,28 @@ class BalanceResult:
         return self.signs.as_array() @ self.inputs
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_rows(m: int) -> np.ndarray:
+    """Read-only (2^m, m) array of every +-1 row in lexicographic order.
+
+    Row c holds the bits of c, most significant first, as +1 for 0 and -1
+    for 1. For m < 16 it is a view of the 16-bit table, whose first 2^m rows
+    end in exactly these m columns, so all entries share its 8 MB.
+    """
+    if m < _LOW_BITS:
+        return _sign_rows(_LOW_BITS)[:1 << m, _LOW_BITS - m:]
+    codes = np.arange(1 << m)[:, None]
+    rows = 1.0 - 2.0 * ((codes >> np.arange(m - 1, -1, -1)) & 1)
+    rows.flags.writeable = False
+    return rows
+
+
 def _check_inputs(vectors, body: ConvexBody) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         raise ValueError("vectors must form a (k, n) array")
+    if v.shape[0] == 0:
+        raise ValueError("balancing needs at least one vector")
     if v.shape[1] != body.dim:
         raise DimensionMismatchError("vector dimension does not match the body")
     if not body.symmetric:
@@ -70,31 +90,32 @@ def balance_exhaustive(vectors, body: ConvexBody) -> BalanceResult:
 
     Central symmetry of the gauge halves the search; ties break toward the
     lexicographically first pattern (+1 before -1) among the 2^(k-1) scanned.
+    The free signs split into a high block of k-1-lo signs and a low block of
+    the last lo = min(k-1, 16) signs. The partial sums of each block are
+    formed once, and each high pattern is scanned as one 2^lo-row gauge call
+    on the low sums plus its high sum, so working memory is O(2^16 * n)
+    whatever k is. The sums are added in a different order than a direct
+    signed sum, so the radius may differ from it in the last ulps.
     """
     v = _check_inputs(vectors, body)
     k = v.shape[0]
     if k > MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive balancing capped at {MAX_EXHAUSTIVE} vectors, got {k}")
-    free = k - 1
-    # bit (free-1-j) drives sign j+1, so ascending codes run in lexicographic
-    # pattern order (+1 before -1) and argmin's first hit is the tie-break
-    shifts = np.arange(free - 1, -1, -1, dtype=np.uint64)
-    best_r = math.inf
-    best_idx = 0
-    for start in range(0, 1 << free, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << free)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        bits = (codes[:, None] >> shifts) & 1
-        signs = np.hstack([np.ones((len(codes), 1)), 1.0 - 2.0 * bits])
-        sums = signs @ v
-        gauges = body.gauge_many(sums)
+    lo = min(k - 1, _LOW_BITS)
+    hi = k - 1 - lo
+    low_rows, high_rows = _sign_rows(lo), _sign_rows(hi)
+    low = low_rows @ v[1 + hi:]
+    high = v[0] + high_rows @ v[1:1 + hi]
+    # high patterns ascend in the outer loop and argmin returns the first
+    # hit, so the strict < keeps the lexicographically first minimum
+    best_r, best_h, best_j = math.inf, 0, 0
+    for h in range(1 << hi):
+        gauges = body.gauge_many(low + high[h])
         j = int(np.argmin(gauges))
         if gauges[j] < best_r:
-            best_r = float(gauges[j])
-            best_idx = start + j
-    bits = (best_idx >> shifts.astype(np.int64)) & 1
-    pattern = (1,) + tuple(int(1 - 2 * b) for b in bits)
-    return BalanceResult(best_r, SignAssignment(pattern), v)
+            best_r, best_h, best_j = float(gauges[j]), h, j
+    pattern = np.concatenate(([1.0], high_rows[best_h], low_rows[best_j]))
+    return BalanceResult(best_r, SignAssignment(tuple(int(s) for s in pattern)), v)
 
 
 def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
@@ -114,22 +135,28 @@ def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
         signs = np.ones(k)
         acc = np.zeros(body.dim)
         for i in order:
-            if body.gauge(acc + v[i]) <= body.gauge(acc - v[i]):
-                signs[i] = 1.0
-            else:
-                signs[i] = -1.0
+            plus, minus = body.gauge_many(np.stack((acc + v[i], acc - v[i])))
+            signs[i] = 1.0 if plus <= minus else -1.0
             acc += signs[i] * v[i]
-        # local descent on the final sum
+        # local descent on the final sum, first improvement in index order:
+        # one gauge call scores the flip of every index from i on
         improved = True
         while improved:
             improved = False
-            current = body.gauge(signs @ v)
-            for i in range(k):
-                flipped = float(body.gauge(signs @ v - 2.0 * signs[i] * v[i]))
-                if flipped < current - 1e-12:
-                    signs[i] = -signs[i]
-                    current = flipped
-                    improved = True
+            total = signs @ v
+            current = body.gauge(total)
+            i = 0
+            while i < k:
+                flipped = body.gauge_many(total - 2.0 * signs[i:, None] * v[i:])
+                better = np.flatnonzero(flipped < current - 1e-12)
+                if better.size == 0:
+                    break
+                i += int(better[0])
+                signs[i] = -signs[i]
+                current = float(flipped[better[0]])
+                improved = True
+                total = signs @ v
+                i += 1
         radius = float(body.gauge(signs @ v))
         if best is None or radius < best.radius:
             best = BalanceResult(radius, SignAssignment(tuple(int(s) for s in signs)), v)

@@ -315,6 +315,8 @@ def _cmd_sharpness(args, out: _Emitter) -> None:
 
 
 def _cmd_beta(args, out: _Emitter) -> None:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.curve:
         for n in range(1, args.n + 1):
             start = time.perf_counter()

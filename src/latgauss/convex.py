@@ -73,9 +73,12 @@ class ConvexBody:
         """
         raise NotImplementedError
 
-    def _require_gauge(self) -> None:
+    def _require_symmetric(self) -> None:
         if not self.symmetric:
             raise InvalidBodyError(f"gauge needs a centrally symmetric body, got {self.kind}")
+
+    def _require_gauge(self) -> None:
+        self._require_symmetric()
         if not self.contains(np.zeros(self.dim)):
             raise InvalidBodyError("gauge needs the origin in the body")
 
@@ -270,7 +273,7 @@ class Ball(ConvexBody):
         return d <= self.radius + BOUNDARY_ATOL
 
     def gauge_many(self, points):
-        self._require_gauge()
+        self._require_symmetric()  # a centered ball of positive radius holds 0
         return np.linalg.norm(points, axis=1) / self.radius
 
     def slice_at(self, x):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,62 @@ from latgauss.balancing import ELLIPSOID_FORMULA_CONVENTION
 
 def _ball(n):
     return lg.Ball(1.0, dim=n)
+
+
+GAUGES = {
+    "ball": lambda n: lg.Ball(1.5, dim=n),
+    "axis_box": lambda n: lg.AxisBox(np.linspace(0.5, 2.0, n)),
+    "ellipsoid": lambda n: lg.Ellipsoid(np.linspace(0.7, 1.9, n)),
+}
+
+
+def _first_minimum_by_codes(vecs, body):
+    """Reference scan: pattern code c drives sign j+1 by bit (k-2-j), chunk
+    by chunk, keeping the first strict minimum in ascending code order."""
+    k = len(vecs)
+    shifts = np.arange(k - 2, -1, -1)
+    best_r, best_code = math.inf, 0
+    for start in range(0, 1 << (k - 1), 1 << 14):
+        codes = np.arange(start, min(start + (1 << 14), 1 << (k - 1)))
+        signs = np.hstack([np.ones((len(codes), 1)),
+                           1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)])
+        gauges = body.gauge_many(signs @ vecs)
+        j = int(np.argmin(gauges))
+        if gauges[j] < best_r:
+            best_r, best_code = float(gauges[j]), start + j
+    return best_r, (1,) + tuple(1 - 2 * ((best_code >> int(s)) & 1) for s in shifts)
+
+
+def _heuristic_reference(vectors, body, restarts=16, seed=0):
+    """One gauge call per candidate: the loop the batched heuristic must match."""
+    v = np.asarray(vectors, dtype=float)
+    k = v.shape[0]
+    best = None
+    for restart in range(max(restarts, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+        order = rng.permutation(k)
+        signs = np.ones(k)
+        acc = np.zeros(body.dim)
+        for i in order:
+            if body.gauge(acc + v[i]) <= body.gauge(acc - v[i]):
+                signs[i] = 1.0
+            else:
+                signs[i] = -1.0
+            acc += signs[i] * v[i]
+        improved = True
+        while improved:
+            improved = False
+            current = body.gauge(signs @ v)
+            for i in range(k):
+                flipped = float(body.gauge(signs @ v - 2.0 * signs[i] * v[i]))
+                if flipped < current - 1e-12:
+                    signs[i] = -signs[i]
+                    current = flipped
+                    improved = True
+        radius = float(body.gauge(signs @ v))
+        if best is None or radius < best[0]:
+            best = (radius, tuple(int(s) for s in signs))
+    return best
 
 
 class TestBalanceExhaustive:
@@ -49,9 +106,56 @@ class TestBalanceExhaustive:
                        for s in itertools.product((1, -1), repeat=5))
             assert lg.balance_exhaustive(vecs, body).radius == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", sorted(GAUGES))
+    def test_first_lexicographic_minimum_matches_brute_force(self, kind):
+        # small integers make the signed sums exact, so ties are exact and
+        # the first pattern in itertools order (+1 before -1) must win
+        rng = np.random.default_rng(12)
+        for k in range(1, 13):
+            n = 2 + k % 2
+            body = GAUGES[kind](n)
+            vecs = rng.integers(-3, 4, size=(k, n)).astype(float)
+            patterns = [(1,) + p for p in itertools.product((1, -1), repeat=k - 1)]
+            gauges = [body.gauge(np.array(p) @ vecs) for p in patterns]
+            first = min(range(len(patterns)), key=gauges.__getitem__)
+            r = lg.balance_exhaustive(vecs, body)
+            assert r.radius == gauges[first]
+            assert r.signs.signs == patterns[first]
+
+    @pytest.mark.parametrize("kind", sorted(GAUGES))
+    def test_minimum_with_high_block_signs(self, kind):
+        # k = 20 scans 2^3 high patterns of 2^16 low rows; the first minimal
+        # pattern here has a -1 among signs 1..3, so the scan must cross blocks
+        rng = np.random.default_rng(20)
+        vecs = rng.integers(-3, 4, size=(20, 2)).astype(float)
+        # with sign 1 at +1 the first two sum to 120 per coordinate, more than
+        # the other 18 (entries within +-3) can cancel, so sign 1 must be -1
+        vecs[:2] = 60.0
+        body = GAUGES[kind](2)
+        radius, pattern = _first_minimum_by_codes(vecs, body)
+        assert pattern[1] == -1
+        r = lg.balance_exhaustive(vecs, body)
+        assert r.radius == radius
+        assert r.signs.signs == pattern
+
+    def test_scan_memory_independent_of_pattern_count(self):
+        vecs = np.random.default_rng(4).standard_normal((20, 4))
+        tracemalloc.start()
+        try:
+            lg.balance_exhaustive(vecs, lg.Ellipsoid([1.0, 2.0, 0.5, 1.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             lg.balance_exhaustive(np.zeros((25, 2)), _ball(2))
+
+    @pytest.mark.parametrize("balance", [lg.balance_exhaustive, lg.balance_heuristic])
+    def test_empty_input_rejected(self, balance):
+        with pytest.raises(ValueError, match="at least one vector"):
+            balance(np.zeros((0, 2)), _ball(2))
 
     @given(st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=60, derandomize=True)
@@ -101,6 +205,17 @@ class TestBalanceHeuristic:
             ex = lg.balance_exhaustive(vecs, body).radius
             he = lg.balance_heuristic(vecs, body, restarts=8, seed=trial).radius
             assert he <= 2.0 * ex + 1e-9 or ex < 1e-9
+
+    @pytest.mark.parametrize("kind", sorted(GAUGES))
+    def test_matches_reference_loop(self, kind):
+        rng = np.random.default_rng(9)
+        for seed in range(4):
+            n = 2 + seed % 3
+            vecs = rng.standard_normal((12 + 2 * seed, n))
+            body = GAUGES[kind](n)
+            r = lg.balance_heuristic(vecs, body, restarts=4, seed=seed)
+            assert (r.radius, r.signs.signs) == _heuristic_reference(
+                vecs, body, restarts=4, seed=seed)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

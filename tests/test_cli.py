@@ -154,6 +154,12 @@ class TestRecords:
         assert all("elapsed" in r and "restarts" in r for r in recs)
         assert recs[0]["radius"] == pytest.approx(2.0, abs=1e-9)  # 1-d worst case
 
+    @pytest.mark.parametrize("extra", [(), ("--curve",)])
+    def test_beta_without_vectors_names_n(self, extra, capsys):
+        code, out = run_cli("beta", "--n", "0", *extra)
+        assert code == 1 and out == ""
+        assert "--n" in capsys.readouterr().err
+
     def test_beta_curve_csv_schema(self):
         code, out = run_cli("beta", "--curve", "--n", "2", "--restarts", "2",
                             "--seed", "1", "--format", "csv")
