@@ -185,6 +185,8 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     interior points never help) via random restarts and shrinking random
     perturbations. Returns (radius, witness vectors).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if u_body.dim != v_body.dim:
         raise DimensionMismatchError("input and target bodies must share a dimension")
     d = u_body.dim
@@ -242,6 +244,8 @@ def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     LOWER bracket over the exact nth minimum, so the returned value never
     overshoots the true supremum. Random bases plus shrinking perturbation.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n > 3:
         raise ValueError("alpha search is capped at n <= 3 (covering brackets)")
     if u_body.dim != v_body.dim or u_body.dim != n:

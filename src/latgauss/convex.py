@@ -657,18 +657,17 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
 def bounding_radius(body: ConvexBody, tail_eps: float) -> float:
     """Radius R with gaussian_measure(body outside R*B_n) <= tail_eps.
 
-    Bounded closed-form bodies return their exact circumradius; unbounded
-    bodies (and H-polytopes, whose boundedness is not checked) fall back to
-    the chi-square tail radius, which bounds the mass of everything outside
-    R*B_n regardless of the body.
+    Bodies with a finite circumradius return it: bounded closed-form bodies
+    their exact one, oracle bodies their validated bounding-radius hint.
+    Unbounded bodies (and H-polytopes, whose boundedness is not checked)
+    fall back to the chi-square tail radius, which bounds the mass of
+    everything outside R*B_n regardless of the body.
     """
     if not 0.0 < tail_eps < 0.1:
         raise InvalidBodyError(f"tail_eps must lie in (0, 0.1), got {tail_eps}")
     r = body.circumradius()
     if math.isfinite(r):
         return r
-    if isinstance(body, OracleBody):
-        return body.bounding_radius_hint
     # P(chi2_n > R^2) = tail_eps
     return math.sqrt(2.0 * special.gammaincinv(body.dim / 2.0, 1.0 - tail_eps))
 
@@ -703,6 +702,8 @@ def body_from_document(doc: dict) -> ConvexBody:
             body = FullSpace(doc["dim"])
     except KeyError as e:
         raise InvalidBodyError(f"body document missing field {e.args[0]!r}") from e
+    except TypeError as e:
+        raise InvalidBodyError(f"{kind} body document has a field of the wrong type: {e}") from e
     if "dim" in doc and doc["dim"] != body.dim:
         raise DimensionMismatchError(
             f"declared dim {doc['dim']} does not match parameters ({body.dim})")

@@ -2,15 +2,20 @@
 
 Bases are real (floating point) row matrices; the central constant of the
 project is irrational, so exact arithmetic is off the table and all
-comparisons carry the absolute tolerance ``COMPARE_ATOL``. Enumeration is
-Fincke-Pohst over the QR frame of an LLL-reduced basis, run breadth-first
-with numpy so desk-scale instances (n <= 6) stay fast.
+comparisons carry the absolute tolerance ``COMPARE_ATOL``. A lattice is
+LLL-reduced once: ``Lattice.frame`` caches the reduced basis, its unimodular
+transform and the QR factors of the reduced basis, and every enumeration
+(minima, CVP, coset points, covering candidates) runs Fincke-Pohst in that
+cached frame, breadth-first with numpy so desk-scale instances (n <= 6)
+stay fast. The basis and the frame arrays are read-only, so the cache
+cannot go stale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -35,7 +40,7 @@ class Lattice:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = np.array(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
             raise InvalidLatticeError(f"basis must be a square matrix, got {b.shape}")
         if not np.all(np.isfinite(b)):
@@ -45,7 +50,23 @@ class Lattice:
         if not rel > 1e-12:
             raise InvalidLatticeError(
                 f"basis is numerically dependent (relative Gram determinant {rel:.3g})")
+        b.flags.writeable = False
         object.__setattr__(self, "basis", b)
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(B, T, Q, R): LLL basis B = T @ basis and B.T = Q @ R, diag(R) > 0.
+
+        Reduced once per lattice; all four arrays are read-only.
+        """
+        reduced, t = lll_reduce(self, return_transform=True)
+        q, r = np.linalg.qr(reduced.basis.T)
+        sgn = np.sign(np.diag(r))
+        sgn[sgn == 0] = 1.0
+        frame = (reduced.basis, t, q * sgn, r * sgn[:, None])
+        for a in frame:
+            a.flags.writeable = False
+        return frame
 
     @property
     def dim(self) -> int:
@@ -158,20 +179,18 @@ def lll_reduce(lattice: Lattice, delta: float = 0.99, return_transform: bool = F
 # Fincke-Pohst enumeration core
 # ---------------------------------------------------------------------------
 
-def _enumerate_ball_coeffs(basis: np.ndarray, target: np.ndarray, radius: float,
+def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float,
                            cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
-    """Integer coefficient rows c with ||c @ basis - target|| <= radius.
+    """Integer coefficient rows c with ||c @ B - target|| <= radius.
 
-    Breadth-first over the QR frame, last coordinate outward. The closed-ball
+    B is the lattice's cached reduced basis and the rows are coefficients in
+    it; the search runs breadth-first in the cached QR frame, last coordinate
+    outward, with no reduction or factorisation of its own. The closed-ball
     boundary is widened by COMPARE_ATOL. Raises EnumerationCapExceededError
     when the number of partial nodes passes ``cap``.
     """
-    n = basis.shape[0]
-    q, r = np.linalg.qr(basis.T)
-    sgn = np.sign(np.diag(r))
-    sgn[sgn == 0] = 1.0
-    q = q * sgn
-    r = r * sgn[:, None]
+    n = lattice.dim
+    _, _, q, r = lattice.frame
     y = q.T @ target
     reff = radius + COMPARE_ATOL
     r2 = reff * reff
@@ -249,11 +268,10 @@ def successive_minima(lattice: Lattice, body: ConvexBody,
     circ = body.circumradius()
     if not math.isfinite(circ):
         raise UnsupportedBodyError("successive minima need a bounded gauge body")
-    reduced = lll_reduce(lattice)
-    b = reduced.basis
+    b = lattice.frame[0]
     bound = float(np.max(body.gauge_many(b)))
     radius = bound * circ * (1.0 + 1e-9)
-    coeffs = _enumerate_ball_coeffs(b, np.zeros(lattice.dim), radius, cap=cap)
+    coeffs = _enumerate_ball_coeffs(lattice, np.zeros(lattice.dim), radius, cap=cap)
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
     points = coeffs @ b
     gauges = body.gauge_many(points)
@@ -306,18 +324,14 @@ def closest_vector(lattice: Lattice, target, cap: int = DEFAULT_NODE_CAP,
     t = np.asarray(target, dtype=float)
     if t.shape != (lattice.dim,):
         raise DimensionMismatchError("target dimension mismatch")
-    reduced, trans = lll_reduce(lattice, return_transform=True)
-    b = reduced.basis
-    bstar, _ = _gs(b)
-    # Babai nearest-plane seed
-    resid = t.copy()
+    b, trans, q, r = lattice.frame
+    # Babai nearest-plane seed; any seed radius enumerates every tie of the best
+    y = q.T @ t
     seed_coeff = np.zeros(lattice.dim, dtype=np.int64)
     for i in range(lattice.dim - 1, -1, -1):
-        c = round((resid @ bstar[i]) / (bstar[i] @ bstar[i]))
-        seed_coeff[i] = c
-        resid -= c * b[i]
+        seed_coeff[i] = round((y[i] - r[i, i + 1:] @ seed_coeff[i + 1:]) / r[i, i])
     radius = float(np.linalg.norm(t - seed_coeff @ b))
-    coeffs = _enumerate_ball_coeffs(b, t, radius, cap=cap)
+    coeffs = _enumerate_ball_coeffs(lattice, t, radius, cap=cap)
     points = coeffs @ b
     dists = np.linalg.norm(points - t, axis=1)
     best = dists.min()
@@ -344,9 +358,8 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
         raise DimensionMismatchError("center dimension mismatch")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    reduced, trans = lll_reduce(coset.lattice, return_transform=True)
-    coeffs_red = _enumerate_ball_coeffs(reduced.basis, c - coset.offset, radius, cap=cap)
-    coeffs = coeffs_red @ trans
+    trans = coset.lattice.frame[1]
+    coeffs = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius, cap=cap) @ trans
     order = _spiral_order(coeffs)
     coeffs = coeffs[order]
     points = coeffs @ coset.lattice.basis + coset.offset
@@ -385,7 +398,7 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int,
         raise UnsupportedBodyError(
             "grid bracketing needs a bounded gauge body (or the diagonal/axis-box fast path)")
 
-    b = lll_reduce(lattice).basis
+    b = lattice.frame[0]
     n = lattice.dim
     signs = np.array(list(product((1.0, -1.0), repeat=n - 1)))
     corners = np.hstack([np.ones((signs.shape[0], 1)), signs]) @ b / 2.0
@@ -394,7 +407,7 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int,
 
     center = b.sum(axis=0) / 2.0
     cand_radius = halfdiag + tau * circ * (1.0 + 1e-9)
-    cand = _enumerate_ball_coeffs(b, center, cand_radius, cap=cap) @ b
+    cand = _enumerate_ball_coeffs(lattice, center, cand_radius, cap=cap) @ b
 
     fracs = (np.arange(resolution) + 0.5) / resolution
     mesh = np.meshgrid(*([fracs] * n), indexing="ij")

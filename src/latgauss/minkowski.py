@@ -30,7 +30,7 @@ from .convex import (AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
 from .errors import EnumerationCapExceededError, InvalidBodyError, UnsupportedBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import (Coset, Lattice, DEFAULT_NODE_CAP, enumerate_coset_in_ball,
-                      lll_reduce, nth_minimum, covering_radius)
+                      nth_minimum, covering_radius)
 
 DEFAULT_TAIL_EPS = 1e-9
 _FLOAT_SLACK = 1e-12          # tolerance against pure float noise in exact paths
@@ -166,7 +166,7 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody,
     bounded = math.isfinite(body.circumradius())
     r_max = r_trunc if bounded else r_trunc * 2.0 ** _COSET_DOUBLINGS
     # every point of space is within half a basis-cell diagonal of the lattice
-    b = lll_reduce(coset.lattice).basis
+    b = coset.lattice.frame[0]
     shell = min(0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9, r_max)
     while True:
         try:

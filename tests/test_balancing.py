@@ -285,6 +285,12 @@ class TestEllipsoidFormulas:
 
 
 class TestAlphaSearch:
+    @pytest.mark.parametrize("search", [lg.alpha_lower_bound_search,
+                                        lg.beta_lower_bound_search])
+    def test_zero_dimension_rejected(self, search):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            search(0, _ball(1), lg.AxisBox([0.5]))
+
     def test_1d_ratio_is_one(self):
         ratio, lat = lg.alpha_lower_bound_search(1, _ball(1), lg.AxisBox([0.5]),
                                                  restarts=4, seed=2)

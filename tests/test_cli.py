@@ -44,6 +44,21 @@ class TestExitCodes:
         code, _ = run_cli("measure", "--body", '{"kind": "nonsense", "dim": 2}')
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ball", "dim": 2, "radius": "x"},
+        {"kind": "halfspace", "normal": [1, 0], "offset": None},
+        {"kind": "space", "dim": "2"},
+    ])
+    def test_wrong_typed_body_field_is_exit_one(self, doc, capsys):
+        code, out = run_cli("measure", "--body", json.dumps(doc))
+        assert code == 1 and out == ""
+        assert f"{doc['kind']} body document" in capsys.readouterr().err
+
+    def test_alpha_search_without_dimension_is_exit_one(self, capsys):
+        code, out = run_cli("alpha-search", "--n", "0")
+        assert code == 1 and out == ""
+        assert "n must be at least 1, got 0" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_exit_one(self):
         code, _ = run_cli("cvp", "--lattice", Z2, "--target", "1.0,2.0,3.0")
         assert code == 1

@@ -191,6 +191,11 @@ class TestBoundingRadius:
         assert np.array_equal(body.contains_many(pts[inside_r]),
                               body.contains_many(pts)[inside_r])
 
+    def test_oracle_body_returns_its_hint(self):
+        disk = lg.OracleBody(2, lambda x: float(np.linalg.norm(x)) <= 1.0,
+                             bounding_radius_hint=1.25, symmetric_flag=True)
+        assert lg.bounding_radius(disk, 1e-9) == 1.25
+
     def test_rejects_bad_tail(self):
         with pytest.raises(InvalidBodyError):
             lg.bounding_radius(lg.Ball(1.0, dim=1), 0.5)

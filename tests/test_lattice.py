@@ -42,6 +42,29 @@ class TestLatticeType:
             lg.Coset(lg.Lattice(np.eye(2)), [1.0, 2.0, 3.0])
 
 
+class TestFrame:
+    def test_frame_factors_the_reduced_basis(self):
+        lat = lg.Lattice([[1.0, 0.0, 0.0], [4.0, 1.0, 0.0], [3.0, 2.0, 1.0]])
+        b, t, q, r = lat.frame
+        assert lat.frame is lat.frame  # reduced once, then cached
+        assert np.allclose(b, lg.lll_reduce(lat).basis)
+        assert np.allclose(t @ lat.basis, b)
+        assert np.allclose(q @ r, b.T)
+        assert np.allclose(r, np.triu(r)) and np.all(np.diag(r) > 0)
+
+    def test_basis_is_a_private_copy(self):
+        src = np.eye(2)
+        lat = lg.Lattice(src)
+        src[0, 0] = 5.0
+        assert lat.basis[0, 0] == 1.0
+
+    def test_basis_and_frame_are_read_only(self):
+        lat = lg.Lattice([[2.0, 1.0], [1.0, 3.0]])
+        for a in (lat.basis, *lat.frame):
+            with pytest.raises(ValueError):
+                a[0, 0] = 7
+
+
 class TestGramSchmidt:
     def test_identity(self):
         bstar, mu = lg.gram_schmidt(lg.Lattice(np.eye(3)))
@@ -182,6 +205,35 @@ class TestClosestVector:
             ties = sorted(c for (c, p), d in zip(cand, dists) if d <= dmin + 1e-9)
             assert tuple(coeff) == ties[0]
             assert np.linalg.norm(point - target) == pytest.approx(dmin, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_coefficient_box_scan(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(12):
+            basis = rng.normal(0.0, 1.0, size=(n, n))
+            if abs(np.linalg.det(basis)) < 0.3 * np.prod(np.linalg.norm(basis, axis=1)):
+                continue
+            lat = lg.Lattice(basis)
+            target = rng.uniform(-3, 3, size=n)
+            point, coeff = lg.closest_vector(lat, target, return_coefficients=True)
+            # every coefficient vector within the rounded point's distance
+            inv = np.linalg.inv(basis)
+            mid = target @ inv
+            reach = np.linalg.norm(np.round(mid) @ basis - target) * np.linalg.norm(inv, axis=0)
+            axes = [range(math.floor(m - w), math.ceil(m + w) + 1) for m, w in zip(mid, reach)]
+            box = np.array(list(itertools.product(*axes)))
+            dists = np.linalg.norm(box @ basis - target, axis=1)
+            ties = box[dists <= dists.min() + 1e-9]
+            assert tuple(coeff) == min(map(tuple, ties))
+            assert np.linalg.norm(point - target) == pytest.approx(dists.min(), abs=1e-9)
+
+    @pytest.mark.parametrize("target, expected", [((0.5, 0.5, 0.0), (0, 0, 0)),
+                                                  ((-0.5, 0.5, 0.0), (-1, 0, 0))])
+    def test_integer_tie_lexicographic(self, target, expected):
+        point, coeff = lg.closest_vector(lg.Lattice(np.eye(3)), target,
+                                         return_coefficients=True)
+        assert tuple(coeff) == expected
+        assert np.array_equal(point, np.array(expected, dtype=float))
 
 
 class TestCosetEnumeration:

@@ -139,6 +139,22 @@ class TestTheoremCheck:
         assert res1.status == res2.status == "found"
         assert np.allclose(res1.point + shift, res2.point, atol=1e-9)
 
+    def test_one_reduction_per_trial(self, monkeypatch):
+        from latgauss import lattice
+
+        calls = []
+        original = lattice.lll_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "lll_reduce", counting)
+        coset = lg.Coset(lg.random_theta_lattice(3, 17), np.array([0.3, -0.8, 0.5]))
+        rep = lg.check_theorem_instance(lg.Halfspace([0.0, 1.0, 0.0], 0.0), coset, seed=17)
+        assert rep.verdict == "holds"
+        assert calls == [coset.lattice]
+
     def test_batch_across_dims(self):
         for n in (1, 2, 3):
             for trial, kind, rep in lg.theorem_suite(n, 10, seed=23):
