@@ -20,8 +20,12 @@ import numpy as np
 from scipy import integrate
 
 from . import balancing, convex, gaussian, lattice as lat, minkowski
+from .errors import LatgaussError
 
 DEFAULT_SEED = 20259
+# theta's identities: gamma_1([-theta/2, theta/2]) = 1/2 and its quadrature form
+THETA_INTERVAL_TOL = 1e-10
+THETA_QUAD_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,8 +99,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("theta", help="the half-mass interval width and its identities")
     _add_common(p, seed=False)
-    p.add_argument("--interval-tol", type=float, default=1e-10)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
 
     p = sub.add_parser("measure", help="gaussian measure of a body document")
     _add_common(p)
@@ -125,7 +127,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tail-eps", type=float, default=minkowski.DEFAULT_TAIL_EPS)
     p.add_argument("--samples", type=int, default=1 << 16)
     p.add_argument("--body", default=None,
                    help="check one explicit instance instead of a seeded suite")
@@ -197,8 +198,8 @@ def _cmd_theta(args, out: _Emitter) -> None:
         "value": th,
         "interval_measure_residual": abs(interval - 0.5),
         "quadrature_residual": abs(quad - math.sqrt(2.0 * math.pi) / 4.0),
-        "verdict": "holds" if abs(interval - 0.5) <= args.interval_tol and
-                   abs(quad - math.sqrt(2.0 * math.pi) / 4.0) <= args.quad_tol
+        "verdict": "holds" if abs(interval - 0.5) <= THETA_INTERVAL_TOL and
+                   abs(quad - math.sqrt(2.0 * math.pi) / 4.0) <= THETA_QUAD_TOL
                    else "violated",
     })
 
@@ -242,9 +243,14 @@ def _cmd_cvp(args, out: _Emitter) -> None:
               "distance": float(np.linalg.norm(point - target))})
 
 
-def _suite_summary(out: _Emitter, name: str, counts: dict) -> None:
+def _emit_suite(out: _Emitter, name: str, kind_key: str, rows, **fields) -> None:
+    """One record per (trial, kind, report) row, then the suite's summary record."""
+    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
+    for trial, kind, report in rows:
+        counts[report.verdict] += 1
+        out.emit({"trial": trial, **fields, kind_key: kind, **report.to_record()})
     out.emit({"check": f"{name}-summary", **counts,
-              "verdict": "violated" if counts.get("violated") else "holds"})
+              "verdict": "violated" if counts["violated"] else "holds"})
 
 
 def _cmd_check_theorem(args, out: _Emitter) -> None:
@@ -254,37 +260,25 @@ def _cmd_check_theorem(args, out: _Emitter) -> None:
         body = _load_body(args.body)
         coset = _load_coset(args.coset)
         report = minkowski.check_theorem_instance(
-            body, coset, tail_eps=args.tail_eps,
-            mc_samples=args.samples, seed=args.seed)
+            body, coset, mc_samples=args.samples, seed=args.seed)
         out.emit({"n": body.dim, "body": body.kind, **report.to_record()})
         return
     if args.n is None:
         raise ValueError("--n is required for suite mode")
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for trial, kind, report in minkowski.theorem_suite(
-            args.n, args.trials, args.seed,
-            tail_eps=args.tail_eps, mc_samples=args.samples):
-        counts[report.verdict] += 1
-        out.emit({"trial": trial, "n": args.n, "body": kind, **report.to_record()})
-    _suite_summary(out, "theorem", counts)
+    _emit_suite(out, "theorem", "body",
+                minkowski.theorem_suite(args.n, args.trials, args.seed,
+                                        mc_samples=args.samples),
+                n=args.n)
 
 
 def _cmd_check_lemma(args, out: _Emitter) -> None:
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for trial, kind, report in minkowski.lemma_suite(
-            args.trials, args.seed, samples=args.samples, max_dim=args.max_dim):
-        counts[report.verdict] += 1
-        out.emit({"trial": trial, "body": kind, **report.to_record()})
-    _suite_summary(out, "lemma", counts)
+    _emit_suite(out, "lemma", "body", minkowski.lemma_suite(
+        args.trials, args.seed, samples=args.samples, max_dim=args.max_dim))
 
 
 def _cmd_check_ehrhard(args, out: _Emitter) -> None:
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for trial, kind, report in minkowski.ehrhard_suite(
-            args.trials, args.seed, samples=args.samples, max_dim=args.max_dim):
-        counts[report.verdict] += 1
-        out.emit({"trial": trial, "pair": kind, **report.to_record()})
-    _suite_summary(out, "ehrhard", counts)
+    _emit_suite(out, "ehrhard", "pair", minkowski.ehrhard_suite(
+        args.trials, args.seed, samples=args.samples, max_dim=args.max_dim))
 
 
 def _cmd_w_profile(args, out: _Emitter) -> None:
@@ -396,17 +390,9 @@ def main(argv=None) -> int:
     out = _Emitter(args.format, sys.stdout)
     try:
         _COMMANDS[args.command](args, out)
-    except SystemExit as e:
-        return int(e.code or 0)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, LatgaussError) as e:
         sys.stderr.write(f"latgauss {args.command}: {e}\n")
         return 1
-    except Exception as e:  # package-level semantic errors
-        from .errors import LatgaussError
-        if isinstance(e, LatgaussError):
-            sys.stderr.write(f"latgauss {args.command}: {e}\n")
-            return 1
-        raise
     if out.violated:
         if args.command == "sharpness" and args.expect_violation:
             return 0

@@ -509,13 +509,16 @@ class FullSpace(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class OracleBody(ConvexBody):
-    """Convex set given only by a membership predicate and a bounding radius."""
+    """Convex set given only by a membership predicate and a bounding radius.
+
+    The predicate takes a (k, n) array of points and returns k booleans,
+    one per row; it is never called on a single point.
+    """
 
     dim: int
-    predicate: Callable[[np.ndarray], bool]
+    predicate: Callable[[np.ndarray], np.ndarray]
     bounding_radius_hint: float
     symmetric_flag: bool = False
-    vectorized: bool = False
     kind: str = field(default="oracle", init=False)
 
     def __post_init__(self):
@@ -527,10 +530,7 @@ class OracleBody(ConvexBody):
         return self.symmetric_flag
 
     def contains_many(self, points):
-        if self.vectorized:
-            return np.asarray(self.predicate(points), dtype=bool)
-        return np.fromiter((bool(self.predicate(p)) for p in points),
-                           dtype=bool, count=len(points))
+        return np.asarray(self.predicate(points), dtype=bool)
 
     def gauge_many(self, points):
         """Bisection on the scale of every row at once, to relative width 1e-12:
@@ -569,7 +569,7 @@ class OracleBody(ConvexBody):
         pred = self.predicate
         return OracleBody(self.dim, lambda x, _p=pred, _s=s: _p(np.asarray(x) / _s),
                           s * self.bounding_radius_hint,
-                          symmetric_flag=self.symmetric_flag, vectorized=self.vectorized)
+                          symmetric_flag=self.symmetric_flag)
 
     def containment_margin(self, point):
         return 0.0

@@ -35,7 +35,7 @@ class EnumerationCapExceededError(LatgaussError):
     def __init__(self, cap: int, partial: int):
         self.cap = cap
         self.partial = partial
-        super().__init__(f"enumeration node cap exceeded: cap={cap}, expanded={partial}")
+        super().__init__(f"enumeration node cap exceeded: cap {cap}, expanded {partial}")
 
 
 class CalibrationError(LatgaussError):

@@ -146,7 +146,10 @@ def _normal_shards(dim: int, samples: int, seed: int):
 
 def mc_fraction(dim: int, membership, samples: int, seed: int) -> tuple[float, float]:
     """(hit fraction, 99% half-width) of standard normal points under a
-    vectorized membership predicate; deterministic given (seed, shard layout).
+    membership predicate; deterministic given (seed, shard layout).
+
+    ``membership`` takes a (k, dim) shard and returns k booleans, the
+    contract of ``contains_many`` and of every ``OracleBody`` predicate.
     """
     hits = sum(int(np.count_nonzero(membership(pts)))
                for pts in _normal_shards(dim, samples, seed))

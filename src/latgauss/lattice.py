@@ -8,7 +8,9 @@ transform and the QR factors of the reduced basis, and every enumeration
 (minima, CVP, coset points, covering candidates) runs Fincke-Pohst in that
 cached frame, breadth-first with numpy so desk-scale instances (n <= 6)
 stay fast. The basis and the frame arrays are read-only, so the cache
-cannot go stale.
+cannot go stale. Every enumeration shares one budget, the module constant
+``DEFAULT_NODE_CAP`` on partial nodes; passing it raises
+``EnumerationCapExceededError`` rather than truncating silently.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class Lattice:
         if not np.all(np.isfinite(b)):
             raise InvalidLatticeError("basis entries must be finite")
         gram = b @ b.T
+        zero = np.flatnonzero(np.diag(gram) == 0.0)
+        if zero.size:
+            raise InvalidLatticeError(f"basis row {zero[0]} is zero")
         rel = np.linalg.det(gram) / float(np.prod(np.diag(gram)))
         if not rel > 1e-12:
             raise InvalidLatticeError(
@@ -179,16 +184,16 @@ def lll_reduce(lattice: Lattice, delta: float = 0.99, return_transform: bool = F
 # Fincke-Pohst enumeration core
 # ---------------------------------------------------------------------------
 
-def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float,
-                           cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) -> np.ndarray:
     """Integer coefficient rows c with ||c @ B - target|| <= radius.
 
     B is the lattice's cached reduced basis and the rows are coefficients in
     it; the search runs breadth-first in the cached QR frame, last coordinate
     outward, with no reduction or factorisation of its own. The closed-ball
     boundary is widened by COMPARE_ATOL. Raises EnumerationCapExceededError
-    when the number of partial nodes passes ``cap``.
+    when the number of partial nodes passes ``DEFAULT_NODE_CAP``.
     """
+    cap = DEFAULT_NODE_CAP  # read per call, the one place the cap is decided
     n = lattice.dim
     _, _, q, r = lattice.frame
     y = q.T @ target
@@ -202,10 +207,7 @@ def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float,
     for i in range(n - 1, -1, -1):
         if partial.shape[0] == 0:
             return np.zeros((0, n), dtype=np.int64)
-        if partial.shape[1]:
-            resid = y[i] - partial @ r[i, i + 1:][::-1]
-        else:
-            resid = np.full(partial.shape[0], y[i])
+        resid = y[i] - partial @ r[i, i + 1:][::-1]
         rad = np.sqrt(np.maximum(r2 - dist2, 0.0))
         width = rad / r[i, i]
         center = resid / r[i, i]
@@ -254,8 +256,7 @@ def _lex_order(coeffs: np.ndarray) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
-def successive_minima(lattice: Lattice, body: ConvexBody,
-                      cap: int = DEFAULT_NODE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_1 <= ... <= lambda_n, witness rows) in the gauge of ``body``.
 
     lambda_k is the smallest r such that r*body holds k linearly independent
@@ -271,7 +272,7 @@ def successive_minima(lattice: Lattice, body: ConvexBody,
     b = lattice.frame[0]
     bound = float(np.max(body.gauge_many(b)))
     radius = bound * circ * (1.0 + 1e-9)
-    coeffs = _enumerate_ball_coeffs(lattice, np.zeros(lattice.dim), radius, cap=cap)
+    coeffs = _enumerate_ball_coeffs(lattice, np.zeros(lattice.dim), radius)
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
     points = coeffs @ b
     gauges = body.gauge_many(points)
@@ -300,8 +301,8 @@ def successive_minima(lattice: Lattice, body: ConvexBody,
     return lambdas, witnesses
 
 
-def nth_minimum(lattice: Lattice, body: ConvexBody, cap: int = DEFAULT_NODE_CAP) -> float:
-    return float(successive_minima(lattice, body, cap=cap)[0][-1])
+def nth_minimum(lattice: Lattice, body: ConvexBody) -> float:
+    return float(successive_minima(lattice, body)[0][-1])
 
 
 def witness_generation_index(lattice: Lattice, witnesses: np.ndarray) -> int:
@@ -314,8 +315,7 @@ def witness_generation_index(lattice: Lattice, witnesses: np.ndarray) -> int:
     return int(round(ratio))
 
 
-def closest_vector(lattice: Lattice, target, cap: int = DEFAULT_NODE_CAP,
-                   return_coefficients: bool = False):
+def closest_vector(lattice: Lattice, target, return_coefficients: bool = False):
     """Lattice point nearest to target in euclidean distance.
 
     Ties within COMPARE_ATOL break toward the lexicographically smallest
@@ -331,7 +331,7 @@ def closest_vector(lattice: Lattice, target, cap: int = DEFAULT_NODE_CAP,
     for i in range(lattice.dim - 1, -1, -1):
         seed_coeff[i] = round((y[i] - r[i, i + 1:] @ seed_coeff[i + 1:]) / r[i, i])
     radius = float(np.linalg.norm(t - seed_coeff @ b))
-    coeffs = _enumerate_ball_coeffs(lattice, t, radius, cap=cap)
+    coeffs = _enumerate_ball_coeffs(lattice, t, radius)
     points = coeffs @ b
     dists = np.linalg.norm(points - t, axis=1)
     best = dists.min()
@@ -345,7 +345,6 @@ def closest_vector(lattice: Lattice, target, cap: int = DEFAULT_NODE_CAP,
 
 
 def enumerate_coset_in_ball(coset: Coset, center, radius: float,
-                            cap: int = DEFAULT_NODE_CAP,
                             return_coefficients: bool = False):
     """All points of offset+L within closed euclidean ``radius`` of ``center``.
 
@@ -359,7 +358,7 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     trans = coset.lattice.frame[1]
-    coeffs = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius, cap=cap) @ trans
+    coeffs = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius) @ trans
     order = _spiral_order(coeffs)
     coeffs = coeffs[order]
     points = coeffs @ coset.lattice.basis + coset.offset
@@ -368,8 +367,7 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
     return points
 
 
-def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int,
-                    cap: int = DEFAULT_NODE_CAP) -> tuple[float, float]:
+def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tuple[float, float]:
     """Certified bracket (lower, upper) around the covering radius mu(L, V).
 
     mu is the largest gauge distance from any point of space to the lattice.
@@ -407,7 +405,7 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int,
 
     center = b.sum(axis=0) / 2.0
     cand_radius = halfdiag + tau * circ * (1.0 + 1e-9)
-    cand = _enumerate_ball_coeffs(lattice, center, cand_radius, cap=cap) @ b
+    cand = _enumerate_ball_coeffs(lattice, center, cand_radius) @ b
 
     fracs = (np.arange(resolution) + 0.5) / resolution
     mesh = np.meshgrid(*([fracs] * n), indexing="ij")

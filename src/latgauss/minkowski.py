@@ -29,8 +29,7 @@ from .convex import (AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
                      bounding_radius, minkowski_combination)
 from .errors import EnumerationCapExceededError, InvalidBodyError, UnsupportedBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
-from .lattice import (Coset, Lattice, DEFAULT_NODE_CAP, enumerate_coset_in_ball,
-                      nth_minimum, covering_radius)
+from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
 DEFAULT_TAIL_EPS = 1e-9
 _FLOAT_SLACK = 1e-12          # tolerance against pure float noise in exact paths
@@ -147,21 +146,21 @@ def random_theta_lattice(n: int, seed: int) -> Lattice:
 _COSET_DOUBLINGS = 3  # unbounded bodies: search out to 2**3 times the truncation
 
 
-def find_coset_point_in_body(coset: Coset, body: ConvexBody,
-                             tail_eps: float = DEFAULT_TAIL_EPS,
-                             cap: int = DEFAULT_NODE_CAP) -> CosetSearch:
+def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
     """First coset point inside the body, searching outward from its anchor.
 
-    The body is truncated at R = bounding_radius(body, tail_eps). Shells
+    The body is truncated at R = bounding_radius(body, DEFAULT_TAIL_EPS). Shells
     around the anchor double in radius up to R for a bounded body and up to
     R * 2**_COSET_DOUBLINGS for an unbounded one. Candidate points are
     visited in order of distance from the anchor (ties by the coefficient
     spiral key), so the returned witness is deterministic. For a bounded body
     an exhausted search is a certificate of empty intersection; for an
     unbounded body it is ``truncated``, since emptiness beyond the truncation
-    is not decidable. ``radius`` is the largest radius enumerated.
+    is not decidable. A search whose enumeration passes the lattice module's
+    ``DEFAULT_NODE_CAP`` is ``truncated`` too. ``radius`` is the largest
+    radius enumerated.
     """
-    r_trunc = bounding_radius(body, tail_eps)
+    r_trunc = bounding_radius(body, DEFAULT_TAIL_EPS)
     anchor = body.anchor()
     bounded = math.isfinite(body.circumradius())
     r_max = r_trunc if bounded else r_trunc * 2.0 ** _COSET_DOUBLINGS
@@ -170,7 +169,7 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody,
     shell = min(0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9, r_max)
     while True:
         try:
-            pts = enumerate_coset_in_ball(coset, anchor, shell, cap=cap)
+            pts = enumerate_coset_in_ball(coset, anchor, shell)
         except EnumerationCapExceededError as e:
             return CosetSearch(None, "truncated", shell, note=f"enumeration cap hit: {e}")
         if len(pts):
@@ -203,9 +202,7 @@ def _certify_at_least_half(body: ConvexBody, samples: int, seed: int) -> tuple[b
 
 
 def check_theorem_instance(body: ConvexBody, coset: Coset,
-                           tail_eps: float = DEFAULT_TAIL_EPS,
-                           mc_samples: int = 1 << 16, seed: int = 0,
-                           cap: int = DEFAULT_NODE_CAP) -> CheckReport:
+                           mc_samples: int = 1 << 16, seed: int = 0) -> CheckReport:
     """Does the body meet the coset? (It must, on certified inputs.)
 
     Both preconditions are certified here, and only here: gaussian measure
@@ -218,11 +215,11 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
                            seed=seed, measure=est,
                            note="measure >= 1/2 not certified at 3 half-widths")
-    lam = nth_minimum(coset.lattice, Ball(1.0, dim=coset.dim), cap=cap)
+    lam = nth_minimum(coset.lattice, Ball(1.0, dim=coset.dim))
     th = gaussian.theta()
     if lam > th + 1e-9:
         raise ValueError(f"not a theta-coset: lambda_n = {lam:.9f} > theta = {th:.9f}")
-    search = find_coset_point_in_body(coset, body, tail_eps=tail_eps, cap=cap)
+    search = find_coset_point_in_body(coset, body)
     if search.status == "found":
         return CheckReport("theorem", "holds", margin=body.containment_margin(search.point),
                            seed=seed, measure=est, witness=search.point)
@@ -586,15 +583,12 @@ def generate_theorem_instance(n: int, seed: int, trial: int,
     return kind, body, coset, int(rng.integers(2**62))
 
 
-def theorem_suite(n: int, trials: int, seed: int,
-                  tail_eps: float = DEFAULT_TAIL_EPS,
-                  mc_samples: int = 1 << 16):
+def theorem_suite(n: int, trials: int, seed: int, mc_samples: int = 1 << 16):
     """Yield (trial, kind, CheckReport) over seeded theorem instances."""
     for trial in range(trials):
         kind, body, coset, inst_seed = generate_theorem_instance(
             n, seed, trial, mc_samples=mc_samples)
-        report = check_theorem_instance(body, coset, tail_eps=tail_eps,
-                                        mc_samples=mc_samples, seed=inst_seed)
+        report = check_theorem_instance(body, coset, mc_samples=mc_samples, seed=inst_seed)
         yield trial, kind, report
 
 

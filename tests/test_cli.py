@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
 
+import latgauss.lattice
 from latgauss.cli import main
 
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
@@ -58,6 +60,35 @@ class TestExitCodes:
         code, out = run_cli("alpha-search", "--n", "0")
         assert code == 1 and out == ""
         assert "n must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_zero_basis_row_is_named(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("minima", "--lattice", json.dumps({"basis": [[0, 0], [0, 1]]}))
+        assert code == 1 and out == ""
+        assert "basis row 0 is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("minima", "--lattice", Z2),
+        ("cvp", "--lattice", Z2, "--target", "0.3,0.4"),
+        ("covering", "--lattice", Z2, "--body", BALL),
+    ], ids=["minima", "cvp", "covering"])
+    def test_node_cap_hit_is_exit_one(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 1)
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert "enumeration node cap exceeded" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check-theorem", "--n", "2", "--tail-eps", "1e-6"),
+        ("theta", "--interval-tol", "1e-3"),
+        ("theta", "--quad-tol", "1e-3"),
+    ], ids=["tail-eps", "interval-tol", "quad-tol"])
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_exit_one(self):
         code, _ = run_cli("cvp", "--lattice", Z2, "--target", "1.0,2.0,3.0")

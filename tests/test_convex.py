@@ -192,7 +192,7 @@ class TestBoundingRadius:
                               body.contains_many(pts)[inside_r])
 
     def test_oracle_body_returns_its_hint(self):
-        disk = lg.OracleBody(2, lambda x: float(np.linalg.norm(x)) <= 1.0,
+        disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
                              bounding_radius_hint=1.25, symmetric_flag=True)
         assert lg.bounding_radius(disk, 1e-9) == 1.25
 
@@ -221,13 +221,13 @@ class TestSymmetryFlag:
 
 class TestOracleBody:
     def test_gauge_bisection_against_closed_form(self):
-        square = lg.OracleBody(2, lambda x: np.max(np.abs(x)) <= 1.0,
+        square = lg.OracleBody(2, lambda pts: np.max(np.abs(pts), axis=1) <= 1.0,
                                bounding_radius_hint=1.5, symmetric_flag=True)
         assert lg.gauge(square, [0.5, 0.25]) == pytest.approx(0.5, abs=1e-9)
         assert lg.gauge(square, [0.0, 0.0]) == 0.0
 
     def test_mc_measure_matches_box(self):
-        square = lg.OracleBody(2, lambda x: np.max(np.abs(x)) <= 1.0,
+        square = lg.OracleBody(2, lambda pts: np.max(np.abs(pts), axis=1) <= 1.0,
                                bounding_radius_hint=1.5, symmetric_flag=True)
         est = lg.measure_mc(square, 20_000, seed=1)
         exact = lg.measure_exact(lg.AxisBox([1.0, 1.0])).value
@@ -235,8 +235,7 @@ class TestOracleBody:
 
     def test_vectorized_predicate(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
-                             bounding_radius_hint=1.0, symmetric_flag=True,
-                             vectorized=True)
+                             bounding_radius_hint=1.0, symmetric_flag=True)
         a = lg.measure_mc(disk, 10_000, seed=2).value
         b = lg.measure_mc(lg.Ball(1.0, dim=2), 10_000, seed=2).value
         assert a == b
@@ -244,8 +243,7 @@ class TestOracleBody:
     def test_gauge_matches_ellipsoid(self):
         semiaxes = np.array([0.7, 1.9, 1.2])
         oracle = lg.OracleBody(3, lambda pts: np.sum((pts / semiaxes) ** 2, axis=1) <= 1.0,
-                               bounding_radius_hint=2.0, symmetric_flag=True,
-                               vectorized=True)
+                               bounding_radius_hint=2.0, symmetric_flag=True)
         pts = np.random.default_rng(4).normal(0.0, 2.0, size=(500, 3))
         pts[0] = 0.0
         expected = lg.Ellipsoid(semiaxes).gauge_many(pts)
@@ -254,7 +252,7 @@ class TestOracleBody:
             lg.calibrate_scale(lg.Ellipsoid(semiaxes), 0.6, samples=5000, seed=3), rel=1e-11)
 
     def test_scaling(self):
-        disk = lg.OracleBody(2, lambda x: float(np.linalg.norm(x)) <= 1.0,
+        disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
                              bounding_radius_hint=1.0, symmetric_flag=True)
         assert disk.scale(2.0).contains([1.5, 0.0])
         assert not disk.scale(2.0).contains([2.5, 0.0])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latgauss as lg
+import latgauss.lattice
 from latgauss.errors import InvalidLatticeError, ResolutionTooCoarseError
 
 
@@ -277,11 +278,12 @@ class TestCosetEnumeration:
             lg.enumerate_coset_in_ball(lg.Coset(lg.Lattice(np.eye(2)), np.zeros(2)),
                                        np.zeros(2), 0.0)
 
-    def test_node_cap_reports_progress(self):
+    def test_node_cap_reports_progress(self, monkeypatch):
         from latgauss.errors import EnumerationCapExceededError
+        monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 100)
         cs = lg.Coset(lg.Lattice(np.eye(2)), np.zeros(2))
         with pytest.raises(EnumerationCapExceededError) as exc:
-            lg.enumerate_coset_in_ball(cs, np.zeros(2), 50.0, cap=100)
+            lg.enumerate_coset_in_ball(cs, np.zeros(2), 50.0)
         assert exc.value.cap == 100 and exc.value.partial > 100
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latgauss as lg
+import latgauss.lattice
 from latgauss.minkowski import (DEFAULT_TAIL_EPS, _RECERT_SIGMAS, _recertifiable_target,
                                  generate_theorem_instance)
 
@@ -81,9 +82,10 @@ class TestFindCosetPoint:
         assert res.status == "truncated" and res.point is None
         assert res.radius == pytest.approx(8.0 * lg.bounding_radius(body, DEFAULT_TAIL_EPS))
 
-    def test_node_cap_hit_is_truncated(self):
+    def test_node_cap_hit_is_truncated(self, monkeypatch):
+        monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 1)
         coset = lg.Coset(lg.Lattice(np.eye(2)), np.array([0.5, 0.5]))
-        res = lg.find_coset_point_in_body(coset, lg.Ball(0.6, dim=2), cap=1)
+        res = lg.find_coset_point_in_body(coset, lg.Ball(0.6, dim=2))
         assert res.status == "truncated" and res.point is None
         assert "enumeration cap" in res.note
 
