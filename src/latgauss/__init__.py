@@ -9,8 +9,8 @@ tolerances or confidence half-widths.
 """
 
 from .convex import (AxisBox, Ball, ConvexBody, Ellipsoid, FullSpace, Halfspace,
-                     HPolytope, OracleBody, body_from_document, body_to_document,
-                     bounding_radius, gauge, minkowski_combination)
+                     HPolytope, OracleBody, body_from_document, bounding_radius,
+                     minkowski_combination)
 from .errors import (CalibrationError, DimensionMismatchError,
                      EnumerationCapExceededError, InvalidBodyError,
                      InvalidLatticeError, LatgaussError,
@@ -21,12 +21,11 @@ from .gaussian import (MeasureEstimate, calibrate_scale, measure_auto,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile,
                        theta)
 from .lattice import (Coset, Lattice, closest_vector, coset_from_document,
-                      covering_radius, enumerate_coset_in_ball, gram_schmidt,
+                      covering_radius, enumerate_coset_in_ball,
                       lattice_from_document, lll_reduce, nth_minimum,
-                      successive_minima, witness_generation_index)
-from .balancing import (BalanceResult, SignAssignment, alpha_ellipsoid_formula,
-                        alpha_lower_bound_search, balance_exhaustive,
-                        balance_heuristic, beta_ellipsoid_formula,
+                      successive_minima)
+from .balancing import (BalanceResult, SignAssignment, alpha_lower_bound_search,
+                        balance_exhaustive, balance_heuristic, beta_ellipsoid_formula,
                         beta_lower_bound_search, ellipsoid_for_formula,
                         ELLIPSOID_FORMULA_CONVENTION)
 from .minkowski import (CheckReport, CosetSearch, WProfile, check_ehrhard,

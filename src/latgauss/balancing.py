@@ -42,18 +42,12 @@ class SignAssignment:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.signs, dtype=float)
-
 
 @dataclass(frozen=True)
 class BalanceResult:
     radius: float
     signs: SignAssignment
     inputs: np.ndarray
-
-    def signed_sum(self) -> np.ndarray:
-        return self.signs.as_array() @ self.inputs
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,11 +216,6 @@ def beta_ellipsoid_formula(alphas) -> float:
     if a.ndim != 1 or np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise ValueError("alphas must be a vector of positive finite reals")
     return float(np.sqrt(np.sum(a * a)))
-
-
-def alpha_ellipsoid_formula(alphas) -> float:
-    """Closed-form lattice constant for the same pair: half the balancing value."""
-    return 0.5 * beta_ellipsoid_formula(alphas)
 
 
 def ellipsoid_for_formula(alphas) -> Ellipsoid:

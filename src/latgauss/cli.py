@@ -244,13 +244,18 @@ def _cmd_cvp(args, out: _Emitter) -> None:
 
 
 def _emit_suite(out: _Emitter, name: str, kind_key: str, rows, **fields) -> None:
-    """One record per (trial, kind, report) row, then the suite's summary record."""
+    """One record per (trial, kind, report) row, then the suite's summary record.
+
+    The summary is ``violated`` if any trial is, else ``holds`` if some trial
+    holds, else ``inconclusive`` (no trials, or none decided).
+    """
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}
     for trial, kind, report in rows:
         counts[report.verdict] += 1
         out.emit({"trial": trial, **fields, kind_key: kind, **report.to_record()})
-    out.emit({"check": f"{name}-summary", **counts,
-              "verdict": "violated" if counts["violated"] else "holds"})
+    verdict = ("violated" if counts["violated"] else
+               "holds" if counts["holds"] else "inconclusive")
+    out.emit({"check": f"{name}-summary", **counts, "verdict": verdict})
 
 
 def _cmd_check_theorem(args, out: _Emitter) -> None:

@@ -27,6 +27,8 @@ from .errors import (
 
 # Closed-set membership tolerance (absolute).
 BOUNDARY_ATOL = 1e-12
+# Gaussian mass a truncation radius may leave outside (see bounding_radius).
+TAIL_EPS = 1e-9
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -106,9 +108,6 @@ class ConvexBody:
         """How deep a point sits inside the body (<= 0 on/outside the boundary)."""
         raise NotImplementedError
 
-    def translate(self, shift) -> "ConvexBody":
-        raise UnsupportedBodyError(f"{self.kind} cannot be translated")
-
     def last_axis_extent(self) -> tuple[float, float]:
         """Extent of the body along the last coordinate (may be infinite)."""
         raise NotImplementedError
@@ -170,10 +169,6 @@ class Halfspace(ConvexBody):
     def containment_margin(self, point):
         p = _as_vector(point, self.dim)
         return float((self.offset - p @ self.normal) / np.linalg.norm(self.normal))
-
-    def translate(self, shift):
-        t = _as_vector(shift, self.dim)
-        return Halfspace(self.normal, self.offset + float(t @ self.normal))
 
     def last_axis_extent(self):
         head, vn = self.normal[:-1], self.normal[-1]
@@ -297,9 +292,6 @@ class Ball(ConvexBody):
     def containment_margin(self, point):
         p = _as_vector(point, self.dim)
         return float(self.radius - np.linalg.norm(p - self.center))
-
-    def translate(self, shift):
-        return Ball(self.radius, self.center + _as_vector(shift, self.dim))
 
     def last_axis_extent(self):
         c = self.center[-1]
@@ -448,11 +440,6 @@ class HPolytope(ConvexBody):
         return float(np.min((self.offsets - self.normals @ p)
                             / np.linalg.norm(self.normals, axis=1)))
 
-    def translate(self, shift):
-        t = _as_vector(shift, self.dim)
-        return HPolytope(self.normals, self.offsets + self.normals @ t,
-                         interior_point=self.interior_point + t)
-
     def last_axis_extent(self):
         return (-math.inf, math.inf)  # refined by truncation in callers
 
@@ -496,9 +483,6 @@ class FullSpace(ConvexBody):
 
     def containment_margin(self, point):
         return math.inf
-
-    def translate(self, shift):
-        return self
 
     def last_axis_extent(self):
         return (-math.inf, math.inf)
@@ -600,34 +584,12 @@ def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
 # Module-level operation surface
 # ---------------------------------------------------------------------------
 
-def gauge(body: ConvexBody, point) -> float:
-    return body.gauge(point)
-
-
-def _same_body(a: ConvexBody, b: ConvexBody) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b) or a.dim != b.dim:
-        return False
-    da, db = a.__dict__, b.__dict__
-    for k, va in da.items():
-        if k == "predicate":
-            return False
-        vb = db[k]
-        if isinstance(va, np.ndarray):
-            if not np.array_equal(va, vb):
-                return False
-        elif va != vb:
-            return False
-    return True
-
-
 def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBody:
     """Exact lam*A + (1-lam)*B for the closed-form pairs.
 
     Supported: box/box (semiwidths combine affinely), ball/ball (radii and
     centers affinely), halfspaces with parallel same-direction normals
-    (normalized offsets affinely), and identical bodies (A by convexity).
+    (normalized offsets affinely), and one body passed twice (A by convexity).
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidBodyError(f"lambda must lie in [0, 1], got {lam}")
@@ -637,7 +599,7 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
         return a
     if lam == 0.0:
         return b
-    if _same_body(a, b):
+    if a is b:
         return a
     if isinstance(a, AxisBox) and isinstance(b, AxisBox):
         return AxisBox(lam * a.semiwidths + (1 - lam) * b.semiwidths)
@@ -654,8 +616,8 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
         f"combination not closed-form for ({a.kind}, {b.kind})")
 
 
-def bounding_radius(body: ConvexBody, tail_eps: float) -> float:
-    """Radius R with gaussian_measure(body outside R*B_n) <= tail_eps.
+def bounding_radius(body: ConvexBody) -> float:
+    """Radius R with gaussian_measure(body outside R*B_n) <= TAIL_EPS.
 
     Bodies with a finite circumradius return it: bounded closed-form bodies
     their exact one, oracle bodies their validated bounding-radius hint.
@@ -663,13 +625,11 @@ def bounding_radius(body: ConvexBody, tail_eps: float) -> float:
     fall back to the chi-square tail radius, which bounds the mass of
     everything outside R*B_n regardless of the body.
     """
-    if not 0.0 < tail_eps < 0.1:
-        raise InvalidBodyError(f"tail_eps must lie in (0, 0.1), got {tail_eps}")
     r = body.circumradius()
     if math.isfinite(r):
         return r
-    # P(chi2_n > R^2) = tail_eps
-    return math.sqrt(2.0 * special.gammaincinv(body.dim / 2.0, 1.0 - tail_eps))
+    # P(chi2_n > R^2) = TAIL_EPS
+    return math.sqrt(2.0 * special.gammaincinv(body.dim / 2.0, 1.0 - TAIL_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +668,3 @@ def body_from_document(doc: dict) -> ConvexBody:
         raise DimensionMismatchError(
             f"declared dim {doc['dim']} does not match parameters ({body.dim})")
     return body
-
-
-def body_to_document(body: ConvexBody) -> dict:
-    return body.to_document()

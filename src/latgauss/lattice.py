@@ -33,6 +33,7 @@ from .errors import (
 
 COMPARE_ATOL = 1e-9
 DEFAULT_NODE_CAP = 10**8
+_LLL_DELTA = 0.99  # Lovasz condition parameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +78,6 @@ class Lattice:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def determinant(self) -> float:
-        return abs(float(np.linalg.det(self.basis)))
-
     def to_document(self) -> dict:
         return {"basis": self.basis.tolist()}
 
@@ -123,20 +121,12 @@ def coset_from_document(doc: dict) -> Coset:
 # Gram-Schmidt and LLL
 # ---------------------------------------------------------------------------
 
-def gram_schmidt(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Gram-Schmidt: returns (orthogonal rows, mu coefficients).
+def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized Gram-Schmidt of the rows of b: (orthogonal rows, mu).
 
     mu is lower triangular with unit diagonal; mu[i, j] is the projection
-    coefficient of basis row i on orthogonal row j.
+    coefficient of row i on orthogonal row j.
     """
-    b = lattice.basis
-    bstar, mu = _gs(b)
-    if np.any(np.einsum("ij,ij->i", bstar, bstar) <= 1e-24 * np.einsum("ij,ij->i", b, b)):
-        raise InvalidLatticeError("numerical rank deficiency in Gram-Schmidt")
-    return bstar, mu
-
-
-def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = b.shape[0]
     bstar = b.astype(float).copy()
     mu = np.eye(n)
@@ -147,14 +137,12 @@ def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bstar, mu
 
 
-def lll_reduce(lattice: Lattice, delta: float = 0.99, return_transform: bool = False):
+def lll_reduce(lattice: Lattice, return_transform: bool = False):
     """LLL-reduced basis of the same lattice.
 
     The recorded unimodular transform T satisfies reduced.basis = T @ lattice.basis;
     pass return_transform=True to get (reduced, T).
     """
-    if not 0.25 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0.25, 1), got {delta}")
     b = lattice.basis.copy()
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
@@ -167,7 +155,7 @@ def lll_reduce(lattice: Lattice, delta: float = 0.99, return_transform: bool = F
                 b[k] -= q * b[j]
                 t[k] -= q * t[j]
                 bstar, mu = _gs(b)
-        if bstar[k] @ bstar[k] >= (delta - mu[k, k - 1] ** 2) * (bstar[k - 1] @ bstar[k - 1]):
+        if bstar[k] @ bstar[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * (bstar[k - 1] @ bstar[k - 1]):
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
@@ -303,16 +291,6 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
 
 def nth_minimum(lattice: Lattice, body: ConvexBody) -> float:
     return float(successive_minima(lattice, body)[0][-1])
-
-
-def witness_generation_index(lattice: Lattice, witnesses: np.ndarray) -> int:
-    """Index of the sublattice spanned by the witnesses inside the lattice.
-
-    1 means the witnesses generate the lattice. For n >= 5 the minima
-    witnesses may span a proper sublattice; callers can flag index > 1.
-    """
-    ratio = abs(np.linalg.det(witnesses)) / lattice.determinant()
-    return int(round(ratio))
 
 
 def closest_vector(lattice: Lattice, target, return_coefficients: bool = False):

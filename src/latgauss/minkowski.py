@@ -25,13 +25,12 @@ import numpy as np
 from scipy import integrate
 
 from . import gaussian
-from .convex import (AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
+from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
                      bounding_radius, minkowski_combination)
-from .errors import EnumerationCapExceededError, InvalidBodyError, UnsupportedBodyError
+from .errors import EnumerationCapExceededError, InvalidBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
-DEFAULT_TAIL_EPS = 1e-9
 _FLOAT_SLACK = 1e-12          # tolerance against pure float noise in exact paths
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 
@@ -149,18 +148,20 @@ _COSET_DOUBLINGS = 3  # unbounded bodies: search out to 2**3 times the truncatio
 def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
     """First coset point inside the body, searching outward from its anchor.
 
-    The body is truncated at R = bounding_radius(body, DEFAULT_TAIL_EPS). Shells
-    around the anchor double in radius up to R for a bounded body and up to
-    R * 2**_COSET_DOUBLINGS for an unbounded one. Candidate points are
-    visited in order of distance from the anchor (ties by the coefficient
-    spiral key), so the returned witness is deterministic. For a bounded body
-    an exhausted search is a certificate of empty intersection; for an
+    The body is truncated at R = bounding_radius(body): its circumradius when
+    that is finite, else the radius outside which at most ``TAIL_EPS`` of
+    Gaussian mass lies. Shells around the anchor double in radius up to R
+    for a bounded body and up to R * 2**_COSET_DOUBLINGS for an unbounded
+    one. Candidate points are visited in order of distance from the anchor
+    (ties by the coefficient spiral key), so the returned witness is
+    deterministic. For a bounded body an exhausted search is a certificate
+    of empty intersection, and its ``radius`` is the circumradius; for an
     unbounded body it is ``truncated``, since emptiness beyond the truncation
     is not decidable. A search whose enumeration passes the lattice module's
     ``DEFAULT_NODE_CAP`` is ``truncated`` too. ``radius`` is the largest
     radius enumerated.
     """
-    r_trunc = bounding_radius(body, DEFAULT_TAIL_EPS)
+    r_trunc = bounding_radius(body)
     anchor = body.anchor()
     bounded = math.isfinite(body.circumradius())
     r_max = r_trunc if bounded else r_trunc * 2.0 ** _COSET_DOUBLINGS
@@ -207,15 +208,20 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
 
     Both preconditions are certified here, and only here: gaussian measure
     >= 1/2 (exactly, or by estimate - 3*half_width >= 1/2) and
-    nth_minimum(lattice) <= theta. An unverifiable measure yields
-    ``inconclusive``; a non-theta coset is a caller error.
+    nth_minimum(lattice) <= theta. An unverifiable measure, or a minima
+    enumeration that hits the node cap, yields ``inconclusive``; a non-theta
+    coset is a caller error.
     """
     ok, est = _certify_at_least_half(body, mc_samples, seed)
     if not ok:
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
                            seed=seed, measure=est,
                            note="measure >= 1/2 not certified at 3 half-widths")
-    lam = nth_minimum(coset.lattice, Ball(1.0, dim=coset.dim))
+    try:
+        lam = nth_minimum(coset.lattice, Ball(1.0, dim=coset.dim))
+    except EnumerationCapExceededError as e:
+        return CheckReport("theorem", "inconclusive", margin=0.0, seed=seed, measure=est,
+                           note=f"lambda_n not certified, enumeration cap hit: {e}")
     th = gaussian.theta()
     if lam > th + 1e-9:
         raise ValueError(f"not a theta-coset: lambda_n = {lam:.9f} > theta = {th:.9f}")
@@ -235,26 +241,26 @@ def sharpness_witness(t: float) -> CheckReport:
 
     For a lattice step t > theta, the coset t/2 + tZ misses the interval of
     halfwidth theta/2 (gaussian measure exactly 1/2): its nearest points sit
-    at +-t/2, a gap of (t - theta)/2 outside. Certified by complete
-    enumeration, reported as the expected ``violated``.
+    at +-t/2, a gap of (t - theta)/2 outside. Certified by the coset
+    search's complete enumeration of the interval, reported as the expected
+    ``violated``.
     """
     th = gaussian.theta()
     if not t > th:
         raise ValueError(f"no counterexample exists at t = {t} <= theta = {th}")
     body = AxisBox([th / 2.0])
-    coset = Coset(Lattice([[t]]), [t / 2.0])
-    pts = enumerate_coset_in_ball(coset, np.zeros(1), body.circumradius())
-    inside = [p for p in pts if body.contains(p)]
+    search = find_coset_point_in_body(Coset(Lattice([[t]]), [t / 2.0]), body)
     gap = (t - th) / 2.0
-    if inside:
-        # cannot happen for t > theta; report honestly if it ever does
-        return CheckReport("sharpness", "holds", margin=gap, seed=0,
-                           measure=measure_exact(body), witness=np.asarray(inside[0]),
-                           note="unexpected intersection")
+    if search.status != "empty":
+        # neither a hit (t > theta) nor a node-cap hit (one dimension) can
+        # happen; report honestly if either ever does
+        return CheckReport("sharpness", "holds" if search.status == "found" else "inconclusive",
+                           margin=gap, seed=0, measure=measure_exact(body),
+                           witness=search.point, note=search.note or "unexpected intersection")
     return CheckReport("sharpness", "violated", margin=gap, seed=0,
                        measure=measure_exact(body),
                        certificate=f"complete enumeration within radius "
-                                   f"{body.circumradius():.9f}: no coset point; "
+                                   f"{search.radius:.9f}: no coset point; "
                                    f"nearest at distance {t / 2.0:.9f}")
 
 
@@ -306,11 +312,8 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
                            measure=est, note="measure >= 1/2 not certified")
     closed = _exact_subspace_slice(body, sub)
     if closed is not None:
-        try:
-            slice_est = measure_exact(closed)
-        except UnsupportedBodyError:
-            closed = None
-    if closed is None:
+        slice_est = measure_exact(closed)
+    else:
         value, hw = gaussian.mc_fraction(
             sub.shape[0],
             lambda pts: body.contains_many(pts @ sub),
@@ -388,7 +391,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     if grid_size < 9:
         raise ValueError("grid_size must be at least 9")
     grid_size += -(grid_size - 1) % 4  # 4k+1 points: Simpson at h, 2h and 4h
-    r_trunc = bounding_radius(body, DEFAULT_TAIL_EPS)
+    r_trunc = bounding_radius(body)
     lo, hi = body.last_axis_extent()
     lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
     if not lo < hi:
@@ -409,8 +412,8 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
     mask = support & (measures < 1.0)
     gx = xs[mask]
-    g = gaussian.std_normal_quantile(measures[mask]) if gx.size else np.empty(0)
-    g_hw = (hws[mask] / gaussian.std_normal_pdf(g)) if gx.size else np.empty(0)
+    g = gaussian.std_normal_quantile(measures[mask])
+    g_hw = hws[mask] / gaussian.std_normal_pdf(g)
 
     # second differences over consecutive grid triples with finite g;
     # measure-0/1 slices sit outside the profile (g = -inf/+inf) and are
@@ -438,7 +441,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     lhs, coarse, coarser = (float(integrate.simpson((measures * weights)[::k], x=xs[::k]))
                             for k in (1, 2, 4))
     quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0)
-                + 2.0 * DEFAULT_TAIL_EPS + 1e-9)
+                + 2.0 * TAIL_EPS + 1e-9)
     # Simpson weight vector for uncertainty propagation
     h = xs[1] - xs[0]
     wsimp = np.ones(grid_size)

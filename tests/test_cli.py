@@ -90,6 +90,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", [8, 30], ids=["minima", "coset-search"])
+    def test_node_cap_hit_in_suite_is_inconclusive(self, cap, monkeypatch, capsys):
+        # cap 8 stops the lambda_n certification, cap 30 the coset search
+        monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", cap)
+        code, out = run_cli("check-theorem", "--n", "3", "--trials", "5", "--seed", "7")
+        assert code == 0 and capsys.readouterr().err == ""
+        *trials, summary = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["verdict"] for r in trials] == ["inconclusive"] * 5
+        assert all("enumeration cap hit" in r["note"] for r in trials)
+        assert summary["inconclusive"] == 5 and summary["verdict"] == "inconclusive"
+
+    def test_empty_suite_summary_is_inconclusive(self):
+        code, out = run_cli("check-theorem", "--n", "2", "--trials", "0")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "inconclusive"
+
     def test_dimension_mismatch_is_exit_one(self):
         code, _ = run_cli("cvp", "--lattice", Z2, "--target", "1.0,2.0,3.0")
         assert code == 1

@@ -7,7 +7,7 @@ import pytest
 
 import latgauss as lg
 import latgauss.lattice
-from latgauss.minkowski import (DEFAULT_TAIL_EPS, _RECERT_SIGMAS, _recertifiable_target,
+from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target,
                                  generate_theorem_instance)
 
 
@@ -80,7 +80,7 @@ class TestFindCosetPoint:
         coset = lg.Coset(lg.Lattice(np.eye(2)), np.array([0.5, 0.0]))
         res = lg.find_coset_point_in_body(coset, body)
         assert res.status == "truncated" and res.point is None
-        assert res.radius == pytest.approx(8.0 * lg.bounding_radius(body, DEFAULT_TAIL_EPS))
+        assert res.radius == pytest.approx(8.0 * lg.bounding_radius(body))
 
     def test_node_cap_hit_is_truncated(self, monkeypatch):
         monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 1)
@@ -137,7 +137,7 @@ class TestTheoremCheck:
         coset = lg.Coset(lat, np.array([0.2, 0.5]))
         res1 = lg.find_coset_point_in_body(coset, body)
         res2 = lg.find_coset_point_in_body(lg.Coset(lat, coset.offset + shift),
-                                           body.translate(shift))
+                                           lg.Ball(1.3, center=shift))
         assert res1.status == res2.status == "found"
         assert np.allclose(res1.point + shift, res2.point, atol=1e-9)
 
@@ -324,6 +324,7 @@ class TestWProfile:
     def test_halfspace_along_axis_degenerate_slices(self):
         # slices are full/empty; identity must still hold via the mask
         prof = lg.w_profile(lg.Halfspace([0.0, 1.0], 0.4), grid_size=201)
+        assert prof.g.size == prof.g_half_widths.size == 0  # no slice in (0, 1)
         assert prof.identity_residual() <= prof.identity_tol
 
     def test_mc_slice_path_ellipsoid(self):
