@@ -79,37 +79,60 @@ def _check_inputs(vectors, body: ConvexBody) -> np.ndarray:
     return v
 
 
+def _exhaustive_scan(stack: np.ndarray, body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum gauge and its pattern code for each sequence of a (c, k, n) stack.
+
+    The first sign is fixed +1; code bit k-2-j holds sign j+1 (set means -1),
+    and ties break toward the lowest code. The free signs split into a high
+    block of k-1-lo signs and a low block of the last lo = min(k-1, 16)
+    signs. The partial sums of each block are formed once per sequence, and
+    each high pattern is scanned as one gauge call on the low sums plus its
+    high sum, for as many sequences at once as keep the call within 2^16
+    rows. Working memory is O(2^16 * n) whatever k and c are.
+    """
+    c, k, n = stack.shape
+    lo = min(k - 1, _LOW_BITS)
+    hi = k - 1 - lo
+    low_rows, high_rows = _sign_rows(lo), _sign_rows(hi)
+    per = (1 << _LOW_BITS) >> lo
+    radii = np.full(c, math.inf)
+    codes = np.zeros(c, dtype=np.int64)
+    for s in range(0, c, per):
+        part = stack[s:s + per]
+        low = low_rows @ part[:, 1 + hi:]
+        high = part[:, :1] + high_rows @ part[:, 1:1 + hi]
+        best_r, best_c = radii[s:s + per], codes[s:s + per]
+        rows = np.arange(len(part))
+        # high patterns ascend in the outer loop and argmin returns the first
+        # hit, so the strict < keeps the lowest code among equal minima
+        for h in range(1 << hi):
+            gauges = body.gauge_many((low + high[:, h, None]).reshape(-1, n))
+            gauges = gauges.reshape(len(part), -1)
+            j = np.argmin(gauges, axis=1)
+            r = gauges[rows, j]
+            better = r < best_r
+            best_r[better] = r[better]
+            best_c[better] = (h << lo) | j[better]
+    return radii, codes
+
+
 def balance_exhaustive(vectors, body: ConvexBody) -> BalanceResult:
     """Exact minimum V-gauge over all sign patterns (first sign fixed +1).
 
     Central symmetry of the gauge halves the search; ties break toward the
     lexicographically first pattern (+1 before -1) among the 2^(k-1) scanned.
-    The free signs split into a high block of k-1-lo signs and a low block of
-    the last lo = min(k-1, 16) signs. The partial sums of each block are
-    formed once, and each high pattern is scanned as one 2^lo-row gauge call
-    on the low sums plus its high sum, so working memory is O(2^16 * n)
-    whatever k is. The sums are added in a different order than a direct
-    signed sum, so the radius may differ from it in the last ulps.
+    The scan is a meet-in-the-middle block scan (see ``_exhaustive_scan``)
+    in O(2^16 * n) memory. The sums are added in a different order than a
+    direct signed sum, so the radius may differ from it in the last ulps.
     """
     v = _check_inputs(vectors, body)
     k = v.shape[0]
     if k > MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive balancing capped at {MAX_EXHAUSTIVE} vectors, got {k}")
-    lo = min(k - 1, _LOW_BITS)
-    hi = k - 1 - lo
-    low_rows, high_rows = _sign_rows(lo), _sign_rows(hi)
-    low = low_rows @ v[1 + hi:]
-    high = v[0] + high_rows @ v[1:1 + hi]
-    # high patterns ascend in the outer loop and argmin returns the first
-    # hit, so the strict < keeps the lexicographically first minimum
-    best_r, best_h, best_j = math.inf, 0, 0
-    for h in range(1 << hi):
-        gauges = body.gauge_many(low + high[h])
-        j = int(np.argmin(gauges))
-        if gauges[j] < best_r:
-            best_r, best_h, best_j = float(gauges[j]), h, j
-    pattern = np.concatenate(([1.0], high_rows[best_h], low_rows[best_j]))
-    return BalanceResult(best_r, SignAssignment(tuple(int(s) for s in pattern)), v)
+    radii, codes = _exhaustive_scan(v[None], body)
+    code = int(codes[0])
+    signs = (1,) + tuple(1 - 2 * ((code >> s) & 1) for s in range(k - 2, -1, -1))
+    return BalanceResult(float(radii[0]), SignAssignment(signs), v)
 
 
 def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
@@ -151,17 +174,23 @@ def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
                 improved = True
                 total = signs @ v
                 i += 1
-        radius = float(body.gauge(signs @ v))
+        # the last pass flipped nothing, so current is the gauge of signs @ v
+        radius = float(current)
         if best is None or radius < best.radius:
             best = BalanceResult(radius, SignAssignment(tuple(int(s) for s in signs)), v)
     return best
 
 
-def _boundary_point(body: ConvexBody, direction: np.ndarray) -> np.ndarray:
-    g = body.gauge(direction)
-    if g <= 0:
-        raise UnsupportedBodyError("worst-case search needs a bounded input body")
-    return direction / g
+_UNBOUNDED_INPUT = "worst-case search needs a bounded input body"
+
+
+def _boundary_points(body: ConvexBody, directions: np.ndarray) -> np.ndarray:
+    """Rows of ``directions`` scaled onto the boundary of ``body``, up to the
+    first row along which the body is unbounded (gauge <= 0)."""
+    g = body.gauge_many(directions)
+    unbounded = np.flatnonzero(g <= 0)
+    m = int(unbounded[0]) if unbounded.size else len(g)
+    return directions[:m] / g[:m, None]
 
 
 # Perturbation schedule of the worst-case searches: passes of halving step
@@ -178,6 +207,13 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     boundary of U (the objective is positively homogeneous per input, so
     interior points never help) via random restarts and shrinking random
     perturbations. Returns (radius, witness vectors).
+
+    The probes of one vector are tried in order and the first that raises
+    the radius is kept. Their noise does not depend on which is kept, so
+    all of them are scored from the current vectors in one stacked scan;
+    after a probe is kept, only the probes after it are scored again. The
+    radii, the witness and the error on an unbounded U are those of trying
+    the probes one at a time.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -188,18 +224,30 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     best_v: np.ndarray | None = None
     for restart in range(max(restarts, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        vecs = np.stack([_boundary_point(u_body, rng.standard_normal(d))
-                         for _ in range(n)])
+        vecs = _boundary_points(u_body, rng.standard_normal((n, d)))
+        if len(vecs) < n:
+            raise UnsupportedBodyError(_UNBOUNDED_INPUT)
         radius = balance_exhaustive(vecs, v_body).radius
         step = 0.5
         for _ in range(_BETA_PASSES):
             for i in range(n):
-                for _ in range(_BETA_PROBES):
-                    cand = vecs.copy()
-                    cand[i] = _boundary_point(u_body, vecs[i] + step * rng.standard_normal(d))
-                    r = balance_exhaustive(cand, v_body).radius
-                    if r > radius:
-                        radius, vecs = r, cand
+                noise = step * rng.standard_normal((_BETA_PROBES, d))
+                p = 0
+                while p < _BETA_PROBES:
+                    points = _boundary_points(u_body, vecs[i] + noise[p:])
+                    cands = np.repeat(vecs[None], len(points), axis=0)
+                    cands[:, i] = points
+                    radii, _ = _exhaustive_scan(cands, v_body)
+                    up = np.flatnonzero(radii > radius)
+                    if up.size:
+                        t = int(up[0])
+                        radius, vecs = float(radii[t]), cands[t]
+                        p += t + 1
+                    elif p + len(points) < _BETA_PROBES:
+                        # the next probe's direction is unbounded in U
+                        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
+                    else:
+                        break
             step *= 0.5
         if radius > best_r:
             best_r, best_v = radius, vecs

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latgauss as lg
+from latgauss import balancing
 from latgauss.balancing import ELLIPSOID_FORMULA_CONVENTION
 
 
@@ -70,6 +71,50 @@ def _heuristic_reference(vectors, body, restarts=16, seed=0):
         if best is None or radius < best[0]:
             best = (radius, tuple(int(s) for s in signs))
     return best
+
+
+def _beta_reference(n, u_body, v_body, restarts, seed):
+    """One exhaustive scan per probe: the loop the stacked probe scoring must match."""
+    def boundary_point(direction):
+        g = u_body.gauge(direction)
+        if g <= 0:
+            raise lg.UnsupportedBodyError("worst-case search needs a bounded input body")
+        return direction / g
+
+    d = u_body.dim
+    best_r, best_v = -math.inf, None
+    for restart in range(max(restarts, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+        vecs = np.stack([boundary_point(rng.standard_normal(d)) for _ in range(n)])
+        radius = lg.balance_exhaustive(vecs, v_body).radius
+        step = 0.5
+        for _ in range(4):
+            for i in range(n):
+                for _ in range(6):
+                    cand = vecs.copy()
+                    cand[i] = boundary_point(vecs[i] + step * rng.standard_normal(d))
+                    r = lg.balance_exhaustive(cand, v_body).radius
+                    if r > radius:
+                        radius, vecs = r, cand
+            step *= 0.5
+        if radius > best_r:
+            best_r, best_v = radius, vecs
+    return float(best_r), best_v
+
+
+def _assert_beta_matches_reference(n, u_body, v_body, restarts, seed):
+    radius, witness = lg.beta_lower_bound_search(n, u_body, v_body, restarts=restarts,
+                                                 seed=seed)
+    ref_radius, ref_witness = _beta_reference(n, u_body, v_body, restarts, seed)
+    assert radius == ref_radius
+    assert np.array_equal(witness, ref_witness)
+
+
+class _ZeroGaugeCap(lg.Ball):
+    """Unit ball whose gauge reads 0 where x_0 > 1.2, as if unbounded there."""
+
+    def gauge_many(self, points):
+        return np.where(points[:, 0] > 1.2, 0.0, super().gauge_many(points))
 
 
 class TestBalanceExhaustive:
@@ -143,6 +188,31 @@ class TestBalanceExhaustive:
         tracemalloc.start()
         try:
             lg.balance_exhaustive(vecs, lg.Ellipsoid([1.0, 2.0, 0.5, 1.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    @pytest.mark.parametrize("k", [18, 20])
+    def test_stacked_scan_matches_each_sequence(self, k):
+        # k > 17 puts signs in the high block, one sequence per gauge call
+        rng = np.random.default_rng(k)
+        body = GAUGES["ellipsoid"](3)
+        stack = rng.standard_normal((3, k, 3))
+        radii, codes = balancing._exhaustive_scan(stack, body)
+        for vecs, radius, code in zip(stack, radii, codes):
+            r = lg.balance_exhaustive(vecs, body)
+            assert radius == r.radius
+            bits = tuple(1 - 2 * ((int(code) >> s) & 1) for s in range(k - 2, -1, -1))
+            assert (1,) + bits == r.signs.signs
+
+    def test_stacked_scan_memory_independent_of_stack_size(self):
+        # each k = 17 sequence fills a 2^16-row gauge call on its own; stacking
+        # all eight into one call would hold several 17 MB arrays at once
+        stack = np.random.default_rng(4).standard_normal((8, 17, 4))
+        tracemalloc.start()
+        try:
+            balancing._exhaustive_scan(stack, lg.Ellipsoid([1.0, 2.0, 0.5, 1.5]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,6 +314,51 @@ class TestBetaSearch:
         radius, _ = lg.beta_lower_bound_search(2, _ball(2), _ball(2), restarts=24, seed=3)
         assert radius == pytest.approx(math.sqrt(2.0), abs=1e-4)
         assert radius <= math.sqrt(2.0) + 1e-9  # lower bound never overshoots
+
+    @pytest.mark.parametrize("kind", sorted(GAUGES))
+    def test_matches_reference_loop(self, kind):
+        for n in range(1, 6):
+            _assert_beta_matches_reference(n, _ball(n), GAUGES[kind](n), restarts=2, seed=n)
+
+    def test_matches_reference_loop_hpolytope_target(self):
+        normals = np.array([[1.0, 0.3], [0.2, 1.0], [1.0, 1.0]])
+        v = lg.HPolytope(np.vstack([normals, -normals]), [1.0, 0.8, 1.5] * 2)
+        for n in (2, 3, 4):
+            _assert_beta_matches_reference(n, _ball(2), v, restarts=2, seed=n)
+
+    def test_matches_reference_loop_ellipsoid_input(self):
+        u = lg.Ellipsoid([0.5, 1.0, 2.0])
+        for n in (2, 3, 4):
+            _assert_beta_matches_reference(n, u, GAUGES["axis_box"](3), restarts=2, seed=n)
+
+    def test_unbounded_probe_error_parity(self):
+        # the reference raises while drawing the start at seeds 0 and 9 and at
+        # a probe at seeds 3, 5 and 10; at seed 7 a zero-gauge probe follows
+        # an improving one and is scored again, bounded, from the new vectors
+        u, v = _ZeroGaugeCap(1.0, dim=2), lg.AxisBox([0.5, 0.8])
+        for seed in range(12):
+            try:
+                expected = _beta_reference(2, u, v, restarts=1, seed=seed)
+            except lg.UnsupportedBodyError:
+                with pytest.raises(lg.UnsupportedBodyError, match="bounded input body"):
+                    lg.beta_lower_bound_search(2, u, v, restarts=1, seed=seed)
+                continue
+            radius, witness = lg.beta_lower_bound_search(2, u, v, restarts=1, seed=seed)
+            assert radius == expected[0]
+            assert np.array_equal(witness, expected[1])
+
+    def test_probes_share_gauge_calls(self, monkeypatch):
+        calls = []
+        gauge_many = lg.AxisBox.gauge_many
+
+        def counted(self, points):
+            calls.append(len(points))
+            return gauge_many(self, points)
+
+        monkeypatch.setattr(lg.AxisBox, "gauge_many", counted)
+        lg.beta_lower_bound_search(3, _ball(3), lg.AxisBox([0.5] * 3), restarts=4, seed=2)
+        probes = 4 * balancing._BETA_PASSES * 3 * balancing._BETA_PROBES
+        assert 0 < len(calls) <= probes // 2
 
     def test_deterministic(self):
         r1, _ = lg.beta_lower_bound_search(2, _ball(2), lg.AxisBox([0.5, 0.5]),

@@ -14,6 +14,14 @@ from latgauss.cli import main
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
 Z2 = json.dumps({"basis": [[1.0, 0.0], [0.0, 1.0]]})
 
+BETA_GOLDEN = (
+    '{"check": "beta", "convention": "coefficients are reciprocal semiaxes: '
+    'E = {x : sum((alpha_i*x_i)^2) <= 1}", "formula_value": 2.0639767440550294, '
+    '"n": 3, "radius": 1.735215669447505, "restarts": 2, "seed": 5, '
+    '"witness": [0.08247309656671839, -0.15152980803112812, 0.9850060434437681, '
+    '-0.512128361534789, 0.7310262885383735, 0.4509158533224387, '
+    '0.5185074010841572, 0.7334840858047855, 0.43948967097313124]}\n')
+
 
 def run_cli(*argv):
     buf = io.StringIO()
@@ -221,6 +229,21 @@ class TestRecords:
         code, out = run_cli("beta", "--n", "0", *extra)
         assert code == 1 and out == ""
         assert "--n" in capsys.readouterr().err
+
+    def test_beta_unbounded_input_body_is_exit_one(self, capsys):
+        space = json.dumps({"kind": "space", "dim": 2})
+        code, out = run_cli("beta", "--n", "2", "--u-body", space)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert "bounded input body" in err
+        assert "Traceback" not in err
+
+    def test_beta_record_golden(self):
+        # pinned from the search that scans one probe at a time
+        code, out = run_cli("beta", "--n", "3", "--alphas", "0.7,1.1,1.6",
+                            "--restarts", "2", "--seed", "5")
+        assert code == 0
+        assert out == BETA_GOLDEN
 
     def test_beta_curve_csv_schema(self):
         code, out = run_cli("beta", "--curve", "--n", "2", "--restarts", "2",
