@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,9 @@ from .errors import (
 BOUNDARY_ATOL = 1e-12
 # Gaussian mass a truncation radius may leave outside (see bounding_radius).
 TAIL_EPS = 1e-9
+# Margin of an H-polytope slice decision made without an LP, relative to
+# the reach from the interior point to the last-axis extreme (at least 1).
+SPAN_RTOL = 1e-6
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -371,6 +375,8 @@ class HPolytope(ConvexBody):
             raise InvalidBodyError("hpolytope needs a nonempty (m, n) normal matrix")
         if c.shape != (N.shape[0],):
             raise InvalidBodyError("offsets must match the number of halfspaces")
+        if not (np.all(np.isfinite(N)) and np.all(np.isfinite(c))):
+            raise InvalidBodyError("hpolytope normals and offsets must be finite")
         if np.any(np.linalg.norm(N, axis=1) <= 0):
             raise InvalidBodyError("hpolytope normals must be nonzero")
         object.__setattr__(self, "normals", N)
@@ -378,8 +384,8 @@ class HPolytope(ConvexBody):
         object.__setattr__(self, "dim", N.shape[1])
         if self.interior_point is not None:
             p = _as_vector(self.interior_point, self.dim)
-            if np.any(N @ p >= c - BOUNDARY_ATOL):
-                raise InvalidBodyError("declared interior point is not strictly inside")
+            if not np.all(np.isfinite(p)) or np.any(N @ p >= c - BOUNDARY_ATOL):
+                raise InvalidBodyError("declared interior point is not finite and strictly inside")
             object.__setattr__(self, "interior_point", p)
         elif np.all(c > 0):
             object.__setattr__(self, "interior_point", np.zeros(self.dim))
@@ -409,21 +415,54 @@ class HPolytope(ConvexBody):
         ratios /= self.offsets  # in place: one (k, m) array at a time
         return np.maximum(ratios.max(axis=1), 0.0)
 
+    @cached_property
+    def last_axis_vertices(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Vertices of the body with the least and the greatest last coordinate.
+
+        Two LPs, solved once per body; a side where the body is unbounded
+        (or its LP fails) is None.
+        """
+        return (_last_axis_vertex(self.normals, self.offsets, 1.0),
+                _last_axis_vertex(self.normals, self.offsets, -1.0))
+
     def slice_at(self, x):
+        """Cross-section at last coordinate x, decided from the last-axis span.
+
+        Let e be the extreme last coordinate on x's side of the interior
+        point p, and tol = SPAN_RTOL * max(1, |e - p_n|). A slice more than
+        tol beyond e is empty. Otherwise the point where the segment from p
+        to e's vertex reaches last coordinate x becomes the slice's interior
+        point, provided every slice facet clears it by tol times
+        max(1, facet normal length). Where neither holds (x within tol of e,
+        an unbounded side, a thin slice) the slice's Chebyshev-center LP
+        decides, as it does for every slice without a span.
+        """
         if self.dim == 1:
             raise InvalidBodyError("cannot slice a 1-d body")
         heads = self.normals[:, :-1]
         cs = self.offsets - self.normals[:, -1] * x
-        keep = np.linalg.norm(heads, axis=1) > BOUNDARY_ATOL
+        hnorm = np.linalg.norm(heads, axis=1)
+        keep = hnorm > BOUNDARY_ATOL
         if np.any(cs[~keep] < -BOUNDARY_ATOL):
             return None
         if not np.any(keep):
             return FullSpace(self.dim - 1)
         N, c = heads[keep], cs[keep]
-        p = _chebyshev_center(N, c)
-        if p is None:
+        p = self.interior_point
+        vertex = self.last_axis_vertices[0 if x <= p[-1] else 1]
+        if vertex is not None:
+            reach, step = abs(vertex[-1] - p[-1]), abs(x - p[-1])
+            tol = SPAN_RTOL * max(1.0, reach)
+            if step > reach + tol:
+                return None
+            if reach > 0.0:
+                q = p[:-1] + (step / reach) * (vertex[:-1] - p[:-1])
+                if np.all(c - N @ q > tol * np.maximum(hnorm[keep], 1.0)):
+                    return HPolytope(N, c, interior_point=q)
+        q = _chebyshev_center(N, c)
+        if q is None:
             return None
-        return HPolytope(N, c, interior_point=p)
+        return HPolytope(N, c, interior_point=q)
 
     def circumradius(self):
         return math.inf  # not computed for H-polytopes; use bounding_radius
@@ -578,6 +617,17 @@ def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
     if not res.success or res.x[-1] <= 1e-10:
         return None
     return res.x[:n]
+
+
+def _last_axis_vertex(normals: np.ndarray, offsets: np.ndarray,
+                      sign: float) -> np.ndarray | None:
+    """Vertex of {x : N x <= c} minimizing sign * x_n; None if unbounded or failed."""
+    n = normals.shape[1]
+    cost = np.zeros(n)
+    cost[-1] = sign
+    res = optimize.linprog(c=cost, A_ub=normals, b_ub=offsets,
+                           bounds=[(None, None)] * n, method="highs")
+    return res.x if res.status == 0 else None
 
 
 # ---------------------------------------------------------------------------

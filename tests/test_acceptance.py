@@ -233,6 +233,11 @@ def test_c10_determinism():
         ("w-profile", "--body",
          json.dumps({"kind": "ball", "dim": 2, "radius": 1.1, "center": [0, 0]}),
          "--grid-size", "101"),
+        ("w-profile", "--body",
+         json.dumps({"kind": "hpolytope", "dim": 3,
+                     "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0],
+                                 [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-0.6, -0.8, 0]],
+                     "offsets": [1.1] * 8})),
         ("cube-curve", "--n-values", "1,2,64,4096"),
         ("beta", "--n", "1", "--alphas", "0.8", "--restarts", "4", "--seed", "2"),
         ("alpha-search", "--n", "1", "--restarts", "2", "--seed", "2"),

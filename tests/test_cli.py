@@ -64,6 +64,29 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert f"{doc['kind']} body document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"normals": [[1.0, math.nan], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},
+        {"offsets": [1.0, 1.0, math.inf, 1.0]},
+    ], ids=["nan-normal", "inf-offset"])
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--body"),
+        ("minima", "--lattice", Z2, "--gauge-body"),
+        ("covering", "--lattice", Z2, "--body"),
+        ("check-theorem", "--coset", Z2, "--body"),
+        ("w-profile", "--body"),
+        ("beta", "--n", "2", "--u-body"),
+        ("beta", "--n", "2", "--v-body"),
+    ], ids=["measure", "minima", "covering", "check-theorem", "w-profile",
+            "beta-u", "beta-v"])
+    def test_non_finite_polytope_is_exit_one(self, argv, bad, capsys):
+        doc = {"kind": "hpolytope", "dim": 2,
+               "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+               "offsets": [1.0, 1.0, 1.0, 1.0], **bad}
+        code, out = run_cli(*argv, json.dumps(doc))
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert "must be finite" in err and "Traceback" not in err
+
     def test_alpha_search_without_dimension_is_exit_one(self, capsys):
         code, out = run_cli("alpha-search", "--n", "0")
         assert code == 1 and out == ""

@@ -7,8 +7,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latgauss as lg
+from latgauss import convex
 from latgauss.errors import (DimensionMismatchError, InvalidBodyError,
                              UnsupportedCombinationError)
+
+
+def lp_slice_reference(body, x):
+    """H-polytope slice with one Chebyshev-center LP per slice, no span."""
+    heads = body.normals[:, :-1]
+    cs = body.offsets - body.normals[:, -1] * x
+    keep = np.linalg.norm(heads, axis=1) > convex.BOUNDARY_ATOL
+    if np.any(cs[~keep] < -convex.BOUNDARY_ATOL):
+        return None
+    if not np.any(keep):
+        return lg.FullSpace(body.dim - 1)
+    p = convex._chebyshev_center(heads[keep], cs[keep])
+    if p is None:
+        return None
+    return lg.HPolytope(heads[keep], cs[keep], interior_point=p)
+
+
+def symmetric_polytope(n, seed):
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((n + 1, n))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return lg.HPolytope(np.vstack([normals, -normals]),
+                        np.full(2 * n + 2, rng.uniform(0.8, 1.4)))
+
+
+OFF_ORIGIN_TRIANGLE = lg.HPolytope([[0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+                                   [0.0, 1.0, 1.0], interior_point=[0.0, 0.5])
+# square cross-sections above a tilted floor whose lowest point is the
+# vertex (-1, -1, -1); unbounded along +x3
+TILTED_CUP = lg.HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0.3, 0.2, -1]],
+                          [1, 1, 1, 1, 0.5])
+# simplex that excludes the origin, so its interior point is a Chebyshev center
+OFF_ORIGIN_SIMPLEX = lg.HPolytope([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
+                                  [-0.1, 0.3, 0.1, 1.5])
 
 
 class TestContains:
@@ -75,7 +110,8 @@ class TestSlice:
     def test_slice_membership_consistency(self):
         rng = np.random.default_rng(3)
         bodies = [lg.Ball(1.5, dim=3), lg.AxisBox([1.0, 0.8, 1.2]),
-                  lg.Ellipsoid([1.0, 2.0, 0.7]), lg.Halfspace([0.5, -1.0, 0.25], 0.3)]
+                  lg.Ellipsoid([1.0, 2.0, 0.7]), lg.Halfspace([0.5, -1.0, 0.25], 0.3),
+                  symmetric_polytope(3, 4), OFF_ORIGIN_SIMPLEX]
         for body in bodies:
             for _ in range(200):
                 p = rng.normal(0, 1.2, size=3)
@@ -85,6 +121,32 @@ class TestSlice:
                     assert not inside or body.containment_margin(p) <= 1e-6
                 else:
                     assert sl.contains(p[:-1]) == inside
+
+    @pytest.mark.parametrize("body", [
+        *(symmetric_polytope(n, seed) for n in (2, 3, 4) for seed in range(3)),
+        OFF_ORIGIN_TRIANGLE, OFF_ORIGIN_SIMPLEX, TILTED_CUP,
+    ], ids=[*(f"symmetric-{n}d-{seed}" for n in (2, 3, 4) for seed in range(3)),
+            "triangle", "simplex", "unbounded"])
+    def test_polytope_slices_match_lp_reference(self, body):
+        ends = [v[-1] for v in body.last_axis_vertices if v is not None]
+        assert len(ends) == (1 if body is TILTED_CUP else 2)
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 61), ends,
+                             [e + d for e in ends for d in (-1e-9, 1e-9)]])
+        for x in xs:
+            sl, ref = body.slice_at(float(x)), lp_slice_reference(body, float(x))
+            assert (sl is None) == (ref is None), x
+            if sl is None:
+                continue
+            assert np.array_equal(sl.normals, ref.normals)
+            assert np.array_equal(sl.offsets, ref.offsets)
+            assert sl.containment_margin(sl.interior_point) > 0.0, x
+
+    def test_polytope_span_vertices(self):
+        lo, hi = OFF_ORIGIN_TRIANGLE.last_axis_vertices
+        assert lo[-1] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(hi, [0.0, 1.0], atol=1e-12)
+        lo, hi = TILTED_CUP.last_axis_vertices
+        assert np.allclose(lo, [-1.0, -1.0, -1.0], atol=1e-12) and hi is None
 
 
 class TestGauge:
@@ -266,6 +328,19 @@ class TestValidation:
     def test_zero_normal(self):
         with pytest.raises(InvalidBodyError):
             lg.Halfspace([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("normals, offsets, interior", [
+        ([[1.0, math.nan], [-1.0, 0.0]], [1.0, 1.0], None),
+        ([[math.inf, 0.0], [-1.0, 0.0]], [1.0, 1.0], None),
+        ([[1.0, 0.0], [-1.0, 0.0]], [math.nan, 1.0], None),
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, -math.inf], None),
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], [math.nan, 0.0]),
+        ([[1.0, 0.0]], [1.0], [-math.inf, 0.0]),  # unbounded: N @ p is -inf
+    ], ids=["nan-normal", "inf-normal", "nan-offset", "inf-offset", "nan-interior",
+            "inf-interior"])
+    def test_non_finite_polytope(self, normals, offsets, interior):
+        with pytest.raises(InvalidBodyError):
+            lg.HPolytope(normals, offsets, interior_point=interior)
 
 
 class TestDocuments:

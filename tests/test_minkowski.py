@@ -1,14 +1,18 @@
 """Harness checks: coset intersection, sharpness, slices, interpolation, profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import latgauss as lg
+import latgauss.convex
 import latgauss.lattice
 from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target,
                                  generate_theorem_instance)
+from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, TILTED_CUP,
+                         lp_slice_reference, symmetric_polytope)
 
 
 class TestRandomThetaLattice:
@@ -339,6 +343,27 @@ class TestWProfile:
     def test_needs_dim_two(self):
         with pytest.raises(Exception):
             lg.w_profile(lg.AxisBox([1.0]))
+
+    def test_polytope_profile_solves_two_lps(self, monkeypatch):
+        # the last-axis span decides every slice: no LP per slice
+        body = symmetric_polytope(3, 11)
+        calls = []
+        linprog = latgauss.convex.optimize.linprog
+        monkeypatch.setattr(latgauss.convex.optimize, "linprog",
+                            lambda *a, **k: calls.append(1) or linprog(*a, **k))
+        lg.w_profile(body, grid_size=81, samples=4096, seed=2)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("body", [symmetric_polytope(3, 11), OFF_ORIGIN_TRIANGLE,
+                                      OFF_ORIGIN_SIMPLEX, TILTED_CUP],
+                             ids=["symmetric", "triangle", "simplex", "unbounded"])
+    def test_polytope_profile_matches_lp_reference(self, body, monkeypatch):
+        fast = lg.w_profile(body, grid_size=81, samples=4096, seed=3)
+        monkeypatch.setattr(lg.HPolytope, "slice_at", lp_slice_reference)
+        ref = lg.w_profile(body, grid_size=81, samples=4096, seed=3)
+        for f in dataclasses.fields(lg.WProfile):
+            a, b = getattr(fast, f.name), getattr(ref, f.name)
+            assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), f.name
 
 
 class TestCorollary:
