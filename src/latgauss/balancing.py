@@ -21,6 +21,7 @@ from .errors import (DimensionMismatchError, EnumerationCapExceededError,
                      InvalidLatticeError, ResolutionTooCoarseError,
                      UnsupportedBodyError)
 from . import lattice as lat
+from .gaussian import substream
 
 MAX_EXHAUSTIVE = 24
 # sign rows cached for the low block of an exhaustive scan: 2^16 x 16 floats
@@ -143,11 +144,13 @@ def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
     gauge. The result is a feasible pattern, so its radius always dominates
     the exhaustive minimum.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     v = _check_inputs(vectors, body)
     k = v.shape[0]
     best: BalanceResult | None = None
-    for restart in range(max(restarts, 1)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+    for restart in range(restarts):
+        rng = substream(seed, restart)
         order = rng.permutation(k)
         signs = np.ones(k)
         acc = np.zeros(body.dim)
@@ -217,13 +220,15 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if u_body.dim != v_body.dim:
         raise DimensionMismatchError("input and target bodies must share a dimension")
     d = u_body.dim
     best_r = -math.inf
     best_v: np.ndarray | None = None
-    for restart in range(max(restarts, 1)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+    for restart in range(restarts):
+        rng = substream(seed, restart)
         vecs = _boundary_points(u_body, rng.standard_normal((n, d)))
         if len(vecs) < n:
             raise UnsupportedBodyError(_UNBOUNDED_INPUT)
@@ -285,6 +290,8 @@ def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
         raise ValueError(f"n must be at least 1, got {n}")
     if n > 3:
         raise ValueError("alpha search is capped at n <= 3 (covering brackets)")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if u_body.dim != v_body.dim or u_body.dim != n:
         raise DimensionMismatchError("bodies must live in dimension n")
 
@@ -298,8 +305,8 @@ def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
 
     best_r = -math.inf
     best_l: lat.Lattice | None = None
-    for restart in range(max(restarts, 1)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+    for restart in range(restarts):
+        rng = substream(seed, restart)
         basis = rng.standard_normal((n, n))
         r = ratio(basis)
         for _ in range(50):

@@ -70,12 +70,13 @@ class _Emitter:
         if record.get("verdict") == "violated":
             self.violated = True
         if self.fmt == "csv":
-            if self.fields is None:
+            # a record with another field set starts a new header row
+            if self.fields != sorted(record):
                 self.fields = sorted(record)
                 self.stream.write(",".join(self.fields) + "\n")
             row = []
             for k in self.fields:
-                v = record.get(k)
+                v = record[k]
                 if isinstance(v, (list, tuple)):
                     v = ";".join(repr(float(x)) for x in v)
                 row.append("" if v is None else str(v))

@@ -395,9 +395,9 @@ class HPolytope(ConvexBody):
                 raise InvalidBodyError("hpolytope has empty interior")
             object.__setattr__(self, "interior_point", p)
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
-        # every halfspace must have its mirror (-normal, same offset)
+        # O(m^2): every halfspace must have its mirror (-normal, same offset)
         for v, c in zip(self.normals, self.offsets):
             diff = np.abs(self.normals + v).sum(axis=1) + np.abs(self.offsets - c)
             if not np.any(diff <= 1e-9):

@@ -131,6 +131,17 @@ def measure_exact(body: ConvexBody) -> MeasureEstimate:
     return MeasureEstimate(value=min(max(value, 0.0), 1.0), method="exact")
 
 
+def substream(seed: int, key: int) -> np.random.Generator:
+    """Generator of sub-draw ``key`` of ``seed``: the one derivation behind
+    every Monte Carlo shard, seeded suite trial and search restart."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
+def sub_seed(seed: int, key: int) -> int:
+    """Integer seed of sub-draw ``key`` of ``seed``, for calls that take a seed."""
+    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
+
+
 def _normal_shards(dim: int, samples: int, seed: int):
     """Seeded standard normal draw, one (n, dim) array per shard.
 
@@ -140,31 +151,28 @@ def _normal_shards(dim: int, samples: int, seed: int):
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     for shard, start in enumerate(range(0, samples, MC_SHARD_SIZE)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
-        yield rng.standard_normal((min(MC_SHARD_SIZE, samples - start), dim))
+        yield substream(seed, shard).standard_normal((min(MC_SHARD_SIZE, samples - start), dim))
 
 
-def mc_fraction(dim: int, membership, samples: int, seed: int) -> tuple[float, float]:
-    """(hit fraction, 99% half-width) of standard normal points under a
-    membership predicate; deterministic given (seed, shard layout).
+def mc_fraction(dim: int, membership, samples: int, seed: int) -> MeasureEstimate:
+    """Hit fraction of standard normal points under a membership predicate;
+    deterministic given (seed, shard layout).
 
     ``membership`` takes a (k, dim) shard and returns k booleans, the
     contract of ``contains_many`` and of every ``OracleBody`` predicate.
+    half_width is the 99% binomial half-width 2.576 * sqrt(p(1-p)/samples).
     """
     hits = sum(int(np.count_nonzero(membership(pts)))
                for pts in _normal_shards(dim, samples, seed))
     p = hits / samples
-    hw = Z99 * math.sqrt(p * (1.0 - p) / samples)
-    return p, hw
+    return MeasureEstimate(value=p, method="monte-carlo",
+                           half_width=Z99 * math.sqrt(p * (1.0 - p) / samples),
+                           samples=samples)
 
 
 def measure_mc(body: ConvexBody, samples: int, seed: int) -> MeasureEstimate:
-    """Hit fraction of i.i.d. standard normal points; deterministic per seed.
-
-    half_width is the 99% binomial half-width 2.576 * sqrt(p(1-p)/samples).
-    """
-    p, hw = mc_fraction(body.dim, body.contains_many, samples, seed)
-    return MeasureEstimate(value=p, method="monte-carlo", half_width=hw, samples=samples)
+    """Hit fraction of i.i.d. standard normal points; deterministic per seed."""
+    return mc_fraction(body.dim, body.contains_many, samples, seed)
 
 
 def measure_auto(body: ConvexBody, samples: int = 1 << 16, seed: int = 0) -> MeasureEstimate:

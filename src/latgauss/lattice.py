@@ -220,24 +220,12 @@ def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) 
     return partial[:, ::-1]
 
 
-def _spiral_keys(coeffs: np.ndarray) -> list[np.ndarray]:
+def _spiral_keys(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     """lexsort keys for the per-coordinate (|c|, sign) order, least significant first."""
     keys = []
     for j in range(coeffs.shape[1] - 1, -1, -1):
-        keys.append(coeffs[:, j] < 0)
-        keys.append(np.abs(coeffs[:, j]))
-    return keys
-
-
-def _spiral_order(coeffs: np.ndarray) -> np.ndarray:
-    """Stable order by per-coordinate (|c|, sign) keys, first coordinate primary."""
-    return np.lexsort(tuple(_spiral_keys(coeffs)))
-
-
-def _lex_order(coeffs: np.ndarray) -> np.ndarray:
-    """Plain ascending lexicographic order of coefficient rows."""
-    keys = [coeffs[:, j] for j in range(coeffs.shape[1] - 1, -1, -1)]
-    return np.lexsort(keys)
+        keys += (coeffs[:, j] < 0, np.abs(coeffs[:, j]))
+    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +254,7 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
     gauges = body.gauge_many(points)
     # quantized gauge first, spiral key as deterministic tie-break
     quant = np.round(gauges / COMPARE_ATOL).astype(np.int64)
-    order = np.lexsort(tuple(_spiral_keys(coeffs)) + (quant,))
+    order = np.lexsort(_spiral_keys(coeffs) + (quant,))
     points, gauges = points[order], gauges[order]
 
     lambdas = np.empty(lattice.dim)
@@ -315,7 +303,7 @@ def closest_vector(lattice: Lattice, target, return_coefficients: bool = False):
     best = dists.min()
     tie = dists <= best + COMPARE_ATOL
     orig = coeffs[tie] @ trans
-    pick = _lex_order(orig)[0]
+    pick = np.lexsort(orig.T[::-1])[0]
     point = orig[pick] @ lattice.basis
     if return_coefficients:
         return point, orig[pick]
@@ -337,8 +325,7 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
         raise ValueError(f"radius must be positive, got {radius}")
     trans = coset.lattice.frame[1]
     coeffs = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius) @ trans
-    order = _spiral_order(coeffs)
-    coeffs = coeffs[order]
+    coeffs = coeffs[np.lexsort(_spiral_keys(coeffs))]
     points = coeffs @ coset.lattice.basis + coset.offset
     if return_coefficients:
         return points, coeffs

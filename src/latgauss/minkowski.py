@@ -12,8 +12,9 @@ Every check returns a CheckReport with one of three verdicts:
                       for an unbounded body, at its largest radius. Never
                       reported as a violation.
 
-Statistical acceptance follows one convention: an estimate certifies
-``x >= b`` only when ``estimate - 3 * half_width >= b`` (99% half-widths).
+Acceptance follows one convention, exact and Monte Carlo alike: an
+estimate certifies ``x >= b`` only when ``estimate - 3 * half_width >=
+b - 1e-12`` (99% half-widths; an exact estimate has half-width 0).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import EnumerationCapExceededError, InvalidBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
-_FLOAT_SLACK = 1e-12          # tolerance against pure float noise in exact paths
+_FLOAT_SLACK = 1e-12          # tolerance against pure float noise in certificates
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 
 
@@ -197,9 +198,7 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
 
 def _certify_at_least_half(body: ConvexBody, samples: int, seed: int) -> tuple[bool, MeasureEstimate]:
     est = measure_auto(body, samples=samples, seed=seed)
-    if est.method == "exact":
-        return est.value >= 0.5 - _FLOAT_SLACK, est
-    return est.value - 3.0 * est.half_width >= 0.5, est
+    return est.value - 3.0 * est.half_width >= 0.5 - _FLOAT_SLACK, est
 
 
 def check_theorem_instance(body: ConvexBody, coset: Coset,
@@ -207,7 +206,7 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     """Does the body meet the coset? (It must, on certified inputs.)
 
     Both preconditions are certified here, and only here: gaussian measure
-    >= 1/2 (exactly, or by estimate - 3*half_width >= 1/2) and
+    >= 1/2 (by estimate - 3*half_width >= 1/2 - 1e-12) and
     nth_minimum(lattice) <= theta. An unverifiable measure, or a minima
     enumeration that hits the node cap, yields ``inconclusive``; a non-theta
     coset is a caller error.
@@ -314,11 +313,8 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
     if closed is not None:
         slice_est = measure_exact(closed)
     else:
-        value, hw = gaussian.mc_fraction(
-            sub.shape[0],
-            lambda pts: body.contains_many(pts @ sub),
-            samples, seed + 1)
-        slice_est = MeasureEstimate(value, "monte-carlo", hw, samples)
+        slice_est = gaussian.mc_fraction(
+            sub.shape[0], lambda pts: body.contains_many(pts @ sub), samples, seed + 1)
     margin = slice_est.value + 3.0 * slice_est.half_width - 0.5
     verdict = "holds" if margin >= -_FLOAT_SLACK else "violated"
     return CheckReport("lemma", verdict, margin=margin, seed=seed, measure=slice_est,
@@ -345,7 +341,7 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
     comb = minkowski_combination(a, b, lam)
 
     def bracket(body: ConvexBody, sub: int) -> tuple[float, float, MeasureEstimate]:
-        est = measure_auto(body, samples=samples, seed=_sub_seed(seed, sub))
+        est = measure_auto(body, samples=samples, seed=gaussian.sub_seed(seed, sub))
         lo = np.clip(est.value - 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
         hi = np.clip(est.value + 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
         return (gaussian.std_normal_quantile(lo),
@@ -404,7 +400,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
         if sl is None:
             measures[i], hws[i] = 0.0, 0.0
             continue
-        est = measure_auto(sl, samples=samples, seed=_sub_seed(seed, i))
+        est = measure_auto(sl, samples=samples, seed=gaussian.sub_seed(seed, i))
         measures[i], hws[i] = est.value, est.half_width
 
     support = measures > 0.0
@@ -449,7 +445,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     wsimp[2:-1:2] = 2.0
     wsimp *= h / 3.0
     hw_lhs = float(np.sqrt(np.sum((wsimp * weights * hws) ** 2)))
-    rhs = measure_auto(body, samples=4 * samples, seed=_sub_seed(seed, grid_size + 1))
+    rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
     tol = 3.0 * math.hypot(hw_lhs, rhs.half_width) + quad_err
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
@@ -504,15 +500,6 @@ def cube_scaling_curve(n_values) -> list[tuple[int, float]]:
 # ---------------------------------------------------------------------------
 
 THEOREM_BODY_KINDS = ("halfspace", "box", "ball", "slab", "hpolytope")
-
-
-def _instance_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=(trial,))
-
-
-def _sub_seed(seed: int, key: int) -> int:
-    """Independent integer seed for sub-draw ``key`` of a seeded check."""
-    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
 
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -577,8 +564,7 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
 def generate_theorem_instance(n: int, seed: int, trial: int,
                               mc_samples: int = 1 << 16):
     """(kind, body, coset, instance_seed) for one seeded theorem trial."""
-    ss = _instance_seed(seed, trial)
-    rng = np.random.default_rng(ss)
+    rng = gaussian.substream(seed, trial)
     kind = THEOREM_BODY_KINDS[trial % len(THEOREM_BODY_KINDS)]
     body = generate_certified_body(n, kind, rng, mc_samples=mc_samples)
     lattice = random_theta_lattice(n, int(rng.integers(2**62)))
@@ -588,6 +574,8 @@ def generate_theorem_instance(n: int, seed: int, trial: int,
 
 def theorem_suite(n: int, trials: int, seed: int, mc_samples: int = 1 << 16):
     """Yield (trial, kind, CheckReport) over seeded theorem instances."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     for trial in range(trials):
         kind, body, coset, inst_seed = generate_theorem_instance(
             n, seed, trial, mc_samples=mc_samples)
@@ -600,8 +588,7 @@ LEMMA_BODY_KINDS = ("halfspace", "ball", "cylinder", "box")
 
 def generate_lemma_instance(seed: int, trial: int, max_dim: int = 4):
     """(kind, body, subspace, instance_seed) for one seeded slice-lemma trial."""
-    ss = _instance_seed(seed, trial)
-    rng = np.random.default_rng(ss)
+    rng = gaussian.substream(seed, trial)
     n = int(rng.integers(2, max_dim + 1))
     m = int(rng.integers(1, n))
     kind = LEMMA_BODY_KINDS[trial % len(LEMMA_BODY_KINDS)]
@@ -621,6 +608,8 @@ def generate_lemma_instance(seed: int, trial: int, max_dim: int = 4):
 
 
 def lemma_suite(trials: int, seed: int, samples: int = 1 << 16, max_dim: int = 4):
+    if max_dim < 2:
+        raise ValueError(f"max_dim must be at least 2, got {max_dim}")
     for trial in range(trials):
         kind, body, sub, inst_seed = generate_lemma_instance(seed, trial, max_dim=max_dim)
         report = check_lemma_instance(body, sub, samples=samples, seed=inst_seed)
@@ -631,8 +620,7 @@ EHRHARD_PAIR_KINDS = ("boxes", "balls", "parallel-halfspaces", "identical")
 
 
 def generate_ehrhard_instance(seed: int, trial: int, max_dim: int = 4):
-    ss = _instance_seed(seed, trial)
-    rng = np.random.default_rng(ss)
+    rng = gaussian.substream(seed, trial)
     n = int(rng.integers(1, max_dim + 1))
     kind = EHRHARD_PAIR_KINDS[trial % len(EHRHARD_PAIR_KINDS)]
     lam = float(rng.uniform()) if trial % 8 else float(rng.choice([0.0, 0.5, 1.0]))
@@ -653,6 +641,8 @@ def generate_ehrhard_instance(seed: int, trial: int, max_dim: int = 4):
 
 
 def ehrhard_suite(trials: int, seed: int, samples: int = 1 << 16, max_dim: int = 4):
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     for trial in range(trials):
         kind, a, b, lam, inst_seed = generate_ehrhard_instance(seed, trial, max_dim=max_dim)
         report = check_ehrhard(a, b, lam, samples=samples, seed=inst_seed)
@@ -661,8 +651,7 @@ def ehrhard_suite(trials: int, seed: int, samples: int = 1 << 16, max_dim: int =
 
 def generate_ratio_instance(n: int, seed: int, trial: int):
     """(body, lattice) pair for the covering-ratio bound, n <= 3."""
-    ss = _instance_seed(seed, trial)
-    rng = np.random.default_rng(ss)
+    rng = gaussian.substream(seed, trial)
     kind = ("box", "ball")[trial % 2]
     body = generate_certified_body(n, kind, rng)
     lattice = random_theta_lattice(n, int(rng.integers(2**62)))

@@ -92,6 +92,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "n must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check-theorem", "--n", "0"), "n must be at least 1, got 0"),
+        (("check-lemma", "--max-dim", "1"), "max_dim must be at least 2, got 1"),
+        (("check-ehrhard", "--max-dim", "0"), "max_dim must be at least 1, got 0"),
+        (("beta", "--restarts", "0"), "restarts must be at least 1"),
+        (("alpha-search", "--restarts", "0"), "restarts must be at least 1"),
+    ], ids=["theorem-n", "lemma-max-dim", "ehrhard-max-dim", "beta-restarts",
+            "alpha-restarts"])
+    def test_out_of_range_argument_is_named(self, argv, message, capsys):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
     def test_zero_basis_row_is_named(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -188,7 +202,20 @@ class TestRecords:
         assert code == 0
         lines = out.strip().splitlines()
         header = lines[0].split(",")
-        assert "verdict" in header and len(lines) == 1 + 3 + 1  # header, trials, summary
+        # header, trials, then the summary's own header and row
+        assert "verdict" in header and len(lines) == 1 + 3 + 2
+
+    @pytest.mark.parametrize("argv, check, field, value", [
+        (("check-ehrhard", "--trials", "3"), "ehrhard-summary", "holds", "3"),
+        (("w-profile", "--body", BALL, "--grid-size", "21", "--emit-grid"),
+         "w-profile", "verdict", "holds"),
+    ], ids=["suite-summary", "w-profile"])
+    def test_csv_last_record_keeps_its_fields(self, argv, check, field, value):
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        *_, header, row = out.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["check"] == check and record[field] == value
 
     def test_measure_exact_record(self):
         code, out = run_cli("measure", "--body", BALL, "--method", "exact")

@@ -268,6 +268,12 @@ class TestSymmetryFlag:
         assert lg.HPolytope([[1, 0], [-1, 0]], [1, 1]).symmetric
         assert not lg.HPolytope([[1, 0], [-1, 0]], [1, 2]).symmetric
 
+    def test_polytope_symmetry_computed_once(self):
+        body = symmetric_polytope(3, 0)
+        assert "symmetric" not in body.__dict__
+        body.gauge_many(np.zeros((9, 3)))
+        assert body.__dict__["symmetric"] is True
+
     def test_symmetric_membership_spot_check(self):
         rng = np.random.default_rng(2)
         for body in (lg.AxisBox([0.8, 1.1]), lg.Ball(1.3, dim=2),

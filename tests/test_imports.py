@@ -1,4 +1,5 @@
-"""Import hygiene: no library module imports a name it never uses."""
+"""Import hygiene: no library module imports a name it never uses, and no
+module-level private name goes unreferenced in the package."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,53 @@ def test_no_unused_module_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom os import path, sep\n\nx = path.join(sep, 'a')\n"
     assert _unused_imports(source) == ["line 1: math"]
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced_names(stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions (def, class or assignment) that no
+    top-level statement of any module references, their own excepted."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    refs = [_referenced_names(stmt) for _, stmt in stmts]
+    dead = []
+    for i, (module, stmt) in enumerate(stmts):
+        for name in _defined_names(stmt):
+            if (name.startswith("_") and not name.startswith("__")
+                    and not any(name in r for j, r in enumerate(refs) if j != i)):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_no_dead_private_names():
+    package = sorted(Path(latgauss.__file__).parent.glob("*.py"))
+    assert _dead_private_names({p.stem: p.read_text(encoding="utf-8")
+                                for p in package}) == []
+
+
+def test_detects_a_dead_private_name():
+    sources = {
+        "a": "_USED, _SPARE = 1, 2\n\ndef _recursive(n):\n"
+             "    return _recursive(n - 1) if n else _USED\n\nclass _Shared:\n    pass\n",
+        "b": "from .a import _Shared\n\nx = _Shared()\n",
+    }
+    assert _dead_private_names(sources) == ["a: _SPARE", "a: _recursive"]
