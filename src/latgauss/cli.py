@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -78,7 +79,9 @@ class _Emitter:
             for k in self.fields:
                 v = record[k]
                 if isinstance(v, (list, tuple)):
-                    v = ";".join(repr(float(x)) for x in v)
+                    # a matrix cell is its JSON text; a vector joins with ';'
+                    nested = any(isinstance(x, (list, tuple)) for x in v)
+                    v = json.dumps(v) if nested else ";".join(repr(float(x)) for x in v)
                 row.append("" if v is None else str(v))
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerow(row)
@@ -93,6 +96,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="latgauss",
                      description="lattices, Gaussian measure, balancing constants")

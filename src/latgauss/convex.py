@@ -209,10 +209,13 @@ class AxisBox(ConvexBody):
         return np.all(np.abs(points) <= self.semiwidths + BOUNDARY_ATOL, axis=1)
 
     def gauge_many(self, points):
-        with np.errstate(invalid="ignore"):
-            ratios = np.abs(points) / self.semiwidths
-        ratios = np.nan_to_num(ratios, nan=0.0)  # 0/inf on unbounded axes
-        return ratios.max(axis=1)
+        # one pass per axis (numpy reduces slowly over a short last axis);
+        # unbounded axes contribute 0, and fmax passes over a NaN coordinate
+        g = np.zeros(len(points))
+        for col, w in zip(points.T, self.semiwidths):
+            if w < math.inf:
+                np.fmax(g, np.abs(col) / w, out=g)
+        return g
 
     def slice_at(self, x):
         if abs(x) > self.semiwidths[-1] + BOUNDARY_ATOL:
@@ -273,7 +276,10 @@ class Ball(ConvexBody):
 
     def gauge_many(self, points):
         self._require_symmetric()  # a centered ball of positive radius holds 0
-        return np.linalg.norm(points, axis=1) / self.radius
+        q = np.zeros(len(points))
+        for col in points.T:  # one pass per axis
+            q += col * col
+        return np.sqrt(q) / self.radius
 
     def slice_at(self, x):
         if self.dim == 1:
@@ -325,7 +331,10 @@ class Ellipsoid(ConvexBody):
         return True
 
     def _q(self, points):
-        return np.sum((points / self.semiaxes) ** 2, axis=1)
+        q = np.zeros(len(points))
+        for col, a in zip(points.T, self.semiaxes):  # one pass per axis
+            q += (col / a) ** 2
+        return q
 
     def contains_many(self, points):
         return self._q(points) <= 1.0 + BOUNDARY_ATOL
@@ -404,16 +413,19 @@ class HPolytope(ConvexBody):
                 return False
         return True
 
+    # Both kernels work facet-major: an (m, k) array reduced across its m
+    # rows, since numpy reduces slowly over a short last axis of m facets.
     def contains_many(self, points):
-        return np.all(points @ self.normals.T <= self.offsets + BOUNDARY_ATOL, axis=1)
+        inside = self.normals @ points.T <= (self.offsets + BOUNDARY_ATOL)[:, None]
+        return np.logical_and.reduce(inside, axis=0)
 
     def gauge_many(self, points):
         self._require_gauge()
         if np.any(self.offsets <= 0):
             raise InvalidBodyError("gauge needs the origin strictly inside")
-        ratios = points @ self.normals.T
-        ratios /= self.offsets  # in place: one (k, m) array at a time
-        return np.maximum(ratios.max(axis=1), 0.0)
+        ratios = self.normals @ points.T
+        ratios /= self.offsets[:, None]  # in place: one (m, k) array at a time
+        return np.maximum(np.maximum.reduce(ratios, axis=0), 0.0)
 
     @cached_property
     def last_axis_vertices(self) -> tuple[np.ndarray | None, np.ndarray | None]:

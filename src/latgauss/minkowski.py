@@ -206,24 +206,31 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     """Does the body meet the coset? (It must, on certified inputs.)
 
     Both preconditions are certified here, and only here: gaussian measure
-    >= 1/2 (by estimate - 3*half_width >= 1/2 - 1e-12) and
-    nth_minimum(lattice) <= theta. An unverifiable measure, or a minima
-    enumeration that hits the node cap, yields ``inconclusive``; a non-theta
-    coset is a caller error.
+    >= 1/2 (by estimate - 3*half_width >= 1/2 - 1e-12) and lambda_n <= theta
+    (within 1e-9). Any basis bounds lambda_n by its longest row, so the given
+    basis certifies lambda_n when every row is within the bound, else the
+    cached LLL basis ``lattice.frame[0]`` does; only when both miss is
+    ``nth_minimum`` enumerated. An unverifiable measure, or that enumeration
+    hitting the node cap, yields ``inconclusive``; a non-theta coset is a
+    caller error.
     """
     ok, est = _certify_at_least_half(body, mc_samples, seed)
     if not ok:
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
                            seed=seed, measure=est,
                            note="measure >= 1/2 not certified at 3 half-widths")
-    try:
-        lam = nth_minimum(coset.lattice, Ball(1.0, dim=coset.dim))
-    except EnumerationCapExceededError as e:
-        return CheckReport("theorem", "inconclusive", margin=0.0, seed=seed, measure=est,
-                           note=f"lambda_n not certified, enumeration cap hit: {e}")
     th = gaussian.theta()
-    if lam > th + 1e-9:
-        raise ValueError(f"not a theta-coset: lambda_n = {lam:.9f} > theta = {th:.9f}")
+    bound = th + 1e-9
+    lattice = coset.lattice
+    if (np.max(np.linalg.norm(lattice.basis, axis=1)) > bound
+            and np.max(np.linalg.norm(lattice.frame[0], axis=1)) > bound):
+        try:
+            lam = nth_minimum(lattice, Ball(1.0, dim=coset.dim))
+        except EnumerationCapExceededError as e:
+            return CheckReport("theorem", "inconclusive", margin=0.0, seed=seed, measure=est,
+                               note=f"lambda_n not certified, enumeration cap hit: {e}")
+        if lam > bound:
+            raise ValueError(f"not a theta-coset: lambda_n = {lam:.9f} > theta = {th:.9f}")
     search = find_coset_point_in_body(coset, body)
     if search.status == "found":
         return CheckReport("theorem", "holds", margin=body.containment_margin(search.point),

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, record schemas, determinism."""
 
+import csv
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import latgauss.lattice
-from latgauss.cli import main
+from latgauss.cli import _COMMANDS, build_parser, main
 
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
 Z2 = json.dumps({"basis": [[1.0, 0.0], [0.0, 1.0]]})
@@ -21,6 +22,23 @@ BETA_GOLDEN = (
     '"witness": [0.08247309656671839, -0.15152980803112812, 0.9850060434437681, '
     '-0.512128361534789, 0.7310262885383735, 0.4509158533224387, '
     '0.5185074010841572, 0.7334840858047855, 0.43948967097313124]}\n')
+
+# one small invocation of every subcommand
+CSV_ARGV = [
+    ("theta",),
+    ("measure", "--body", BALL),
+    ("minima", "--lattice", json.dumps({"basis": [[2, 1], [0, 3]]})),
+    ("covering", "--lattice", Z2, "--body", BALL, "--resolution", "4"),
+    ("cvp", "--lattice", Z2, "--target", "0.3,0.4"),
+    ("check-theorem", "--n", "2", "--trials", "2"),
+    ("check-lemma", "--trials", "2", "--samples", "2000"),
+    ("check-ehrhard", "--trials", "2", "--samples", "2000"),
+    ("w-profile", "--body", BALL, "--grid-size", "21", "--emit-grid"),
+    ("sharpness",),
+    ("beta", "--n", "2", "--restarts", "1"),
+    ("alpha-search", "--n", "2", "--restarts", "1", "--resolution", "4"),
+    ("cube-curve", "--n-values", "1,2"),
+]
 
 
 def run_cli(*argv):
@@ -137,7 +155,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cap", [8, 30], ids=["minima", "coset-search"])
     def test_node_cap_hit_in_suite_is_inconclusive(self, cap, monkeypatch, capsys):
-        # cap 8 stops the lambda_n certification, cap 30 the coset search
+        # both caps stop the coset search: a seeded basis certifies lambda_n
+        # without enumerating (test_lambda_n_cap_hit_is_inconclusive below)
         monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", cap)
         code, out = run_cli("check-theorem", "--n", "3", "--trials", "5", "--seed", "7")
         assert code == 0 and capsys.readouterr().err == ""
@@ -145,6 +164,16 @@ class TestExitCodes:
         assert [r["verdict"] for r in trials] == ["inconclusive"] * 5
         assert all("enumeration cap hit" in r["note"] for r in trials)
         assert summary["inconclusive"] == 5 and summary["verdict"] == "inconclusive"
+
+    def test_lambda_n_cap_hit_is_inconclusive(self, monkeypatch, capsys):
+        # neither 3*I nor its LLL basis is within theta, so lambda_n is enumerated
+        monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 1)
+        coset = json.dumps({"basis": [[3.0, 0.0], [0.0, 3.0]], "offset": [0.0, 0.0]})
+        code, out = run_cli("check-theorem", "--body", BALL, "--coset", coset)
+        assert code == 0 and capsys.readouterr().err == ""
+        rec = json.loads(out)
+        assert rec["verdict"] == "inconclusive"
+        assert rec["note"].startswith("lambda_n not certified")
 
     def test_empty_suite_summary_is_inconclusive(self):
         code, out = run_cli("check-theorem", "--n", "2", "--trials", "0")
@@ -216,6 +245,30 @@ class TestRecords:
         *_, header, row = out.strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert record["check"] == check and record[field] == value
+
+    @pytest.mark.parametrize("argv", CSV_ARGV, ids=lambda argv: argv[0])
+    def test_csv_for_every_subcommand(self, argv, capsys):
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code in (0, 2) and capsys.readouterr().err == ""
+        _, json_out = run_cli(*argv)
+        rows = csv.reader(io.StringIO(out))
+        header = None
+        for line in json_out.splitlines():
+            record = json.loads(line)
+            row = next(rows)
+            if row == sorted(record):
+                header, row = row, next(rows)
+            assert header == sorted(record)
+            for name, cell in zip(header, row):
+                value = record[name]
+                if isinstance(value, list) and value and isinstance(value[0], list):
+                    assert json.loads(cell) == value  # a matrix cell is its JSON text
+                elif isinstance(value, list):
+                    assert cell == ";".join(repr(float(x)) for x in value)
+        assert next(rows, None) is None
+
+    def test_csv_covers_every_subcommand(self):
+        assert {argv[0] for argv in CSV_ARGV} == set(_COMMANDS)
 
     def test_measure_exact_record(self):
         code, out = run_cli("measure", "--body", BALL, "--method", "exact")
@@ -326,6 +379,29 @@ class TestRecords:
         # shortest in this gauge is the long axis direction: gauge 1/3
         assert rec["lambdas"][0] == pytest.approx(1.0 / 3.0)
         assert rec["lambdas"][1] == pytest.approx(1.0)
+
+
+class TestCachedParser:
+    """The parser is built once per process; no call's arguments reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_store_true_flag_does_not_persist(self):
+        code, out = run_cli("w-profile", "--body", BALL, "--grid-size", "21", "--emit-grid")
+        assert code == 0 and '"w-profile-grid"' in out
+        code, out = run_cli("w-profile", "--body", BALL, "--grid-size", "21")
+        assert code == 0
+        assert [json.loads(line)["check"] for line in out.splitlines()] == ["w-profile"]
+
+    def test_usage_error_after_good_call_is_exit_one(self, capsys):
+        assert run_cli("theta")[0] == 0
+        code, out = run_cli("theta", "--bogus")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out = run_cli("minima")
+        assert code == 1 and out == ""
+        assert "--lattice" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -195,6 +195,63 @@ class TestGauge:
             assert np.all((g[clear] <= 1.0) == inside[clear])
 
 
+class TestKernelReference:
+    """The per-axis and facet-major kernels are bitwise equal to the
+    row-major formulas, which reduce a (k, n) or (k, m) array over its
+    last axis."""
+
+    @staticmethod
+    def draws():
+        # points exactly at offset + BOUNDARY_ATOL on facet 0 (normal e_0),
+        # one ulp beyond it, and at the offset itself, among seeded normals
+        # whose small first components keep those points inside the others
+        for n in range(1, 7):
+            for m in (4, 7, 10, 16):
+                rng = np.random.default_rng(100 * n + m)
+                normals = rng.standard_normal((m, n))
+                normals[:, 0] = np.clip(normals[:, 0], -0.2, 0.2)
+                normals[0] = np.eye(n)[0]
+                offsets = rng.uniform(0.5, 2.0, m)
+                if m % 2 == 0:  # a mirror for every facet
+                    normals[m // 2:], offsets[m // 2:] = -normals[:m // 2], offsets[:m // 2]
+                pts = rng.normal(0.0, 1.5, (2000, n))
+                edge = offsets[0] + convex.BOUNDARY_ATOL
+                pts[:3, 0] = [edge, np.nextafter(edge, np.inf), offsets[0]]
+                pts[:3, 1:] = 0.0
+                yield rng, normals, offsets, pts
+
+    def test_hpolytope_matches_row_major(self):
+        for _, normals, offsets, pts in self.draws():
+            body = lg.HPolytope(normals, offsets)
+            rows = pts @ normals.T
+            inside = np.all(rows <= offsets + convex.BOUNDARY_ATOL, axis=1)
+            assert inside[:3].tolist() == [True, False, True]
+            assert np.array_equal(body.contains_many(pts), inside)
+            if body.symmetric:
+                rows /= offsets
+                assert np.array_equal(body.gauge_many(pts),
+                                      np.maximum(rows.max(axis=1), 0.0))
+
+    def test_closed_form_bodies_match_row_major(self):
+        for rng, _, offsets, pts in self.draws():
+            n = pts.shape[1]
+            widths = rng.uniform(0.5, 2.0, n)
+            widths[rng.random(n) < 0.3] = math.inf
+            widths[0] = offsets[0]
+            with np.errstate(invalid="ignore"):
+                ratios = np.abs(pts) / widths
+            box = np.nan_to_num(ratios, nan=0.0).max(axis=1)
+            assert np.array_equal(lg.AxisBox(widths).gauge_many(pts), box)
+            axes = rng.uniform(0.5, 2.0, n)
+            q = np.sum((pts / axes) ** 2, axis=1)
+            ellipsoid = lg.Ellipsoid(axes)
+            assert np.array_equal(ellipsoid.gauge_many(pts), np.sqrt(q))
+            assert np.array_equal(ellipsoid.contains_many(pts),
+                                  q <= 1.0 + convex.BOUNDARY_ATOL)
+            assert np.array_equal(lg.Ball(1.3, dim=n).gauge_many(pts),
+                                  np.linalg.norm(pts, axis=1) / 1.3)
+
+
 class TestMinkowskiCombination:
     def test_identity_body(self):
         square = lg.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])

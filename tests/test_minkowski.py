@@ -116,6 +116,29 @@ class TestTheoremCheck:
         with pytest.raises(ValueError):
             lg.check_theorem_instance(body, coset)
 
+    @staticmethod
+    def forbid_enumeration(monkeypatch):
+        def enumerate_minima(*args):
+            raise AssertionError("lambda_n was enumerated, not certified by a basis")
+        monkeypatch.setattr(latgauss.minkowski, "nth_minimum", enumerate_minima)
+
+    def test_seeded_theta_lattices_certified_by_their_basis(self, monkeypatch):
+        self.forbid_enumeration(monkeypatch)
+        for n in (1, 2, 3, 4):
+            verdicts = [rep.verdict for _, _, rep in lg.theorem_suite(n, 10, 7)]
+            assert verdicts == ["holds"] * 10
+
+    def test_unimodular_basis_certified_by_lll(self, monkeypatch):
+        # theta * Z^2 given by rows (theta, 0) and (3 theta, theta)
+        self.forbid_enumeration(monkeypatch)
+        th = lg.theta()
+        lattice = lg.Lattice(np.array([[1.0, 0.0], [3.0, 1.0]]) @ (th * np.eye(2)))
+        assert np.max(np.linalg.norm(lattice.basis, axis=1)) > th + 1e-9
+        assert np.max(np.linalg.norm(lattice.frame[0], axis=1)) <= th + 1e-9
+        coset = lg.Coset(lattice, np.array([0.3, -0.2]))
+        rep = lg.check_theorem_instance(lg.Ball(1.2, dim=2), coset, seed=3)
+        assert rep.verdict == "holds"
+
     def test_small_measure_inconclusive_or_regenerated(self):
         small = lg.Ball(0.3, dim=2)  # measure well below 1/2
         coset = lg.Coset(lg.random_theta_lattice(2, 9), np.zeros(2))
