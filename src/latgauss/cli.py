@@ -147,7 +147,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-ehrhard", help="interpolation inequality suite")
     _add_common(p)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--samples", type=int, default=1 << 16)
     p.add_argument("--max-dim", type=int, default=4)
 
     p = sub.add_parser("w-profile", help="slice-measure profile of a body")
@@ -288,7 +287,7 @@ def _cmd_check_lemma(args, out: _Emitter) -> None:
 
 def _cmd_check_ehrhard(args, out: _Emitter) -> None:
     _emit_suite(out, "ehrhard", "pair", minkowski.ehrhard_suite(
-        args.trials, args.seed, samples=args.samples, max_dim=args.max_dim))
+        args.trials, args.seed, max_dim=args.max_dim))
 
 
 def _cmd_w_profile(args, out: _Emitter) -> None:

@@ -12,7 +12,8 @@ gamma_n(sK) = P(g(X) <= s) is the distribution function of g(X). A
 target measure is therefore a quantile of the gauge: a root of the closed
 form where one exists, an order statistic of the seeded draw otherwise.
 
-All confidence half-widths use the two-sided 99% convention, z = 2.576.
+All confidence half-widths use the two-sided 99% convention, z = 2.576,
+and every certificate reads the interval ``MeasureEstimate.lower``/``upper``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .convex import AxisBox, Ball, ConvexBody, FullSpace, Halfspace
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
+CERT_HALF_WIDTHS = 3.0  # half-widths a certified interval spans on each side
+FLOAT_SLACK = 1e-12  # tolerance against pure float noise in every certificate
+MIN_MC_SAMPLES = 1000  # smallest Monte Carlo draw
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -54,6 +58,16 @@ class MeasureEstimate:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "exact" and self.half_width != 0.0:
             raise ValueError("exact estimates carry zero half_width")
+
+    @property
+    def lower(self) -> float:
+        """Certified lower end: value - CERT_HALF_WIDTHS * half_width."""
+        return self.value - CERT_HALF_WIDTHS * self.half_width
+
+    @property
+    def upper(self) -> float:
+        """Certified upper end: value + CERT_HALF_WIDTHS * half_width."""
+        return self.value + CERT_HALF_WIDTHS * self.half_width
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +162,8 @@ def _normal_shards(dim: int, samples: int, seed: int):
     Each shard of MC_SHARD_SIZE points draws its own substream from
     (seed, shard index), so any shard schedule aggregates to the same draw.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     for shard, start in enumerate(range(0, samples, MC_SHARD_SIZE)):
         yield substream(seed, shard).standard_normal((min(MC_SHARD_SIZE, samples - start), dim))
 

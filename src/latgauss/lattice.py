@@ -32,6 +32,7 @@ from .errors import (
 )
 
 COMPARE_ATOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 DEFAULT_NODE_CAP = 10**8
 _LLL_DELTA = 0.99  # Lovasz condition parameter
 
@@ -48,11 +49,17 @@ class Lattice:
             raise InvalidLatticeError(f"basis must be a square matrix, got {b.shape}")
         if not np.all(np.isfinite(b)):
             raise InvalidLatticeError("basis entries must be finite")
-        gram = b @ b.T
+        with np.errstate(over="ignore"):  # an overflow is named below
+            gram = b @ b.T
+            scale = float(np.prod(np.diag(gram)))
         zero = np.flatnonzero(np.diag(gram) == 0.0)
         if zero.size:
             raise InvalidLatticeError(f"basis row {zero[0]} is zero")
-        rel = np.linalg.det(gram) / float(np.prod(np.diag(gram)))
+        if not 0.0 < scale < math.inf:
+            raise InvalidLatticeError(
+                f"basis Gram matrix overflows or underflows float64 "
+                f"(product of squared row norms {scale:.3g})")
+        rel = np.linalg.det(gram) / scale
         if not rel > 1e-12:
             raise InvalidLatticeError(
                 f"basis is numerically dependent (relative Gram determinant {rel:.3g})")
@@ -65,7 +72,7 @@ class Lattice:
 
         Reduced once per lattice; all four arrays are read-only.
         """
-        reduced, t = lll_reduce(self, return_transform=True)
+        reduced, t = lll_reduce(self)
         q, r = np.linalg.qr(reduced.basis.T)
         sgn = np.sign(np.diag(r))
         sgn[sgn == 0] = 1.0
@@ -94,6 +101,8 @@ class Coset:
         if a.shape != (self.lattice.dim,):
             raise DimensionMismatchError(
                 f"offset shape {a.shape} does not match lattice dim {self.lattice.dim}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidLatticeError("coset offset entries must be finite")
         object.__setattr__(self, "offset", a)
 
     @property
@@ -137,12 +146,9 @@ def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bstar, mu
 
 
-def lll_reduce(lattice: Lattice, return_transform: bool = False):
-    """LLL-reduced basis of the same lattice.
-
-    The recorded unimodular transform T satisfies reduced.basis = T @ lattice.basis;
-    pass return_transform=True to get (reduced, T).
-    """
+def lll_reduce(lattice: Lattice) -> tuple[Lattice, np.ndarray]:
+    """(reduced, T): the LLL-reduced lattice and the unimodular T with
+    reduced.basis = T @ lattice.basis."""
     b = lattice.basis.copy()
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
@@ -162,15 +168,39 @@ def lll_reduce(lattice: Lattice, return_transform: bool = False):
             t[[k - 1, k]] = t[[k, k - 1]]
             bstar, mu = _gs(b)
             k = max(k - 1, 1)
-    reduced = Lattice(b)
-    if return_transform:
-        return reduced, t
-    return reduced
+    return Lattice(b), t
 
 
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration core
 # ---------------------------------------------------------------------------
+
+def _frame_target(lattice: Lattice, target: np.ndarray, radius: float) -> np.ndarray:
+    """Frame coordinates Q.T @ target of a search for lattice points within ``radius``.
+
+    Raises ValueError when float64 cannot hold that search: back substitution
+    through R bounds every coefficient, and rounding could then move a point
+    by more than COMPARE_ATOL, or a coefficient reaches 2**53 (README,
+    "Numerical conventions", derives the bound).
+    """
+    _, t, q, r = lattice.frame
+    n = lattice.dim
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is rejected
+        y = q.T @ target
+        ar = np.abs(r)
+        coeff = np.zeros(n)
+        for i in range(n - 1, -1, -1):
+            coeff[i] = (abs(y[i]) + radius + ar[i, i + 1:] @ coeff[i + 1:]) / ar[i, i]
+        orig = coeff @ np.abs(t)
+        err = (n + 1) * _EPS * (np.abs(y).sum() + orig @ np.linalg.norm(lattice.basis, axis=1))
+    if not (err <= COMPARE_ATOL and max(coeff.max(), orig.max()) < 2.0**53):
+        raise ValueError(
+            f"a lattice search within {radius:.3g} of a target with coordinates up to "
+            f"{np.max(np.abs(target)):.3g} is beyond float64: rounding could move a point by "
+            f"{err:.3g} > COMPARE_ATOL; bring the coset offset or cvp target nearer the "
+            f"origin, or rescale the lattice")
+    return y
+
 
 def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) -> np.ndarray:
     """Integer coefficient rows c with ||c @ B - target|| <= radius.
@@ -183,9 +213,9 @@ def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) 
     """
     cap = DEFAULT_NODE_CAP  # read per call, the one place the cap is decided
     n = lattice.dim
-    _, _, q, r = lattice.frame
-    y = q.T @ target
+    r = lattice.frame[3]
     reff = radius + COMPARE_ATOL
+    y = _frame_target(lattice, target, reff)
     r2 = reff * reff
 
     # partial coefficient columns in order c_{n-1}, c_{n-2}, ...
@@ -290,9 +320,12 @@ def closest_vector(lattice: Lattice, target, return_coefficients: bool = False):
     t = np.asarray(target, dtype=float)
     if t.shape != (lattice.dim,):
         raise DimensionMismatchError("target dimension mismatch")
-    b, trans, q, r = lattice.frame
-    # Babai nearest-plane seed; any seed radius enumerates every tie of the best
-    y = q.T @ t
+    if not np.all(np.isfinite(t)):
+        raise ValueError("cvp target entries must be finite")
+    b, trans, _, r = lattice.frame
+    # Babai nearest-plane seed, which lies within |diag(R)| / 2 of the target;
+    # any seed radius enumerates every tie of the best
+    y = _frame_target(lattice, t, 0.5 * float(np.linalg.norm(np.diag(r))))
     seed_coeff = np.zeros(lattice.dim, dtype=np.int64)
     for i in range(lattice.dim - 1, -1, -1):
         seed_coeff[i] = round((y[i] - r[i, i + 1:] @ seed_coeff[i + 1:]) / r[i, i])

@@ -12,9 +12,8 @@ Every check returns a CheckReport with one of three verdicts:
                       for an unbounded body, at its largest radius. Never
                       reported as a violation.
 
-Acceptance follows one convention, exact and Monte Carlo alike: an
-estimate certifies ``x >= b`` only when ``estimate - 3 * half_width >=
-b - 1e-12`` (99% half-widths; an exact estimate has half-width 0).
+Every certificate reads the interval ``MeasureEstimate.lower``/``upper``
+and the ``FLOAT_SLACK`` of ``gaussian``, exact and Monte Carlo alike.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import EnumerationCapExceededError, InvalidBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
-_FLOAT_SLACK = 1e-12          # tolerance against pure float noise in certificates
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 
 
@@ -196,17 +194,12 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
                             f"{_COSET_DOUBLINGS} radius doublings (unbounded body)")
 
 
-def _certify_at_least_half(body: ConvexBody, samples: int, seed: int) -> tuple[bool, MeasureEstimate]:
-    est = measure_auto(body, samples=samples, seed=seed)
-    return est.value - 3.0 * est.half_width >= 0.5 - _FLOAT_SLACK, est
-
-
 def check_theorem_instance(body: ConvexBody, coset: Coset,
                            mc_samples: int = 1 << 16, seed: int = 0) -> CheckReport:
     """Does the body meet the coset? (It must, on certified inputs.)
 
     Both preconditions are certified here, and only here: gaussian measure
-    >= 1/2 (by estimate - 3*half_width >= 1/2 - 1e-12) and lambda_n <= theta
+    >= 1/2 (by its certified ``lower`` end) and lambda_n <= theta
     (within 1e-9). Any basis bounds lambda_n by its longest row, so the given
     basis certifies lambda_n when every row is within the bound, else the
     cached LLL basis ``lattice.frame[0]`` does; only when both miss is
@@ -214,8 +207,8 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     hitting the node cap, yields ``inconclusive``; a non-theta coset is a
     caller error.
     """
-    ok, est = _certify_at_least_half(body, mc_samples, seed)
-    if not ok:
+    est = measure_auto(body, samples=mc_samples, seed=seed)
+    if est.lower < 0.5 - gaussian.FLOAT_SLACK:
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
                            seed=seed, measure=est,
                            note="measure >= 1/2 not certified at 3 half-widths")
@@ -305,15 +298,15 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
     ``subspace`` holds orthonormal rows spanning M; the slice measure is the
     m-dimensional gaussian measure of {y : y @ subspace in body}, evaluated
     in closed form where possible and by Monte Carlo otherwise. ``violated``
-    requires estimate + 3*half_width < 1/2.
+    requires its certified ``upper`` end below 1/2.
     """
     sub = np.asarray(subspace, dtype=float)
     if sub.ndim != 2 or sub.shape[1] != body.dim or not 1 <= sub.shape[0] < body.dim:
         raise ValueError("subspace must be (m, n) with 1 <= m < n")
     if np.max(np.abs(sub @ sub.T - np.eye(sub.shape[0]))) > 1e-9:
         raise ValueError("subspace rows must be orthonormal")
-    ok, est = _certify_at_least_half(body, samples, seed)
-    if not ok:
+    est = measure_auto(body, samples=samples, seed=seed)
+    if est.lower < 0.5 - gaussian.FLOAT_SLACK:
         return CheckReport("lemma", "inconclusive", margin=est.value - 0.5, seed=seed,
                            measure=est, note="measure >= 1/2 not certified")
     closed = _exact_subspace_slice(body, sub)
@@ -322,8 +315,8 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
     else:
         slice_est = gaussian.mc_fraction(
             sub.shape[0], lambda pts: body.contains_many(pts @ sub), samples, seed + 1)
-    margin = slice_est.value + 3.0 * slice_est.half_width - 0.5
-    verdict = "holds" if margin >= -_FLOAT_SLACK else "violated"
+    margin = slice_est.upper - 0.5
+    verdict = "holds" if margin >= -gaussian.FLOAT_SLACK else "violated"
     return CheckReport("lemma", verdict, margin=margin, seed=seed, measure=slice_est,
                        certificate="" if verdict == "holds" else
                        "slice estimate + 3 half-widths below 1/2")
@@ -339,9 +332,9 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
 
     Compares Phi^{-1}(measure(lam*A + (1-lam)*B)) against the affine
     combination of the endpoint quantiles. Exact measures give an exact
-    margin. Monte Carlo estimates are propagated as [-3hw, +3hw] intervals
-    through the (monotone) quantile: ``holds`` means the certified lower
-    side of the left-hand term beats the certified upper side of the right,
+    margin. Monte Carlo estimates are propagated as (``lower``, ``upper``)
+    intervals through the (monotone) quantile: ``holds`` means the certified
+    lower side of the left-hand term beats the certified upper side of the right,
     ``violated`` needs the whole intervals separated the wrong way, and
     overlapping intervals are ``inconclusive`` (more samples needed).
     """
@@ -349,10 +342,8 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
 
     def bracket(body: ConvexBody, sub: int) -> tuple[float, float, MeasureEstimate]:
         est = measure_auto(body, samples=samples, seed=gaussian.sub_seed(seed, sub))
-        lo = np.clip(est.value - 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
-        hi = np.clip(est.value + 3.0 * est.half_width, 1e-15, 1.0 - 1e-15)
-        return (gaussian.std_normal_quantile(lo),
-                gaussian.std_normal_quantile(hi), est)
+        lo, hi = gaussian.std_normal_quantile(np.clip((est.lower, est.upper), 1e-15, 1.0 - 1e-15))
+        return lo, hi, est
 
     lhs_lo, lhs_hi, est_c = bracket(comb, 0)
     a_lo, a_hi, est_a = bracket(a, 1)
@@ -427,7 +418,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     full_hw[mask] = g_hw
     d2 = full_g[:-2] + full_g[2:] - 2.0 * full_g[1:-1]
     valid = ~np.isnan(d2)
-    stat = 3.0 * (full_hw[:-2] + 2.0 * full_hw[1:-1] + full_hw[2:])[valid]
+    stat = gaussian.CERT_HALF_WIDTHS * (full_hw[:-2] + 2.0 * full_hw[1:-1] + full_hw[2:])[valid]
     d2v = d2[valid]
     if d2v.size:
         curvature_floor = float(np.median(np.abs(d2v)))
@@ -453,7 +444,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     wsimp *= h / 3.0
     hw_lhs = float(np.sqrt(np.sum((wsimp * weights * hws) ** 2)))
     rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
-    tol = 3.0 * math.hypot(hw_lhs, rhs.half_width) + quad_err
+    tol = gaussian.CERT_HALF_WIDTHS * math.hypot(hw_lhs, rhs.half_width) + quad_err
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
                     source_dim=body.dim,
@@ -472,8 +463,7 @@ def corollary_ratio(lattice: Lattice, body: ConvexBody, resolution: int = 9,
     On bodies with certified measure >= 1/2 this never exceeds 1/theta plus
     the covering bracket slack divided by the minimum.
     """
-    ok, est = _certify_at_least_half(body, samples, seed)
-    if not ok:
+    if measure_auto(body, samples=samples, seed=seed).lower < 0.5 - gaussian.FLOAT_SLACK:
         raise ValueError("body measure >= 1/2 could not be certified")
     if not body.symmetric:
         raise ValueError("ratio needs a symmetric body")
@@ -515,10 +505,10 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 # Headroom of a calibrated hpolytope against the checker's certificate, in
-# binomial standard deviations sigma = sqrt(p(1-p)/samples): the 3 * Z99 of
-# the certificate itself plus six sigmas of the noise in (calibrated measure
-# - the checker's estimate), which is the difference of two independent draws.
-_RECERT_SIGMAS = 3.0 * gaussian.Z99 + 6.0 * math.sqrt(2.0)
+# binomial sigmas sqrt(p(1-p)/samples): CERT_HALF_WIDTHS * Z99 for the
+# certificate itself plus six sigmas of the noise in (calibrated measure -
+# the checker's estimate), which is the difference of two independent draws.
+_RECERT_SIGMAS = gaussian.CERT_HALF_WIDTHS * gaussian.Z99 + 6.0 * math.sqrt(2.0)
 
 
 def _recertifiable_target(samples: int) -> float:
@@ -579,10 +569,17 @@ def generate_theorem_instance(n: int, seed: int, trial: int,
     return kind, body, coset, int(rng.integers(2**62))
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """Reject a suite argument below its range before the suite draws anything."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def theorem_suite(n: int, trials: int, seed: int, mc_samples: int = 1 << 16):
     """Yield (trial, kind, CheckReport) over seeded theorem instances."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _at_least("n", n, 1)
+    _at_least("trials", trials, 0)
+    _at_least("samples", mc_samples, gaussian.MIN_MC_SAMPLES)
     for trial in range(trials):
         kind, body, coset, inst_seed = generate_theorem_instance(
             n, seed, trial, mc_samples=mc_samples)
@@ -615,8 +612,9 @@ def generate_lemma_instance(seed: int, trial: int, max_dim: int = 4):
 
 
 def lemma_suite(trials: int, seed: int, samples: int = 1 << 16, max_dim: int = 4):
-    if max_dim < 2:
-        raise ValueError(f"max_dim must be at least 2, got {max_dim}")
+    _at_least("max_dim", max_dim, 2)
+    _at_least("trials", trials, 0)
+    _at_least("samples", samples, gaussian.MIN_MC_SAMPLES)
     for trial in range(trials):
         kind, body, sub, inst_seed = generate_lemma_instance(seed, trial, max_dim=max_dim)
         report = check_lemma_instance(body, sub, samples=samples, seed=inst_seed)
@@ -647,12 +645,12 @@ def generate_ehrhard_instance(seed: int, trial: int, max_dim: int = 4):
     return kind, a, b, lam, int(rng.integers(2**62))
 
 
-def ehrhard_suite(trials: int, seed: int, samples: int = 1 << 16, max_dim: int = 4):
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
+def ehrhard_suite(trials: int, seed: int, max_dim: int = 4):
+    _at_least("max_dim", max_dim, 1)
+    _at_least("trials", trials, 0)
     for trial in range(trials):
         kind, a, b, lam, inst_seed = generate_ehrhard_instance(seed, trial, max_dim=max_dim)
-        report = check_ehrhard(a, b, lam, samples=samples, seed=inst_seed)
+        report = check_ehrhard(a, b, lam, seed=inst_seed)
         yield trial, kind, report
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, record schemas, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -23,6 +24,38 @@ BETA_GOLDEN = (
     '-0.512128361534789, 0.7310262885383735, 0.4509158533224387, '
     '0.5185074010841572, 0.7334840858047855, 0.43948967097313124]}\n')
 
+# sha256 of whole JSON record streams, pinned from the code in which every
+# certificate site wrote "estimate -/+ 3 half-widths" by hand
+THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
+PROFILE = ("w-profile", "--seed", "3", "--body")
+STREAM_DIGESTS = {
+    "theorem-n1": (THEOREM + ("1",),
+                   "d08c3cf461c9d8a410a645ebfe28335e70acd1e18860fb6e668e47afe7b30c0c"),
+    "theorem-n2": (THEOREM + ("2",),
+                   "eed29e22f91759aa97d8f20e5e17657db668854345d394b2863d4335c78bb952"),
+    "theorem-n3": (THEOREM + ("3",),
+                   "d5bed4715098569e753f54ed68729af1de8c76fc54209987f24bf8fe5704315b"),
+    "theorem-n4": (THEOREM + ("4",),
+                   "4f101a249959228723a1b1d0b8b65efb84585b37845c928b740326ab98e11b53"),
+    "lemma": (("check-lemma", "--trials", "8", "--seed", "7", "--max-dim", "6"),
+              "615fdbc6df9513b1328da3ad69be36fcc576827351c82fade54efdcef53acdcf"),
+    "ehrhard": (("check-ehrhard", "--trials", "8", "--seed", "7", "--max-dim", "6"),
+                "b5de48042724d6ca0cb9a898a10633c40971d3cc1bfd72281ae413cdee34e871"),
+    "w-profile-ball-2d": (PROFILE + (BALL,),
+                          "b4e24a6be504fbb2cfabba4c3c763612737329722dca34aede927059a8bbdd24"),
+    "w-profile-box-3d": (
+        PROFILE + (json.dumps({"kind": "axis_box", "dim": 3, "semiwidths": [0.9, 1.3, 1.7]}),),
+        "0187aa066ba44227868599188812d0a0addc56024d5a2b68f21cc1fec836f0e4"),
+    "w-profile-ellipsoid-2d": (
+        PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}),),
+        "f5c0e3260f1c9434478ee4ac24f89f7ac99581a0b8bfdde0661e57eb109a64fc"),
+    "w-profile-hpolytope-2d": (
+        PROFILE + (json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
+                               "normals": [[1, 0], [0, 1], [0.6, 0.8],
+                                           [-1, 0], [0, -1], [-0.6, -0.8]]}),),
+        "8f1aed4bb6d94d54946aa7261be78172d1f6a383d41c9731ee00d9873e3d40e3"),
+}
+
 # one small invocation of every subcommand
 CSV_ARGV = [
     ("theta",),
@@ -32,7 +65,7 @@ CSV_ARGV = [
     ("cvp", "--lattice", Z2, "--target", "0.3,0.4"),
     ("check-theorem", "--n", "2", "--trials", "2"),
     ("check-lemma", "--trials", "2", "--samples", "2000"),
-    ("check-ehrhard", "--trials", "2", "--samples", "2000"),
+    ("check-ehrhard", "--trials", "2"),
     ("w-profile", "--body", BALL, "--grid-size", "21", "--emit-grid"),
     ("sharpness",),
     ("beta", "--n", "2", "--restarts", "1"),
@@ -116,10 +149,39 @@ class TestExitCodes:
         (("check-ehrhard", "--max-dim", "0"), "max_dim must be at least 1, got 0"),
         (("beta", "--restarts", "0"), "restarts must be at least 1"),
         (("alpha-search", "--restarts", "0"), "restarts must be at least 1"),
+        (("check-theorem", "--n", "2", "--trials", "-2"), "trials must be at least 0, got -2"),
+        (("check-lemma", "--trials", "-2"), "trials must be at least 0, got -2"),
+        (("check-ehrhard", "--trials", "-2"), "trials must be at least 0, got -2"),
+        (("check-theorem", "--n", "2", "--trials", "5", "--samples", "10"),
+         "samples must be at least 1000, got 10"),
+        (("check-lemma", "--trials", "8", "--samples", "10"),
+         "samples must be at least 1000, got 10"),
     ], ids=["theorem-n", "lemma-max-dim", "ehrhard-max-dim", "beta-restarts",
-            "alpha-restarts"])
+            "alpha-restarts", "theorem-trials", "lemma-trials", "ehrhard-trials",
+            "theorem-samples", "lemma-samples"])
     def test_out_of_range_argument_is_named(self, argv, message, capsys):
         code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check-theorem", "--body", BALL, "--coset",
+          '{"basis": [[1, 0.3], [0, 1]], "offset": [1e17, 0.25]}'), "beyond float64"),
+        (("check-theorem", "--body", BALL, "--coset",
+          '{"basis": [[1, 0.3], [0, 1]], "offset": [Infinity, 0]}'), "offset entries must be"),
+        (("check-theorem", "--body", BALL, "--coset",
+          '{"basis": [[1, 0.3], [0, 1]], "offset": [NaN, 0]}'), "offset entries must be"),
+        (("cvp", "--lattice", Z2, "--target=1e300,0"), "beyond float64"),
+        (("cvp", "--lattice", Z2, "--target=inf,0"), "target entries must be finite"),
+        (("minima", "--lattice", '{"basis": [[1e200, 0], [0, 1]]}'), "Gram matrix overflows"),
+    ], ids=["far-offset", "inf-offset", "nan-offset", "far-target", "inf-target",
+            "gram-overflow"])
+    def test_far_or_non_finite_input_is_exit_one(self, argv, message, capsys):
+        # rounding at 1e17 moves coset points off the body and would fake a violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 1 and out == ""
         assert message in err and "Traceback" not in err
@@ -147,7 +209,8 @@ class TestExitCodes:
         ("check-theorem", "--n", "2", "--tail-eps", "1e-6"),
         ("theta", "--interval-tol", "1e-3"),
         ("theta", "--quad-tol", "1e-3"),
-    ], ids=["tail-eps", "interval-tol", "quad-tol"])
+        ("check-ehrhard", "--samples", "2000"),
+    ], ids=["tail-eps", "interval-tol", "quad-tol", "ehrhard-samples"])
     def test_retired_flags_are_usage_errors(self, argv, capsys):
         code, out = run_cli(*argv)
         assert code == 1 and out == ""
@@ -347,6 +410,12 @@ class TestRecords:
                             "--restarts", "2", "--seed", "5")
         assert code == 0
         assert out == BETA_GOLDEN
+
+    @pytest.mark.parametrize("name", STREAM_DIGESTS)
+    def test_record_stream_digest(self, name):
+        argv, digest = STREAM_DIGESTS[name]
+        _, out = run_cli(*argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_beta_curve_csv_schema(self):
         code, out = run_cli("beta", "--curve", "--n", "2", "--restarts", "2",

@@ -287,3 +287,9 @@ class TestMeasureEstimateInvariants:
     def test_value_range(self):
         with pytest.raises(ValueError):
             lg.MeasureEstimate(1.2, "exact")
+
+    def test_certified_interval(self):
+        est = lg.MeasureEstimate(0.6, "monte-carlo", half_width=0.01, samples=10_000)
+        assert (est.lower, est.upper) == (0.6 - 3.0 * 0.01, 0.6 + 3.0 * 0.01)
+        exact = lg.MeasureEstimate(0.6, "exact")
+        assert exact.lower == exact.value == exact.upper

@@ -53,7 +53,7 @@ class TestFrame:
         lat = lg.Lattice([[1.0, 0.0, 0.0], [4.0, 1.0, 0.0], [3.0, 2.0, 1.0]])
         b, t, q, r = lat.frame
         assert lat.frame is lat.frame  # reduced once, then cached
-        assert np.allclose(b, lg.lll_reduce(lat).basis)
+        assert np.allclose(b, lg.lll_reduce(lat)[0].basis)
         assert np.allclose(t @ lat.basis, b)
         assert np.allclose(q @ r, b.T)
         assert np.allclose(r, np.triu(r)) and np.all(np.diag(r) > 0)
@@ -93,11 +93,11 @@ class TestGramSchmidt:
 
 class TestLLL:
     def test_identity_unchanged(self):
-        red = lg.lll_reduce(lg.Lattice(np.eye(4)))
+        red, _ = lg.lll_reduce(lg.Lattice(np.eye(4)))
         assert np.allclose(red.basis, np.eye(4))
 
     def test_hand_example_minimal(self):
-        red = lg.lll_reduce(lg.Lattice([[1.0, 0.0], [1.0, 1.0]]))
+        red, _ = lg.lll_reduce(lg.Lattice([[1.0, 0.0], [1.0, 1.0]]))
         norms = np.sort(np.linalg.norm(red.basis, axis=1))
         # oracle: exhaustive search over unimodular transforms with entries
         # in [-3, 3] confirms no basis of Z^2 beats two unit vectors
@@ -116,7 +116,7 @@ class TestLLL:
         rng = np.random.default_rng(7)
         for _ in range(25):
             lat = _random_lattice_2d(rng)
-            red, t = lg.lll_reduce(lat, return_transform=True)
+            red, t = lg.lll_reduce(lat)
             assert t.dtype.kind == "i"
             assert abs(round(float(np.linalg.det(t)))) == 1
             assert np.allclose(t @ lat.basis, red.basis, atol=1e-12)
@@ -125,7 +125,7 @@ class TestLLL:
         rng = np.random.default_rng(9)
         for _ in range(25):
             lat = _random_lattice_2d(rng)
-            red = lg.lll_reduce(lat)
+            red, _ = lg.lll_reduce(lat)
             assert _det(red) == pytest.approx(_det(lat), rel=1e-9)
 
 
@@ -203,6 +203,12 @@ class TestClosestVector:
             ties = sorted(c for (c, p), d in zip(cand, dists) if d <= dmin + 1e-9)
             assert tuple(coeff) == ties[0]
             assert np.linalg.norm(point - target) == pytest.approx(dmin, abs=1e-9)
+
+    def test_target_range_follows_the_rounding_bound(self):
+        # Z^2: a target at 1e5 rounds by about 1e-10, one at 1e7 by about 1e-8
+        assert lg.closest_vector(lg.Lattice(np.eye(2)), [1e5 + 0.3, 0.0]).tolist() == [1e5, 0.0]
+        with pytest.raises(ValueError, match="beyond float64"):
+            lg.closest_vector(lg.Lattice(np.eye(2)), [1e7, 0.0])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_coefficient_box_scan(self, n):
