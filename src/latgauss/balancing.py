@@ -75,8 +75,6 @@ def _check_inputs(vectors, body: ConvexBody) -> np.ndarray:
         raise ValueError("balancing needs at least one vector")
     if v.shape[1] != body.dim:
         raise DimensionMismatchError("vector dimension does not match the body")
-    if not body.symmetric:
-        raise UnsupportedBodyError("balancing needs a symmetric gauge body")
     return v
 
 
@@ -259,22 +257,26 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     return float(best_r), best_v
 
 
+def _formula_alphas(alphas) -> np.ndarray:
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim != 1 or np.any(a <= 0) or not np.all(np.isfinite(a)):
+        raise ValueError("alphas must be a vector of positive finite reals")
+    return a
+
+
 def beta_ellipsoid_formula(alphas) -> float:
     """Closed-form balancing constant of the euclidean ball against the
     ellipsoid parameterized by ``alphas``: sqrt(alpha_1^2 + ... + alpha_n^2).
 
     See ELLIPSOID_FORMULA_CONVENTION for what alphas parameterize.
     """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be a vector of positive finite reals")
+    a = _formula_alphas(alphas)
     return float(np.sqrt(np.sum(a * a)))
 
 
 def ellipsoid_for_formula(alphas) -> Ellipsoid:
     """Ellipsoid body matching the formula parameterization (semiaxes 1/alpha)."""
-    a = np.asarray(alphas, dtype=float)
-    return Ellipsoid(1.0 / a)
+    return Ellipsoid(1.0 / _formula_alphas(alphas))
 
 
 def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
@@ -295,35 +297,32 @@ def alpha_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     if u_body.dim != v_body.dim or u_body.dim != n:
         raise DimensionMismatchError("bodies must live in dimension n")
 
-    def ratio(basis: np.ndarray) -> float:
+    def ratio(basis: np.ndarray) -> tuple[float, lat.Lattice | None]:
         try:
             l = lat.Lattice(basis)
             lower, _ = lat.covering_radius(l, v_body, resolution)
         except (InvalidLatticeError, ResolutionTooCoarseError, EnumerationCapExceededError):
-            return -math.inf
-        return lower / lat.nth_minimum(l, u_body)
+            return -math.inf, None
+        return lower / lat.nth_minimum(l, u_body), l
 
     best_r = -math.inf
     best_l: lat.Lattice | None = None
     for restart in range(restarts):
         rng = substream(seed, restart)
-        basis = rng.standard_normal((n, n))
-        r = ratio(basis)
+        r, l = ratio(rng.standard_normal((n, n)))
         for _ in range(50):
             if math.isfinite(r):
                 break
-            basis = rng.standard_normal((n, n))
-            r = ratio(basis)
+            r, l = ratio(rng.standard_normal((n, n)))
         else:
             raise RuntimeError("could not draw a usable random lattice")
         step = 0.4
         for _ in range(_ALPHA_PASSES):
             for _ in range(_ALPHA_PROBES):
-                cand = basis + step * rng.standard_normal((n, n))
-                rc = ratio(cand)
+                rc, lc = ratio(l.basis + step * rng.standard_normal((n, n)))
                 if rc > r:
-                    r, basis = rc, cand
+                    r, l = rc, lc
             step *= 0.5
         if r > best_r:
-            best_r, best_l = r, lat.Lattice(basis)
+            best_r, best_l = r, l
     return float(best_r), best_l

@@ -53,13 +53,6 @@ def _load_lattice(text: str) -> lat.Lattice:
     return lat.lattice_from_document(_load_json_arg(text))
 
 
-def _load_coset(text: str) -> lat.Coset:
-    doc = _load_json_arg(text)
-    if "offset" in doc:
-        return lat.coset_from_document(doc)
-    return lat.Coset(lat.lattice_from_document(doc), np.zeros(len(doc["basis"])))
-
-
 class _Emitter:
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
@@ -266,8 +259,11 @@ def _cmd_check_theorem(args, out: _Emitter) -> None:
     if (args.body is None) != (args.coset is None):
         raise ValueError("--body and --coset must be given together")
     if args.body is not None:
+        if args.n is not None:
+            raise ValueError("--n sets the suite dimension; an explicit --body/--coset "
+                             "instance takes its dimension from them")
         body = _load_body(args.body)
-        coset = _load_coset(args.coset)
+        coset = lat.coset_from_document(_load_json_arg(args.coset))
         report = minkowski.check_theorem_instance(
             body, coset, mc_samples=args.samples, seed=args.seed)
         out.emit({"n": body.dim, "body": body.kind, **report.to_record()})
@@ -320,6 +316,12 @@ def _cmd_sharpness(args, out: _Emitter) -> None:
 def _cmd_beta(args, out: _Emitter) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    bodies = [flag for flag, value in (("--alphas", args.alphas), ("--u-body", args.u_body),
+                                       ("--v-body", args.v_body)) if value]
+    if args.curve and bodies:
+        raise ValueError(f"--curve fixes its bodies and cannot take {', '.join(bodies)}")
+    if args.alphas and len(bodies) > 1:
+        raise ValueError(f"--alphas fixes both bodies and cannot take {', '.join(bodies[1:])}")
     if args.curve:
         for n in range(1, args.n + 1):
             start = time.perf_counter()
@@ -399,8 +401,8 @@ def main(argv=None) -> int:
     out = _Emitter(args.format, sys.stdout)
     try:
         _COMMANDS[args.command](args, out)
-    except (OSError, ValueError, KeyError, LatgaussError) as e:
-        sys.stderr.write(f"latgauss {args.command}: {e}\n")
+    except (OSError, ValueError, KeyError, MemoryError, LatgaussError) as e:
+        sys.stderr.write(f"latgauss {args.command}: {str(e) or type(e).__name__}\n")
         return 1
     if out.violated:
         if args.command == "sharpness" and args.expect_violation:

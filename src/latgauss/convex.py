@@ -74,7 +74,8 @@ class ConvexBody:
     def gauge_many(self, points: np.ndarray) -> np.ndarray:
         """Minkowski functional inf{t > 0 : x in t*body} for each row.
 
-        Only defined for symmetric bodies with 0 in the interior; 0 is
+        Only defined for symmetric bodies with 0 in the interior, and every
+        implementation raises InvalidBodyError on any other body; 0 is
         returned along directions where the body is unbounded.
         """
         raise NotImplementedError
@@ -82,11 +83,6 @@ class ConvexBody:
     def _require_symmetric(self) -> None:
         if not self.symmetric:
             raise InvalidBodyError(f"gauge needs a centrally symmetric body, got {self.kind}")
-
-    def _require_gauge(self) -> None:
-        self._require_symmetric()
-        if not self.contains(np.zeros(self.dim)):
-            raise InvalidBodyError("gauge needs the origin in the body")
 
     def slice_at(self, x: float) -> Optional["ConvexBody"]:
         """Cross-section {y : (y, x) in body} at last coordinate x.
@@ -146,7 +142,7 @@ class Halfspace(ConvexBody):
         return points @ self.normal <= self.offset + BOUNDARY_ATOL
 
     def gauge_many(self, points):
-        self._require_gauge()  # always raises: halfspaces are never symmetric
+        self._require_symmetric()  # always raises: halfspaces are never symmetric
 
     def slice_at(self, x):
         if self.dim == 1:
@@ -420,7 +416,7 @@ class HPolytope(ConvexBody):
         return np.logical_and.reduce(inside, axis=0)
 
     def gauge_many(self, points):
-        self._require_gauge()
+        self._require_symmetric()
         if np.any(self.offsets <= 0):
             raise InvalidBodyError("gauge needs the origin strictly inside")
         ratios = self.normals @ points.T
@@ -570,7 +566,9 @@ class OracleBody(ConvexBody):
     def gauge_many(self, points):
         """Bisection on the scale of every row at once, to relative width 1e-12:
         one predicate pass per step."""
-        self._require_gauge()
+        self._require_symmetric()
+        if not self.contains(np.zeros(self.dim)):
+            raise InvalidBodyError("gauge needs the origin in the body")
         pts = np.asarray(points, dtype=float)
         nrm = np.linalg.norm(pts, axis=1)
         out = np.zeros(len(pts))

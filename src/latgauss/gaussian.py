@@ -205,9 +205,8 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
     root, solved to machine precision. Every other body gets the
     ceil(target * samples)-th smallest gauge of the seeded draw that
     ``mc_fraction`` uses, so ``measure_mc(body.scale(s), samples, seed)``
-    hits at least that many points. That branch needs ``gauge_many``, which
-    is defined only for centrally symmetric bodies: an off-center ball, an
-    asymmetric H-polytope or a non-symmetric oracle raises InvalidBodyError.
+    hits at least that many points. That branch needs the body's
+    ``gauge_many``, which raises InvalidBodyError on a body without a gauge.
     An OracleBody gauge costs about 40 membership passes over the draw.
     Raises CalibrationError when no scale reaches the target.
     """

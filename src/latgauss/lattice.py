@@ -34,6 +34,7 @@ from .errors import (
 COMPARE_ATOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 DEFAULT_NODE_CAP = 10**8
+COVERING_GRID_CAP = 2**22  # covering_radius grid cells; with its meshgrid ~67*n MB
 _LLL_DELTA = 0.99  # Lovasz condition parameter
 
 
@@ -72,11 +73,11 @@ class Lattice:
 
         Reduced once per lattice; all four arrays are read-only.
         """
-        reduced, t = lll_reduce(self)
-        q, r = np.linalg.qr(reduced.basis.T)
+        reduced, t = lll_reduce(self.basis)
+        q, r = np.linalg.qr(reduced.T)
         sgn = np.sign(np.diag(r))
         sgn[sgn == 0] = 1.0
-        frame = (reduced.basis, t, q * sgn, r * sgn[:, None])
+        frame = (reduced, t, q * sgn, r * sgn[:, None])
         for a in frame:
             a.flags.writeable = False
         return frame
@@ -120,10 +121,9 @@ def lattice_from_document(doc: dict) -> Lattice:
 
 
 def coset_from_document(doc: dict) -> Coset:
+    """Coset of a lattice document; without an ``offset`` it is the lattice itself."""
     lat = lattice_from_document(doc)
-    if "offset" not in doc:
-        raise InvalidLatticeError("coset document needs an 'offset' field")
-    return Coset(lat, np.asarray(doc["offset"], dtype=float))
+    return Coset(lat, np.asarray(doc.get("offset", np.zeros(lat.dim)), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +146,10 @@ def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bstar, mu
 
 
-def lll_reduce(lattice: Lattice) -> tuple[Lattice, np.ndarray]:
-    """(reduced, T): the LLL-reduced lattice and the unimodular T with
-    reduced.basis = T @ lattice.basis."""
-    b = lattice.basis.copy()
+def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, T): the LLL-reduced basis and the unimodular T with
+    reduced = T @ basis. The basis is taken as valid (``Lattice`` checks it)."""
+    b = np.array(basis, dtype=float)
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
     bstar, mu = _gs(b)
@@ -168,7 +168,7 @@ def lll_reduce(lattice: Lattice) -> tuple[Lattice, np.ndarray]:
             t[[k - 1, k]] = t[[k, k - 1]]
             bstar, mu = _gs(b)
             k = max(k - 1, 1)
-    return Lattice(b), t
+    return b, t
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +266,15 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
     """(lambda_1 <= ... <= lambda_n, witness rows) in the gauge of ``body``.
 
     lambda_k is the smallest r such that r*body holds k linearly independent
-    lattice vectors. Requires a symmetric body with finite circumradius.
+    lattice vectors. Requires a bounded body that its ``gauge_many`` accepts.
     """
     if body.dim != lattice.dim:
         raise DimensionMismatchError("body and lattice dimensions differ")
-    if not body.symmetric:
-        raise UnsupportedBodyError("successive minima need a symmetric gauge body")
+    b = lattice.frame[0]
+    bound = float(np.max(body.gauge_many(b)))
     circ = body.circumradius()
     if not math.isfinite(circ):
         raise UnsupportedBodyError("successive minima need a bounded gauge body")
-    b = lattice.frame[0]
-    bound = float(np.max(body.gauge_many(b)))
     radius = bound * circ * (1.0 + 1e-9)
     coeffs = _enumerate_ball_coeffs(lattice, np.zeros(lattice.dim), radius)
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
@@ -371,15 +369,14 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tupl
     mu is the largest gauge distance from any point of space to the lattice.
     A diagonal basis paired with an axis box admits the exact product answer
     (degenerate bracket); otherwise the fundamental cell is scanned on a
-    resolution^n grid of cell centers and widened by the exact gauge reach of
-    half a cell.
+    resolution^n grid of at most ``COVERING_GRID_CAP`` cell centers and
+    widened by the exact gauge reach of half a cell. The body's ``gauge_many``
+    rejects a body without a gauge.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if body.dim != lattice.dim:
         raise DimensionMismatchError("body and lattice dimensions differ")
-    if not body.symmetric:
-        raise UnsupportedBodyError("covering radius needs a symmetric gauge body")
 
     diag = np.diag(lattice.basis)
     offdiag = lattice.basis - np.diag(diag)
@@ -389,16 +386,18 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tupl
         mu = float(np.nan_to_num(per_axis, nan=0.0).max())
         return mu, mu
 
+    n = lattice.dim
+    if resolution ** n > COVERING_GRID_CAP:
+        raise ValueError(f"covering grid of resolution {resolution} has {resolution ** n} "
+                         f"cells in dimension {n}, above COVERING_GRID_CAP = {COVERING_GRID_CAP}")
+    b = lattice.frame[0]
+    signs = np.array(list(product((1.0, -1.0), repeat=n - 1)))
+    corners = np.hstack([np.ones((signs.shape[0], 1)), signs]) @ b / 2.0
+    tau = float(np.max(body.gauge_many(corners)))      # covering bound via cell rounding
     circ = body.circumradius()
     if not math.isfinite(circ):
         raise UnsupportedBodyError(
             "grid bracketing needs a bounded gauge body (or the diagonal/axis-box fast path)")
-
-    b = lattice.frame[0]
-    n = lattice.dim
-    signs = np.array(list(product((1.0, -1.0), repeat=n - 1)))
-    corners = np.hstack([np.ones((signs.shape[0], 1)), signs]) @ b / 2.0
-    tau = float(np.max(body.gauge_many(corners)))      # covering bound via cell rounding
     halfdiag = float(np.max(np.linalg.norm(corners, axis=1)))
 
     center = b.sum(axis=0) / 2.0

@@ -27,7 +27,7 @@ from scipy import integrate
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
                      bounding_radius, minkowski_combination)
-from .errors import EnumerationCapExceededError, InvalidBodyError
+from .errors import DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
@@ -205,8 +205,11 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     cached LLL basis ``lattice.frame[0]`` does; only when both miss is
     ``nth_minimum`` enumerated. An unverifiable measure, or that enumeration
     hitting the node cap, yields ``inconclusive``; a non-theta coset is a
-    caller error.
+    caller error, and so is a body and coset of different dimensions.
     """
+    if body.dim != coset.dim:
+        raise DimensionMismatchError(
+            f"body dimension {body.dim} does not match coset dimension {coset.dim}")
     est = measure_auto(body, samples=mc_samples, seed=seed)
     if est.lower < 0.5 - gaussian.FLOAT_SLACK:
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
@@ -465,8 +468,6 @@ def corollary_ratio(lattice: Lattice, body: ConvexBody, resolution: int = 9,
     """
     if measure_auto(body, samples=samples, seed=seed).lower < 0.5 - gaussian.FLOAT_SLACK:
         raise ValueError("body measure >= 1/2 could not be certified")
-    if not body.symmetric:
-        raise ValueError("ratio needs a symmetric body")
     lower, upper = covering_radius(lattice, body, resolution)
     lam = nth_minimum(lattice, Ball(1.0, dim=lattice.dim))
     return upper / lam

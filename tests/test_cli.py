@@ -15,6 +15,10 @@ from latgauss.cli import _COMMANDS, build_parser, main
 
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
 Z2 = json.dumps({"basis": [[1.0, 0.0], [0.0, 1.0]]})
+BALL3 = json.dumps({"kind": "ball", "dim": 3, "radius": 1.2})
+COSET2 = json.dumps({"basis": [[1.0, 0.2], [0.1, 1.1]], "offset": [0.4, -0.3]})
+OFF_CENTER_BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.5, "center": [0.3, 0.0]})
+NO_GAUGE = "gauge needs a centrally symmetric body, got ball"
 
 BETA_GOLDEN = (
     '{"check": "beta", "convention": "coefficients are reciprocal semiaxes: '
@@ -28,6 +32,8 @@ BETA_GOLDEN = (
 # certificate site wrote "estimate -/+ 3 half-widths" by hand
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
+R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
+R3 = json.dumps({"basis": [[1.1, 0.2, -0.3], [0.1, 0.9, 0.4], [-0.2, 0.3, 1.2]]})
 STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
                    "d08c3cf461c9d8a410a645ebfe28335e70acd1e18860fb6e668e47afe7b30c0c"),
@@ -54,6 +60,24 @@ STREAM_DIGESTS = {
                                "normals": [[1, 0], [0, 1], [0.6, 0.8],
                                            [-1, 0], [0, -1], [-0.6, -0.8]]}),),
         "8f1aed4bb6d94d54946aa7261be78172d1f6a383d41c9731ee00d9873e3d40e3"),
+    # lattice and balancing commands, pinned before their preconditions moved
+    # into the bodies' gauge_many and Lattice
+    "minima-3d": (("minima", "--lattice", R3),
+                  "cedb398a23d60b1935bcad9a1d3adbe3a2eaf279ce0c109eb7a559ff6a255fa5"),
+    "minima-ellipsoid": (
+        ("minima", "--lattice", R2, "--gauge-body",
+         json.dumps({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.6, 1.4]})),
+        "b4cfa797006df15b2c6ab762cbc723cecdb32e5700f396b3f8d165c0a218cb08"),
+    "cvp-3d": (("cvp", "--lattice", R3, "--target", "0.3,-0.4,2.2"),
+               "97b1b8ddc76acaca44a0447f8612940f5621c75577e9d04bff36e4269a69ebf3"),
+    "covering-ball": (("covering", "--lattice", R2, "--body", BALL),
+                      "228073189fad82c025c6bba69e5240aaeaa06cafa9dc3c88781211ac4edc6dc2"),
+    "alpha-search": (("alpha-search", "--n", "2", "--restarts", "2", "--resolution", "6",
+                      "--seed", "7"),
+                     "96db89fa12e02231e5a2a611db9b2ba990aeac2b8644cb4aeae12354e5245e95"),
+    "beta-alphas": (("beta", "--n", "2", "--alphas", "0.7,1.6", "--restarts", "4",
+                     "--seed", "7"),
+                    "c56b664f4328bc2af0752fb5ae29815b87ae7cf68ca13378ae1473585e8a471a"),
 }
 
 # one small invocation of every subcommand
@@ -185,6 +209,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1 and out == ""
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check-theorem", "--body", BALL3, "--coset", COSET2),
+         "body dimension 3 does not match coset dimension 2"),
+        (("check-theorem", "--body", BALL3.replace("1.2", "2.0"), "--coset", COSET2),
+         "body dimension 3 does not match coset dimension 2"),
+        (("check-theorem", "--body", BALL, "--coset", COSET2, "--n", "4"), "--n sets the suite"),
+        (("covering", "--lattice", R2, "--body", BALL, "--resolution", "100000"),
+         "resolution 100000"),
+        (("beta", "--n", "2", "--alphas", "1,0"), "alphas must be a vector of positive"),
+        (("beta", "--curve", "--alphas", "0.5,3"), "--curve fixes its bodies and cannot take --alphas"),
+        (("beta", "--n", "2", "--alphas", "0.5,3", "--v-body",
+          json.dumps({"kind": "axis_box", "dim": 2, "semiwidths": [0.5, 0.5]})),
+         "--alphas fixes both bodies and cannot take --v-body"),
+        (("minima", "--lattice", R2, "--gauge-body", OFF_CENTER_BALL), NO_GAUGE),
+        (("covering", "--lattice", R2, "--body", OFF_CENTER_BALL), NO_GAUGE),
+        (("beta", "--n", "2", "--v-body", OFF_CENTER_BALL, "--restarts", "1"), NO_GAUGE),
+    ], ids=["theorem-dims-inconclusive-body", "theorem-dims-large-body", "theorem-instance-n",
+            "covering-grid-cap", "beta-zero-alpha", "beta-curve-alphas", "beta-alphas-v-body",
+            "minima-off-center", "covering-off-center", "beta-off-center"])
+    def test_rejected_input_is_exit_one(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_memory_error_is_exit_one(self, monkeypatch, capsys):
+        def exhausted(args, out):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setitem(_COMMANDS, "theta", exhausted)
+        code, out = run_cli("theta")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert "Unable to allocate" in err and "Traceback" not in err
 
     def test_zero_basis_row_is_named(self, capsys):
         with warnings.catch_warnings():

@@ -195,6 +195,26 @@ class TestGauge:
             assert np.all((g[clear] <= 1.0) == inside[clear])
 
 
+OFF_CENTER_BALL = lg.Ball(1.5, center=[0.3, 0.0])
+
+
+class TestGaugeCallers:
+    """Every operation on a gauge inherits the body's own gauge_many check."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: lg.successive_minima(lg.Lattice(np.eye(2)), OFF_CENTER_BALL),
+        lambda: lg.covering_radius(lg.Lattice([[1.0, 0.5], [0.0, 1.0]]), OFF_CENTER_BALL, 4),
+        lambda: lg.balance_exhaustive(np.eye(2), OFF_CENTER_BALL),
+        lambda: lg.balance_heuristic(np.eye(2), OFF_CENTER_BALL),
+        lambda: lg.beta_lower_bound_search(2, lg.Ball(1.0, dim=2), OFF_CENTER_BALL, restarts=1),
+        lambda: lg.corollary_ratio(lg.Lattice(np.eye(2)), OFF_CENTER_BALL),
+    ], ids=["successive-minima", "covering-radius", "balance-exhaustive",
+            "balance-heuristic", "beta-search-v", "corollary-ratio"])
+    def test_off_center_ball_has_no_gauge(self, call):
+        with pytest.raises(InvalidBodyError, match="centrally symmetric body, got ball"):
+            call()
+
+
 class TestKernelReference:
     """The per-axis and facet-major kernels are bitwise equal to the
     row-major formulas, which reduce a (k, n) or (k, m) array over its

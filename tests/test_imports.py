@@ -84,3 +84,38 @@ def test_detects_a_dead_private_name():
         "b": "from .a import _Shared\n\nx = _Shared()\n",
     }
     assert _dead_private_names(sources) == ["a: _SPARE", "a: _recursive"]
+
+
+def _symmetry_guarded_raises(source: str, exempt_functions=()) -> list[int]:
+    """Lines of ``raise`` statements inside an ``if`` whose test reads ``.symmetric``,
+    outside the named functions. Whether a body has a gauge is decided by its
+    ``gauge_many``; a caller that tests ``symmetric`` first decides it again."""
+    tree = ast.parse(source)
+    skipped = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name in exempt_functions
+               for node in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and id(node) not in skipped
+                and any(isinstance(a, ast.Attribute) and a.attr == "symmetric"
+                        for a in ast.walk(node.test))):
+            lines += [r.lineno for r in ast.walk(node) if isinstance(r, ast.Raise)]
+    return sorted(set(lines))
+
+
+# convex.py owns the rule; measure_exact reads symmetric to pick a closed form
+GAUGE_CALLERS = [p for p in MODULES if p.stem != "convex"]
+
+
+@pytest.mark.parametrize("path", GAUGE_CALLERS, ids=[p.stem for p in GAUGE_CALLERS])
+def test_gauge_symmetry_is_decided_by_the_bodies(path):
+    exempt = ("measure_exact",) if path.stem == "gaussian" else ()
+    assert _symmetry_guarded_raises(path.read_text(encoding="utf-8"), exempt) == []
+
+
+def test_detects_a_symmetry_guarded_raise():
+    source = ("def f(body):\n    if not body.symmetric:\n        raise ValueError('no')\n"
+              "\ndef g(body):\n    if body.symmetric and body.dim:\n        if body.dim > 3:\n"
+              "            raise ValueError('big')\n    return 0\n")
+    assert _symmetry_guarded_raises(source) == [3, 8]
+    assert _symmetry_guarded_raises(source, ("f",)) == [8]

@@ -53,7 +53,7 @@ class TestFrame:
         lat = lg.Lattice([[1.0, 0.0, 0.0], [4.0, 1.0, 0.0], [3.0, 2.0, 1.0]])
         b, t, q, r = lat.frame
         assert lat.frame is lat.frame  # reduced once, then cached
-        assert np.allclose(b, lg.lll_reduce(lat)[0].basis)
+        assert np.allclose(b, lg.lll_reduce(lat.basis)[0])
         assert np.allclose(t @ lat.basis, b)
         assert np.allclose(q @ r, b.T)
         assert np.allclose(r, np.triu(r)) and np.all(np.diag(r) > 0)
@@ -93,12 +93,12 @@ class TestGramSchmidt:
 
 class TestLLL:
     def test_identity_unchanged(self):
-        red, _ = lg.lll_reduce(lg.Lattice(np.eye(4)))
-        assert np.allclose(red.basis, np.eye(4))
+        red, _ = lg.lll_reduce(lg.Lattice(np.eye(4)).basis)
+        assert np.allclose(red, np.eye(4))
 
     def test_hand_example_minimal(self):
-        red, _ = lg.lll_reduce(lg.Lattice([[1.0, 0.0], [1.0, 1.0]]))
-        norms = np.sort(np.linalg.norm(red.basis, axis=1))
+        red, _ = lg.lll_reduce(lg.Lattice([[1.0, 0.0], [1.0, 1.0]]).basis)
+        norms = np.sort(np.linalg.norm(red, axis=1))
         # oracle: exhaustive search over unimodular transforms with entries
         # in [-3, 3] confirms no basis of Z^2 beats two unit vectors
         best = math.inf
@@ -116,17 +116,17 @@ class TestLLL:
         rng = np.random.default_rng(7)
         for _ in range(25):
             lat = _random_lattice_2d(rng)
-            red, t = lg.lll_reduce(lat)
+            red, t = lg.lll_reduce(lat.basis)
             assert t.dtype.kind == "i"
             assert abs(round(float(np.linalg.det(t)))) == 1
-            assert np.allclose(t @ lat.basis, red.basis, atol=1e-12)
+            assert np.allclose(t @ lat.basis, red, atol=1e-12)
 
     def test_determinant_preserved(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             lat = _random_lattice_2d(rng)
-            red, _ = lg.lll_reduce(lat)
-            assert _det(red) == pytest.approx(_det(lat), rel=1e-9)
+            red, _ = lg.lll_reduce(lat.basis)
+            assert _det(lg.Lattice(red)) == pytest.approx(_det(lat), rel=1e-9)
 
 
 class TestSuccessiveMinima:
@@ -344,3 +344,8 @@ class TestDocuments:
         cs = lg.Coset(lg.Lattice(np.eye(2)), [0.5, -0.25])
         back = lg.coset_from_document(cs.to_document())
         assert np.array_equal(back.offset, cs.offset)
+
+    def test_coset_without_offset_is_the_lattice(self):
+        cs = lg.coset_from_document({"basis": [[1.5, 0.25], [0.0, 2.0]]})
+        assert np.array_equal(cs.offset, [0.0, 0.0])
+        assert np.array_equal(cs.lattice.basis, [[1.5, 0.25], [0.0, 2.0]])

@@ -182,7 +182,20 @@ class TestTheoremCheck:
         coset = lg.Coset(lg.random_theta_lattice(3, 17), np.array([0.3, -0.8, 0.5]))
         rep = lg.check_theorem_instance(lg.Halfspace([0.0, 1.0, 0.0], 0.0), coset, seed=17)
         assert rep.verdict == "holds"
-        assert calls == [coset.lattice]
+        assert len(calls) == 1 and calls[0] is coset.lattice.basis
+
+    def test_one_lattice_validation_per_trial(self, monkeypatch):
+        calls = []
+        original = lg.Lattice.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(lg.Lattice, "__post_init__", counting)
+        [(_, _, rep)] = lg.theorem_suite(3, 1, seed=7)
+        assert rep.verdict == "holds"
+        assert len(calls) == 1
 
     def test_batch_across_dims(self):
         for n in (1, 2, 3):
