@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-theorem", help="coset-meets-body suite")
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=None, help="suite size (default 100)")
     p.add_argument("--samples", type=int, default=1 << 16)
     p.add_argument("--body", default=None,
                    help="check one explicit instance instead of a seeded suite")
@@ -262,6 +262,9 @@ def _cmd_check_theorem(args, out: _Emitter) -> None:
         if args.n is not None:
             raise ValueError("--n sets the suite dimension; an explicit --body/--coset "
                              "instance takes its dimension from them")
+        if args.trials is not None:
+            raise ValueError("--trials sets the suite size; an explicit --body/--coset "
+                             "instance is checked once")
         body = _load_body(args.body)
         coset = lat.coset_from_document(_load_json_arg(args.coset))
         report = minkowski.check_theorem_instance(
@@ -271,8 +274,8 @@ def _cmd_check_theorem(args, out: _Emitter) -> None:
     if args.n is None:
         raise ValueError("--n is required for suite mode")
     _emit_suite(out, "theorem", "body",
-                minkowski.theorem_suite(args.n, args.trials, args.seed,
-                                        mc_samples=args.samples),
+                minkowski.theorem_suite(args.n, 100 if args.trials is None else args.trials,
+                                        args.seed, mc_samples=args.samples),
                 n=args.n)
 
 

@@ -3,8 +3,8 @@
 The measure gamma_n is the standard Gaussian probability measure on R^n
 with density (2*pi)^(-n/2) * exp(-|x|^2 / 2). Closed forms exist for axis
 boxes (product of interval measures), halfspaces, centered balls
-(chi-square CDF) and the full space; everything else goes through the
-seeded Monte Carlo estimator.
+(chi-square CDF), the full space and every 1-d body, which is an interval;
+everything else goes through the seeded Monte Carlo estimator.
 
 Scale calibration rests on one fact: for a body K with the origin inside
 and gauge g, the dilate sK is the sublevel set {g <= s}, so
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, special
 
-from .convex import AxisBox, Ball, ConvexBody, FullSpace, Halfspace
+from .convex import (BOUNDARY_ATOL, AxisBox, Ball, ConvexBody, Ellipsoid, FullSpace,
+                     Halfspace, HPolytope)
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
@@ -113,11 +114,18 @@ def theta() -> float:
 
 
 def measure_interval(lo: float, hi: float) -> float:
-    """gamma_1([lo, hi]); endpoints may be -inf / +inf."""
+    """gamma_1([lo, hi]); endpoints may be -inf / +inf.
+
+    An interval in the upper tail (lo >= 0) is a difference of upper tails,
+    the mirror image of a lower-tail interval, so neither side subtracts two
+    values near 1.
+    """
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("interval endpoints must not be NaN")
     if lo > hi:
         raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+    if lo >= 0.0:
+        return float(0.5 * special.erfc(lo / _SQRT2) - 0.5 * special.erfc(hi / _SQRT2))
     return float(0.5 * special.erfc(-hi / _SQRT2) - 0.5 * special.erfc(-lo / _SQRT2))
 
 
@@ -126,19 +134,29 @@ def measure_interval(lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 def measure_exact(body: ConvexBody) -> MeasureEstimate:
-    """Closed-form gamma_n for axis boxes, halfspaces, centered balls, full space."""
+    """Closed-form gamma_n for axis boxes, halfspaces, centered balls, the
+    full space, and every 1-d body (ball, ellipsoid or H-polytope) as the
+    interval it is."""
     if isinstance(body, AxisBox):
         per_axis = 2.0 * std_normal_cdf(body.semiwidths) - 1.0
         value = float(np.prod(per_axis))
     elif isinstance(body, Halfspace):
         value = std_normal_cdf(body.offset / float(np.linalg.norm(body.normal)))
-    elif isinstance(body, Ball):
-        if not body.symmetric:
-            raise UnsupportedBodyError(
-                "no closed form for off-center balls -- use measure_mc")
+    elif isinstance(body, Ball) and body.symmetric:
         value = float(special.gammainc(body.dim / 2.0, body.radius**2 / 2.0))
     elif isinstance(body, FullSpace):
         value = 1.0
+    elif body.dim == 1 and isinstance(body, (Ball, Ellipsoid)):
+        value = measure_interval(*body.last_axis_extent())
+    elif body.dim == 1 and isinstance(body, HPolytope):
+        # facet ratios under the membership rule n * x <= c + BOUNDARY_ATOL
+        normals = body.normals[:, 0]
+        ends = (body.offsets + BOUNDARY_ATOL) / normals
+        value = measure_interval(np.max(ends[normals < 0.0], initial=-math.inf),
+                                 np.min(ends[normals > 0.0], initial=math.inf))
+    elif isinstance(body, Ball):
+        raise UnsupportedBodyError(
+            "no closed form for off-center balls -- use measure_mc")
     else:
         raise UnsupportedBodyError(
             f"no closed form for kind {body.kind!r} -- use measure_mc")
@@ -168,20 +186,30 @@ def _normal_shards(dim: int, samples: int, seed: int):
         yield substream(seed, shard).standard_normal((min(MC_SHARD_SIZE, samples - start), dim))
 
 
+def normal_draw(dim: int, samples: int, seed: int) -> np.ndarray:
+    """The whole (samples, dim) draw that ``mc_fraction`` scores shard by
+    shard, for callers that score many bodies on one draw."""
+    return np.concatenate(list(_normal_shards(dim, samples, seed)))
+
+
+def hit_estimate(hits: int, samples: int) -> MeasureEstimate:
+    """Monte Carlo estimate from ``hits`` of ``samples`` points; half_width
+    is the 99% binomial half-width 2.576 * sqrt(p(1-p)/samples)."""
+    p = hits / samples
+    return MeasureEstimate(value=p, method="monte-carlo",
+                           half_width=Z99 * math.sqrt(p * (1.0 - p) / samples),
+                           samples=samples)
+
+
 def mc_fraction(dim: int, membership, samples: int, seed: int) -> MeasureEstimate:
     """Hit fraction of standard normal points under a membership predicate;
     deterministic given (seed, shard layout).
 
     ``membership`` takes a (k, dim) shard and returns k booleans, the
     contract of ``contains_many`` and of every ``OracleBody`` predicate.
-    half_width is the 99% binomial half-width 2.576 * sqrt(p(1-p)/samples).
     """
-    hits = sum(int(np.count_nonzero(membership(pts)))
-               for pts in _normal_shards(dim, samples, seed))
-    p = hits / samples
-    return MeasureEstimate(value=p, method="monte-carlo",
-                           half_width=Z99 * math.sqrt(p * (1.0 - p) / samples),
-                           samples=samples)
+    return hit_estimate(sum(int(np.count_nonzero(membership(pts)))
+                            for pts in _normal_shards(dim, samples, seed)), samples)
 
 
 def measure_mc(body: ConvexBody, samples: int, seed: int) -> MeasureEstimate:

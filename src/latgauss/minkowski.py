@@ -27,11 +27,13 @@ from scipy import integrate
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
                      bounding_radius, minkowski_combination)
-from .errors import DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError
+from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
+                     UnsupportedBodyError)
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
 from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
 
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
+_PROFILE_TOP = 1.0 - 1e-7     # largest slice measure a w-profile maps through Phi^{-1}
 
 
 @dataclass(frozen=True)
@@ -382,6 +384,19 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     second difference of g against its statistical slack and (ii) the
     quadrature identity: integrating the slice measures against the 1-d
     gaussian weight must recover the body's full measure.
+
+    Slices with a closed form (``measure_exact``, which covers every 1-d
+    slice) are exact. The rest are all scored on one seeded (samples, n-1)
+    draw, sub-draw ``grid_size`` of ``seed``, made only when a slice needs
+    it; the body itself is measured on sub-draw ``grid_size + 1`` with
+    4 * samples points. Slice estimates from one draw are correlated, so the
+    quadrature's half-width is that of the mean of
+    h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
+    weights w_i, Monte Carlo slices only), 2.576 * std(h) / sqrt(samples).
+    The concavity slack sums the half-widths of each triple, which holds
+    under any correlation. A slice of measure above 1 - 1e-7 is left out of
+    the profile like a measure-1 slice: there one rounding of the measure
+    moves g by more than the 1e-9 * (1 + max|g|) float slack.
     """
     if body.dim < 2:
         raise InvalidBodyError("profile construction needs dimension >= 2")
@@ -393,28 +408,45 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
     if not lo < hi:
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
+    # the body's own draw is made and freed before the slice draw is made
+    rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
     xs = np.linspace(lo, hi, grid_size)
-    measures = np.empty(grid_size)
-    hws = np.empty(grid_size)
+    weights = gaussian.std_normal_pdf(xs)
+    wsimp = np.ones(grid_size)  # Simpson weights
+    wsimp[1:-1:2] = 4.0
+    wsimp[2:-1:2] = 2.0
+    wsimp *= (xs[1] - xs[0]) / 3.0
+    measures = np.zeros(grid_size)
+    hws = np.zeros(grid_size)
+    draw = lhs_terms = None  # the shared slice draw and h(z) over it, made on demand
     for i, x in enumerate(xs):
         sl = body.slice_at(float(x))
         if sl is None:
-            measures[i], hws[i] = 0.0, 0.0
             continue
-        est = measure_auto(sl, samples=samples, seed=gaussian.sub_seed(seed, i))
+        try:
+            est = measure_exact(sl)
+        except UnsupportedBodyError:
+            if draw is None:
+                draw = gaussian.normal_draw(body.dim - 1, samples,
+                                            gaussian.sub_seed(seed, grid_size))
+                lhs_terms = np.zeros(samples)
+            hits = sl.contains_many(draw)
+            lhs_terms += (wsimp[i] * weights[i]) * hits
+            est = gaussian.hit_estimate(int(np.count_nonzero(hits)), samples)
         measures[i], hws[i] = est.value, est.half_width
 
     support = measures > 0.0
     if np.count_nonzero(support) < 2:
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
-    mask = support & (measures < 1.0)
+    mask = support & (measures <= _PROFILE_TOP)
     gx = xs[mask]
     g = gaussian.std_normal_quantile(measures[mask])
     g_hw = hws[mask] / gaussian.std_normal_pdf(g)
 
     # second differences over consecutive grid triples with finite g;
-    # measure-0/1 slices sit outside the profile (g = -inf/+inf) and are
-    # skipped, matching the restriction to the nondegenerate interval
+    # slices outside the mask sit outside the profile (g = -inf/+inf or
+    # too near +inf to resolve) and are skipped, matching the restriction
+    # to the nondegenerate interval
     full_g = np.full(grid_size, np.nan)
     full_g[mask] = g
     full_hw = np.zeros(grid_size)
@@ -432,21 +464,13 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
         margin = excess = -math.inf  # no triples: concavity is vacuous
 
     # epigraph measure by quadrature vs the direct body measure
-    weights = gaussian.std_normal_pdf(xs)
     # error estimate from two Richardson differences, since either one
     # alone can nearly cancel: |S_h - S_2h| and |S_2h - S_4h| / 16
     lhs, coarse, coarser = (float(integrate.simpson((measures * weights)[::k], x=xs[::k]))
                             for k in (1, 2, 4))
     quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0)
                 + 2.0 * TAIL_EPS + 1e-9)
-    # Simpson weight vector for uncertainty propagation
-    h = xs[1] - xs[0]
-    wsimp = np.ones(grid_size)
-    wsimp[1:-1:2] = 4.0
-    wsimp[2:-1:2] = 2.0
-    wsimp *= h / 3.0
-    hw_lhs = float(np.sqrt(np.sum((wsimp * weights * hws) ** 2)))
-    rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
+    hw_lhs = 0.0 if draw is None else gaussian.Z99 * float(np.std(lhs_terms)) / math.sqrt(samples)
     tol = gaussian.CERT_HALF_WIDTHS * math.hypot(hw_lhs, rhs.half_width) + quad_err
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
@@ -527,10 +551,11 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
                             mc_samples: int = 1 << 16) -> ConvexBody:
     """Body of the requested kind with gaussian measure >= 1/2.
 
-    Closed-form kinds meet the bound exactly. An hpolytope is calibrated on
-    an ``mc_samples`` draw to clear the checker's certificate (estimate - 3
-    half-widths >= 1/2 on its own draw); certification is left to
-    ``check_theorem_instance``, which reports a miss as ``inconclusive``.
+    Closed-form kinds, and at n = 1 every kind, meet the bound exactly. An
+    hpolytope with n >= 2 is calibrated on an ``mc_samples`` draw to clear
+    the checker's certificate (estimate - 3 half-widths >= 1/2 on its own
+    draw); certification is left to ``check_theorem_instance``, which
+    reports a miss as ``inconclusive``.
     """
     if kind == "halfspace":
         return Halfspace(_random_unit(rng, n), abs(rng.normal(0.0, 0.7)))

@@ -29,14 +29,16 @@ BETA_GOLDEN = (
     '0.5185074010841572, 0.7334840858047855, 0.43948967097313124]}\n')
 
 # sha256 of whole JSON record streams, pinned from the code in which every
-# certificate site wrote "estimate -/+ 3 half-widths" by hand
+# certificate site wrote "estimate -/+ 3 half-widths" by hand; theorem-n1
+# and the ellipsoid and H-polytope profiles were pinned again when every 1-d
+# body got its exact interval measure and profile slices came to share a draw
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
 R3 = json.dumps({"basis": [[1.1, 0.2, -0.3], [0.1, 0.9, 0.4], [-0.2, 0.3, 1.2]]})
 STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
-                   "d08c3cf461c9d8a410a645ebfe28335e70acd1e18860fb6e668e47afe7b30c0c"),
+                   "e6e5c304d51e55afd1f0b1aafe727716251fe92440bcc383bf88727afa0e5f14"),
     "theorem-n2": (THEOREM + ("2",),
                    "eed29e22f91759aa97d8f20e5e17657db668854345d394b2863d4335c78bb952"),
     "theorem-n3": (THEOREM + ("3",),
@@ -54,12 +56,22 @@ STREAM_DIGESTS = {
         "0187aa066ba44227868599188812d0a0addc56024d5a2b68f21cc1fec836f0e4"),
     "w-profile-ellipsoid-2d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}),),
-        "f5c0e3260f1c9434478ee4ac24f89f7ac99581a0b8bfdde0661e57eb109a64fc"),
+        "5316eba51c9970dc5bf0dab7e8e6f3fc5c60113710431005259fc3d5d329d556"),
     "w-profile-hpolytope-2d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
                                "normals": [[1, 0], [0, 1], [0.6, 0.8],
                                            [-1, 0], [0, -1], [-0.6, -0.8]]}),),
-        "8f1aed4bb6d94d54946aa7261be78172d1f6a383d41c9731ee00d9873e3d40e3"),
+        "290d40acb7ee4ceb5c217d0839df31eb12c58c318faeb76b07f2ba0f4e32811f"),
+    # 3-d profiles score their 2-d slices on one shared draw
+    "w-profile-ellipsoid-3d": (
+        PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}),),
+        "be67450563e3cf744691c1d8ddbd6295c02ccca5f2bd93e143e9468898dfe27f"),
+    "w-profile-hpolytope-3d": (
+        PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
+                               "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
+                                           [-1, 0, 0], [0, -1, 0], [0, 0, -1],
+                                           [-0.6, 0, -0.8]]}),),
+        "7c2d666c9f2dc8b9fd377ae318e9713daf709e3b2cdb115ed173fefe3360e8a9"),
     # lattice and balancing commands, pinned before their preconditions moved
     # into the bodies' gauge_many and Lattice
     "minima-3d": (("minima", "--lattice", R3),
@@ -216,6 +228,8 @@ class TestExitCodes:
         (("check-theorem", "--body", BALL3.replace("1.2", "2.0"), "--coset", COSET2),
          "body dimension 3 does not match coset dimension 2"),
         (("check-theorem", "--body", BALL, "--coset", COSET2, "--n", "4"), "--n sets the suite"),
+        (("check-theorem", "--body", BALL, "--coset", COSET2, "--trials", "5"),
+         "--trials sets the suite size"),
         (("covering", "--lattice", R2, "--body", BALL, "--resolution", "100000"),
          "resolution 100000"),
         (("beta", "--n", "2", "--alphas", "1,0"), "alphas must be a vector of positive"),
@@ -227,6 +241,7 @@ class TestExitCodes:
         (("covering", "--lattice", R2, "--body", OFF_CENTER_BALL), NO_GAUGE),
         (("beta", "--n", "2", "--v-body", OFF_CENTER_BALL, "--restarts", "1"), NO_GAUGE),
     ], ids=["theorem-dims-inconclusive-body", "theorem-dims-large-body", "theorem-instance-n",
+            "theorem-instance-trials",
             "covering-grid-cap", "beta-zero-alpha", "beta-curve-alphas", "beta-alphas-v-body",
             "minima-off-center", "covering-off-center", "beta-off-center"])
     def test_rejected_input_is_exit_one(self, argv, message, capsys):

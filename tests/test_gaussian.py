@@ -116,6 +116,16 @@ class TestMeasureInterval:
         with pytest.raises(ValueError):
             lg.measure_interval(1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.3), (1e-3, 2e-3), (0.5, 2.0), (3.0, 8.0),
+                                        (6.0, 6.01), (7.9, 8.0), (8.0, 8.001)])
+    def test_upper_tail_is_the_mirror_of_the_lower_tail(self, lo, hi):
+        # as 1 - (value near 1) - (value near 1), [6, 6.01] was off by 6.7e-7
+        # relative and [8, 8.001] read 0
+        up, down = lg.measure_interval(lo, hi), lg.measure_interval(-hi, -lo)
+        assert abs(up - down) <= 1e-13 * down
+        quad, _ = integrate.quad(lg.std_normal_pdf, lo, hi, epsabs=0.0, epsrel=1e-13)
+        assert up == pytest.approx(quad, rel=1e-12)
+
 
 class TestMeasureExact:
     def test_theta_square(self):
@@ -142,6 +152,20 @@ class TestMeasureExact:
         poly = lg.HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
         with pytest.raises(UnsupportedBodyError):
             lg.measure_exact(poly)
+
+    @pytest.mark.parametrize("body, lo, hi", [
+        (lg.Ellipsoid([0.8]), -0.8, 0.8),
+        (lg.Ball(0.5, center=[2.0]), 1.5, 2.5),
+        # x <= 1.6 / 2, x >= -0.5, x >= -1 / 4, each end moved by the membership tolerance
+        (lg.HPolytope([[2.0], [-1.0], [-4.0]], [1.6, 0.5, 1.0]), -0.25 - 2.5e-13, 0.8 + 5e-13),
+        (lg.HPolytope([[1.0], [3.0]], [0.3, 3.0]), -math.inf, 0.3 + 1e-12),
+    ], ids=["ellipsoid", "off-center-ball", "polytope", "half-line-polytope"])
+    def test_one_dimensional_body_is_its_interval(self, body, lo, hi):
+        est = lg.measure_exact(body)
+        assert est.method == "exact"
+        assert est.value == pytest.approx(lg.measure_interval(lo, hi), abs=1e-15)
+        mc = lg.measure_mc(body, 1 << 16, seed=3)
+        assert mc.lower <= est.value <= mc.upper
 
 
 class TestMeasureMC:
@@ -230,12 +254,24 @@ class TestCalibrate:
 _widths = st.floats(min_value=0.2, max_value=3.0)
 
 
+def _symmetric_polytope(draw, dim: int):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.standard_normal((dim + draw(st.integers(0, 3)), dim))
+    return lg.HPolytope(np.vstack([normals, -normals]),
+                        np.tile(rng.uniform(0.5, 1.5, len(normals)), 2))
+
+
 @st.composite
 def _exact_bodies(draw):
     """(body, target) pairs of every kind with a closed-form measure."""
-    kind = draw(st.sampled_from(["ball", "box", "slab", "halfspace"]))
+    kind = draw(st.sampled_from(["ball", "box", "slab", "halfspace", "ellipsoid", "hpolytope"]))
     dim = draw(st.integers(1, 5))
     target = draw(st.floats(min_value=0.01, max_value=0.99))
+    # a 1-d ellipsoid or H-polytope is an interval
+    if kind == "ellipsoid":
+        return lg.Ellipsoid([draw(_widths)]), target
+    if kind == "hpolytope":
+        return _symmetric_polytope(draw, 1), target
     if kind == "ball":
         return lg.Ball(draw(_widths), dim=dim), target
     if kind == "halfspace":
@@ -253,13 +289,10 @@ def _exact_bodies(draw):
 @st.composite
 def _gauge_bodies(draw):
     """Symmetric bodies without a closed form: H-polytopes and ellipsoids."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(2, 4))
     if draw(st.booleans()):
         return lg.Ellipsoid(draw(st.lists(_widths, min_size=dim, max_size=dim)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    normals = rng.standard_normal((dim + draw(st.integers(0, 3)), dim))
-    return lg.HPolytope(np.vstack([normals, -normals]),
-                        np.tile(rng.uniform(0.5, 1.5, len(normals)), 2))
+    return _symmetric_polytope(draw, dim)
 
 
 class TestCalibrateRoundTrip:

@@ -8,6 +8,7 @@ import pytest
 
 import latgauss as lg
 import latgauss.convex
+import latgauss.gaussian
 import latgauss.lattice
 from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target,
                                  generate_theorem_instance)
@@ -375,6 +376,51 @@ class TestWProfile:
         assert prof.concavity_excess <= 0.0
         assert prof.identity_residual() <= prof.identity_tol
         assert prof.identity_rhs.method == "monte-carlo"
+
+    def test_ellipse_profile_concave_formula(self):
+        # 1-d slices are exact intervals: g(x) = quantile(2*Phi(a1*sqrt(1-(x/a2)^2)) - 1)
+        a1, a2 = 1.3, 1.9
+        prof = lg.w_profile(lg.Ellipsoid([a1, a2]), grid_size=201)
+        for x, g in zip(prof.xs[::20], prof.g[::20]):
+            w = a1 * math.sqrt(1.0 - (x / a2) ** 2)
+            expected = lg.std_normal_quantile(2.0 * lg.std_normal_cdf(w) - 1.0)
+            assert g == pytest.approx(expected, abs=1e-12)
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol
+
+    @pytest.mark.parametrize("body, draws", [
+        (lg.Ellipsoid([1.4, 0.9, 0.6]), 2),  # one for all 2-d slices, one for the body
+        (lg.Ellipsoid([1.4, 0.9]), 1),       # exact 1-d slices, Monte Carlo body
+        (lg.AxisBox([0.8, 1.3, 0.9]), 0),    # exact throughout
+    ], ids=["ellipsoid-3d", "ellipsoid-2d", "box-3d"])
+    def test_profile_draws_once_for_its_slices(self, body, draws, monkeypatch):
+        keys = []
+        substream = latgauss.gaussian.substream
+        monkeypatch.setattr(latgauss.gaussian, "substream",
+                            lambda seed, key: keys.append((seed, key)) or substream(seed, key))
+        lg.w_profile(body, grid_size=81, samples=4096, seed=5)  # one shard per draw
+        assert len(keys) == len(set(keys)) == draws
+
+    # Long thin polytopes from the slice-checks benchmark stream (seed 1 round 8,
+    # seed 2 round 86). Their slices are intervals deep in the upper tail with
+    # measures within 1e-12 of 1. Measuring an upper-tail interval as a
+    # difference of two values near 1, or mapping measures that near 1 through
+    # the quantile, reads them as concavity violations (+0.0072 and +0.0010).
+    @pytest.mark.parametrize("offset, normals, seed", [
+        (1.1033131116263373,
+         [[-0.43619731174174925, 0.899851046134454], [-0.5370800359913503, 0.843531288654742],
+          [-0.5057560927505242, 0.8626765179635546]], 1956780950),
+        (1.3837133895832863,
+         [[0.13324604179148397, -0.99108298963654], [-0.10025423057371394, 0.9949618531642671],
+          [0.08553748738507158, -0.9963349528405839]], 3827386303),
+    ], ids=["upper-tail-intervals", "measures-near-one"])
+    def test_thin_polytope_profile_holds(self, offset, normals, seed):
+        normals = [*normals, *(-np.asarray(normals)).tolist()]
+        body = lg.body_from_document({"kind": "hpolytope", "dim": 2, "normals": normals,
+                                      "offsets": [offset] * 6})
+        prof = lg.w_profile(body, seed=seed)
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol
 
     def test_needs_dim_two(self):
         with pytest.raises(Exception):
