@@ -18,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import integrate
 
 from . import balancing, convex, gaussian, lattice as lat, minkowski
 from .errors import LatgaussError
@@ -186,6 +185,8 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_theta(args, out: _Emitter) -> None:
+    from scipy import integrate  # deferred: every other command starts without it
+
     th = gaussian.theta()
     interval = gaussian.measure_interval(-th / 2.0, th / 2.0)
     quad, _ = integrate.quad(lambda t: math.exp(-t * t / 2.0), 0.0, th / 2.0,

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import (
     DimensionMismatchError,
@@ -84,13 +84,23 @@ class ConvexBody:
         if not self.symmetric:
             raise InvalidBodyError(f"gauge needs a centrally symmetric body, got {self.kind}")
 
-    def slice_at(self, x: float) -> Optional["ConvexBody"]:
-        """Cross-section {y : (y, x) in body} at last coordinate x.
-
-        Returns a body of dimension n-1, or None when the slice is empty
-        or a null set (single point).
-        """
+    def slices(self, xs) -> "SliceFamily":
+        """Cross-sections {y : (y, x) in body} at every last coordinate in xs,
+        as one family of arrays over the grid (see SliceFamily)."""
         raise NotImplementedError
+
+    # Every class binds slice_at itself (slice_at = ConvexBody.slice_at), so
+    # that a profiler can wrap it class by class.
+    def slice_at(self, x: float) -> Optional["ConvexBody"]:
+        """Cross-section {y : (y, x) in body} at last coordinate x: slice 0
+        of ``slices([x])``, a body of dimension n-1, or None when the slice
+        is empty or a null set (single point).
+        """
+        return self.slices([x]).slice(0)
+
+    def _require_sliceable(self) -> None:
+        if self.dim <= 1:
+            raise InvalidBodyError("cannot slice a 1-d body")
 
     def circumradius(self) -> float:
         """Radius of the smallest origin-centered ball containing the body (inf if unbounded)."""
@@ -144,16 +154,15 @@ class Halfspace(ConvexBody):
     def gauge_many(self, points):
         self._require_symmetric()  # always raises: halfspaces are never symmetric
 
-    def slice_at(self, x):
-        if self.dim == 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
+    def slices(self, xs):
+        self._require_sliceable()
         head, vn = self.normal[:-1], self.normal[-1]
-        c = self.offset - vn * x
+        cs = self.offset - vn * np.asarray(xs, dtype=float)
         if np.linalg.norm(head) <= BOUNDARY_ATOL:
-            if c >= -BOUNDARY_ATOL:
-                return FullSpace(self.dim - 1)
-            return None
-        return Halfspace(head, c)
+            return SpaceSlices(self.dim - 1, cs >= -BOUNDARY_ATOL)
+        return HalfspaceSlices(self.dim - 1, np.ones(len(cs), dtype=bool), head, cs)
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return math.inf
@@ -213,12 +222,12 @@ class AxisBox(ConvexBody):
                 np.fmax(g, np.abs(col) / w, out=g)
         return g
 
-    def slice_at(self, x):
-        if abs(x) > self.semiwidths[-1] + BOUNDARY_ATOL:
-            return None
-        if self.dim == 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
-        return AxisBox(self.semiwidths[:-1])
+    def slices(self, xs):
+        self._require_sliceable()
+        present = np.abs(np.asarray(xs, dtype=float)) <= self.semiwidths[-1] + BOUNDARY_ATOL
+        return BoxSlices(self.dim - 1, present, self.semiwidths[:-1])
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return float(np.linalg.norm(self.semiwidths))
@@ -277,14 +286,15 @@ class Ball(ConvexBody):
             q += col * col
         return np.sqrt(q) / self.radius
 
-    def slice_at(self, x):
-        if self.dim == 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
-        dx = x - self.center[-1]
-        r2 = self.radius**2 - dx**2
-        if r2 <= BOUNDARY_ATOL:
-            return None
-        return Ball(math.sqrt(r2), self.center[:-1])
+    def slices(self, xs):
+        self._require_sliceable()
+        dx = np.asarray(xs, dtype=float) - self.center[-1]
+        r2 = np.float_power(self.radius, 2) - np.float_power(dx, 2)
+        present = r2 > BOUNDARY_ATOL
+        radii = np.sqrt(r2, out=np.zeros_like(r2), where=present)
+        return BallSlices(self.dim - 1, present, self.center[:-1], radii)
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return float(np.linalg.norm(self.center) + self.radius)
@@ -326,25 +336,20 @@ class Ellipsoid(ConvexBody):
     def symmetric(self) -> bool:
         return True
 
-    def _q(self, points):
-        q = np.zeros(len(points))
-        for col, a in zip(points.T, self.semiaxes):  # one pass per axis
-            q += (col / a) ** 2
-        return q
-
     def contains_many(self, points):
-        return self._q(points) <= 1.0 + BOUNDARY_ATOL
+        return _ellipsoid_holds(points, self.semiaxes)
 
     def gauge_many(self, points):
-        return np.sqrt(self._q(points))
+        return np.sqrt(_ellipsoid_q(points, self.semiaxes))
 
-    def slice_at(self, x):
-        if self.dim == 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
-        t = 1.0 - (x / self.semiaxes[-1]) ** 2
-        if t <= BOUNDARY_ATOL:
-            return None
-        return Ellipsoid(self.semiaxes[:-1] * math.sqrt(t))
+    def slices(self, xs):
+        self._require_sliceable()
+        t = 1.0 - np.float_power(np.asarray(xs, dtype=float) / self.semiaxes[-1], 2)
+        present = t > BOUNDARY_ATOL
+        scale = np.sqrt(t, out=np.zeros_like(t), where=present)
+        return EllipsoidSlices(self.dim - 1, present, self.semiaxes[:-1] * scale[:, None])
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return float(self.semiaxes.max())
@@ -354,7 +359,7 @@ class Ellipsoid(ConvexBody):
 
     def containment_margin(self, point):
         p = _as_vector(point, self.dim)
-        return float(1.0 - math.sqrt(self._q(p[None, :])[0]))
+        return float(1.0 - math.sqrt(_ellipsoid_q(p[None, :], self.semiaxes)[0]))
 
     def last_axis_extent(self):
         a = self.semiaxes[-1]
@@ -409,11 +414,9 @@ class HPolytope(ConvexBody):
                 return False
         return True
 
-    # Both kernels work facet-major: an (m, k) array reduced across its m
-    # rows, since numpy reduces slowly over a short last axis of m facets.
+    # Both kernels work facet-major, on an (m, k) array reduced across its m rows.
     def contains_many(self, points):
-        inside = self.normals @ points.T <= (self.offsets + BOUNDARY_ATOL)[:, None]
-        return np.logical_and.reduce(inside, axis=0)
+        return _facets_hold(self.normals @ points.T, self.offsets)
 
     def gauge_many(self, points):
         self._require_symmetric()
@@ -433,44 +436,62 @@ class HPolytope(ConvexBody):
         return (_last_axis_vertex(self.normals, self.offsets, 1.0),
                 _last_axis_vertex(self.normals, self.offsets, -1.0))
 
-    def slice_at(self, x):
-        """Cross-section at last coordinate x, decided from the last-axis span.
+    def slices(self, xs):
+        """Cross-sections at last coordinates xs, decided from the last-axis span.
 
-        Let e be the extreme last coordinate on x's side of the interior
-        point p, and tol = SPAN_RTOL * max(1, |e - p_n|). A slice more than
-        tol beyond e is empty. Otherwise the point where the segment from p
-        to e's vertex reaches last coordinate x becomes the slice's interior
-        point, provided every slice facet clears it by tol times
-        max(1, facet normal length). Where neither holds (x within tol of e,
-        an unbounded side, a thin slice) the slice's Chebyshev-center LP
-        decides, as it does for every slice without a span.
+        Every slice keeps the facets whose normal has a head (first n-1
+        coordinates) longer than BOUNDARY_ATOL; its offsets are one row of
+        ``offsets - normals[:, -1] * x``. Let e be the extreme last
+        coordinate on x's side of the interior point p, and
+        tol = SPAN_RTOL * max(1, |e - p_n|). A slice more than tol beyond e
+        is empty. Otherwise the point where the segment from p to e's vertex
+        reaches last coordinate x becomes the slice's interior point,
+        provided every slice facet clears it by tol times max(1, facet
+        normal length). Where neither holds (x within tol of e, an unbounded
+        side, a thin slice) the slice's Chebyshev-center LP decides; these
+        are the only slices that cost an LP.
         """
-        if self.dim == 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
+        self._require_sliceable()
+        xs = np.asarray(xs, dtype=float)
         heads = self.normals[:, :-1]
-        cs = self.offsets - self.normals[:, -1] * x
+        cs = self.offsets - self.normals[:, -1] * xs[:, None]
         hnorm = np.linalg.norm(heads, axis=1)
         keep = hnorm > BOUNDARY_ATOL
-        if np.any(cs[~keep] < -BOUNDARY_ATOL):
-            return None
+        present = ~np.any(cs[:, ~keep] < -BOUNDARY_ATOL, axis=1)
         if not np.any(keep):
-            return FullSpace(self.dim - 1)
-        N, c = heads[keep], cs[keep]
-        p = self.interior_point
-        vertex = self.last_axis_vertices[0 if x <= p[-1] else 1]
-        if vertex is not None:
-            reach, step = abs(vertex[-1] - p[-1]), abs(x - p[-1])
-            tol = SPAN_RTOL * max(1.0, reach)
-            if step > reach + tol:
-                return None
-            if reach > 0.0:
-                q = p[:-1] + (step / reach) * (vertex[:-1] - p[:-1])
-                if np.all(c - N @ q > tol * np.maximum(hnorm[keep], 1.0)):
-                    return HPolytope(N, c, interior_point=q)
-        q = _chebyshev_center(N, c)
-        if q is None:
-            return None
-        return HPolytope(N, c, interior_point=q)
+            return SpaceSlices(self.dim - 1, present)
+        N, C = heads[keep], cs[:, keep]
+        interior = np.zeros((len(xs), self.dim - 1))
+        undecided = present.copy()
+        if np.any(present):
+            p = self.interior_point
+            step = np.abs(xs - p[-1])
+            clearance = np.maximum(hnorm[keep], 1.0)
+            for side, vertex in zip((xs <= p[-1], xs > p[-1]), self.last_axis_vertices):
+                if vertex is None:
+                    continue
+                reach = abs(vertex[-1] - p[-1])
+                tol = SPAN_RTOL * max(1.0, reach)
+                beyond = side & (step > reach + tol)
+                present &= ~beyond
+                undecided &= ~beyond
+                if reach > 0.0:
+                    q = p[:-1] + (step / reach)[:, None] * (vertex[:-1] - p[:-1])
+                    nq = q[:, :1] * N[:, 0]  # q @ N.T, one pass per axis
+                    for j in range(1, self.dim - 1):
+                        nq += q[:, j:j + 1] * N[:, j]
+                    spanned = undecided & side & np.all(C - nq > tol * clearance, axis=1)
+                    interior[spanned] = q[spanned]
+                    undecided &= ~spanned
+        for i in np.flatnonzero(undecided):
+            q = _chebyshev_center(N, C[i])
+            if q is None:
+                present[i] = False
+            else:
+                interior[i] = q
+        return PolytopeSlices(self.dim - 1, present, N, C, interior)
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return math.inf  # not computed for H-polytopes; use bounding_radius
@@ -517,10 +538,11 @@ class FullSpace(ConvexBody):
     def gauge_many(self, points):
         return np.zeros(points.shape[0])
 
-    def slice_at(self, x):
-        if self.dim <= 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
-        return FullSpace(self.dim - 1)
+    def slices(self, xs):
+        self._require_sliceable()
+        return SpaceSlices(self.dim - 1, np.ones(len(xs), dtype=bool))
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return math.inf
@@ -592,8 +614,10 @@ class OracleBody(ConvexBody):
         out[live] = hi
         return out
 
-    def slice_at(self, x):
+    def slices(self, xs):
         raise UnsupportedBodyError("oracle bodies do not support slicing")
+
+    slice_at = ConvexBody.slice_at
 
     def circumradius(self):
         return self.bounding_radius_hint
@@ -612,8 +636,119 @@ class OracleBody(ConvexBody):
         return (-r, r)
 
 
+# ---------------------------------------------------------------------------
+# Slice families: the cross-sections of one body over a grid
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SliceFamily:
+    """Cross-sections {y : (y, x_i) in body} of one body at every x_i of a grid.
+
+    ``present[i]`` is False where slice i is empty or a null set. Each kind
+    holds its slices' parameters as arrays over the grid, read only where
+    ``present``; ``slice(i)`` builds slice i as a body of dimension ``dim``.
+    """
+
+    dim: int
+    present: np.ndarray
+
+    def slice(self, i: int) -> Optional[ConvexBody]:
+        return self._build(i) if self.present[i] else None
+
+    def _build(self, i: int) -> ConvexBody:
+        raise NotImplementedError
+
+    def scorer(self, draw: np.ndarray) -> Callable[[int], np.ndarray]:
+        """Membership of the rows of one (k, dim) draw in present slice i."""
+        return lambda i: self._build(i).contains_many(draw)
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceSlices(SliceFamily):
+    def _build(self, i):
+        return FullSpace(self.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSlices(SliceFamily):
+    semiwidths: np.ndarray  # the same box at every present slice
+
+    def _build(self, i):
+        return AxisBox(self.semiwidths)
+
+
+@dataclass(frozen=True, eq=False)
+class HalfspaceSlices(SliceFamily):
+    normal: np.ndarray
+    offsets: np.ndarray
+
+    def _build(self, i):
+        return Halfspace(self.normal, self.offsets[i])
+
+
+@dataclass(frozen=True, eq=False)
+class BallSlices(SliceFamily):
+    center: np.ndarray
+    radii: np.ndarray
+
+    def _build(self, i):
+        return Ball(self.radii[i], self.center)
+
+
+@dataclass(frozen=True, eq=False)
+class EllipsoidSlices(SliceFamily):
+    semiaxes: np.ndarray  # one row per slice
+
+    def _build(self, i):
+        return Ellipsoid(self.semiaxes[i])
+
+    def scorer(self, draw):
+        return lambda i: _ellipsoid_holds(draw, self.semiaxes[i])
+
+
+@dataclass(frozen=True, eq=False)
+class PolytopeSlices(SliceFamily):
+    normals: np.ndarray  # shared by every slice
+    offsets: np.ndarray  # one row per slice
+    interior: np.ndarray
+
+    def _build(self, i):
+        return HPolytope(self.normals, self.offsets[i], interior_point=self.interior[i])
+
+    def scorer(self, draw):
+        products = self.normals @ draw.T  # only the offsets move from slice to slice
+        return lambda i: _facets_hold(products, self.offsets[i])
+
+
+def _ellipsoid_q(points: np.ndarray, semiaxes: np.ndarray) -> np.ndarray:
+    """sum_k (x_k / semiaxes[k])^2 of every row, one in-place pass per axis
+    (numpy reduces slowly over a short last axis)."""
+    q = points[:, 0] / semiaxes[0]
+    q *= q
+    for col, a in zip(points.T[1:], semiaxes[1:]):
+        t = col / a
+        t *= t
+        q += t
+    return q
+
+
+def _ellipsoid_holds(points: np.ndarray, semiaxes: np.ndarray) -> np.ndarray:
+    return _ellipsoid_q(points, semiaxes) <= 1.0 + BOUNDARY_ATOL
+
+
+def _facets_hold(products: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Columns of (m, k) facet products N @ points.T within every offset.
+
+    Facet-major: numpy reduces slowly over a short last axis of m facets.
+    """
+    inside = products <= (offsets + BOUNDARY_ATOL)[:, None]
+    return np.logical_and.reduce(inside, axis=0)
+
+
 def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
     """Strictly interior point of {x : N x <= c}, or None if the interior is empty."""
+    from scipy import optimize  # deferred: its import takes longer than most commands
+
     m, n = normals.shape
     row_norms = np.linalg.norm(normals, axis=1)
     # maximize t s.t. N x + t * ||row|| <= c, t <= 1 (bounded objective)
@@ -632,6 +767,8 @@ def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
 def _last_axis_vertex(normals: np.ndarray, offsets: np.ndarray,
                       sign: float) -> np.ndarray | None:
     """Vertex of {x : N x <= c} minimizing sign * x_n; None if unbounded or failed."""
+    from scipy import optimize
+
     n = normals.shape[1]
     cost = np.zeros(n)
     cost[-1] = sign

@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .convex import (BOUNDARY_ATOL, AxisBox, Ball, ConvexBody, Ellipsoid, FullSpace,
-                     Halfspace, HPolytope)
+from .convex import (BOUNDARY_ATOL, AxisBox, Ball, BallSlices, BoxSlices, ConvexBody,
+                     Ellipsoid, EllipsoidSlices, FullSpace, Halfspace, HalfspaceSlices,
+                     HPolytope, PolytopeSlices, SliceFamily, SpaceSlices)
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
@@ -124,9 +125,20 @@ def measure_interval(lo: float, hi: float) -> float:
         raise ValueError("interval endpoints must not be NaN")
     if lo > hi:
         raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-    if lo >= 0.0:
-        return float(0.5 * special.erfc(lo / _SQRT2) - 0.5 * special.erfc(hi / _SQRT2))
-    return float(0.5 * special.erfc(-hi / _SQRT2) - 0.5 * special.erfc(-lo / _SQRT2))
+    return float(_tail_gap(lo, hi) if lo >= 0.0 else _tail_gap(-hi, -lo))
+
+
+def _measure_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``measure_interval`` of every [lo_i, hi_i], its tail chosen by element."""
+    if np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
+        raise ValueError("interval endpoints must be ordered and not NaN")
+    upper = lo >= 0.0
+    return _tail_gap(np.where(upper, lo, -hi), np.where(upper, hi, -lo))
+
+
+def _tail_gap(near, far):
+    """gamma_1([near, far]) as a difference of upper tails (accurate for near >= 0)."""
+    return 0.5 * special.erfc(near / _SQRT2) - 0.5 * special.erfc(far / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +161,7 @@ def measure_exact(body: ConvexBody) -> MeasureEstimate:
     elif body.dim == 1 and isinstance(body, (Ball, Ellipsoid)):
         value = measure_interval(*body.last_axis_extent())
     elif body.dim == 1 and isinstance(body, HPolytope):
-        # facet ratios under the membership rule n * x <= c + BOUNDARY_ATOL
-        normals = body.normals[:, 0]
-        ends = (body.offsets + BOUNDARY_ATOL) / normals
-        value = measure_interval(np.max(ends[normals < 0.0], initial=-math.inf),
-                                 np.min(ends[normals > 0.0], initial=math.inf))
+        value = measure_interval(*_facet_interval(body.normals[:, 0], body.offsets))
     elif isinstance(body, Ball):
         raise UnsupportedBodyError(
             "no closed form for off-center balls -- use measure_mc")
@@ -161,6 +169,50 @@ def measure_exact(body: ConvexBody) -> MeasureEstimate:
         raise UnsupportedBodyError(
             f"no closed form for kind {body.kind!r} -- use measure_mc")
     return MeasureEstimate(value=min(max(value, 0.0), 1.0), method="exact")
+
+
+def _facet_interval(normals: np.ndarray, offsets: np.ndarray):
+    """Ends of the 1-d polytope {x : normals * x <= offsets} under the
+    membership rule n * x <= c + BOUNDARY_ATOL: its facet ratios. Offsets
+    (m,) give one interval, offsets (k, m) one per row."""
+    ends = (offsets + BOUNDARY_ATOL) / normals
+    return (np.max(ends[..., normals < 0.0], axis=-1, initial=-math.inf),
+            np.min(ends[..., normals > 0.0], axis=-1, initial=math.inf))
+
+
+def measure_slices(family: SliceFamily) -> np.ndarray:
+    """Closed-form gamma_{n-1} of every slice of a family, 0 where absent.
+
+    The grid form of ``measure_exact``, with its closed forms for the
+    slices a body's ``slices`` yields: the full space, a box, a halfspace,
+    a centered ball, and 1-d balls, ellipsoids and H-polytopes as the
+    intervals they are. Raises UnsupportedBodyError for any other family.
+    """
+    rows = family.present
+    values = np.zeros(len(rows))
+    if isinstance(family, SpaceSlices):
+        values[rows] = 1.0
+    elif isinstance(family, BoxSlices):
+        values[rows] = measure_exact(AxisBox(family.semiwidths)).value
+    elif isinstance(family, HalfspaceSlices):
+        values[rows] = std_normal_cdf(family.offsets[rows]
+                                      / float(np.linalg.norm(family.normal)))
+    elif isinstance(family, BallSlices) and np.all(np.abs(family.center) <= BOUNDARY_ATOL):
+        values[rows] = special.gammainc(family.dim / 2.0,
+                                        np.float_power(family.radii[rows], 2) / 2.0)
+    elif family.dim == 1 and isinstance(family, BallSlices):
+        r = family.radii[rows]
+        values[rows] = _measure_intervals(family.center[0] - r, family.center[0] + r)
+    elif family.dim == 1 and isinstance(family, EllipsoidSlices):
+        a = family.semiaxes[rows, 0]
+        values[rows] = _measure_intervals(-a, a)
+    elif family.dim == 1 and isinstance(family, PolytopeSlices):
+        values[rows] = _measure_intervals(*_facet_interval(family.normals[:, 0],
+                                                           family.offsets[rows]))
+    else:
+        raise UnsupportedBodyError(f"no closed form for the slices of a "
+                                   f"{family.dim + 1}-d {type(family).__name__}")
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 def substream(seed: int, key: int) -> np.random.Generator:
@@ -260,6 +312,8 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
         elif excess(hi) < 0.0:
             hi *= 2.0
         else:
+            from scipy import optimize  # deferred: its import takes longer than most commands
+
             return float(optimize.brentq(excess, lo, hi, xtol=1e-300,
                                          rtol=4.0 * np.finfo(float).eps))
     raise CalibrationError(f"target {target} unreachable by scaling a {body.kind}")

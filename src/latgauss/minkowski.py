@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
@@ -34,6 +33,11 @@ from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, cover
 
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 _PROFILE_TOP = 1.0 - 1e-7     # largest slice measure a w-profile maps through Phi^{-1}
+# w_profile argument caps. Per sample it holds n - 1 draw coordinates, h(z)
+# and, for an H-polytope of m facets, m facet products: (n + m) * 8 bytes.
+# Per grid point it holds one row of slice parameters.
+PROFILE_SAMPLES_CAP = 1 << 20
+PROFILE_GRID_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -374,6 +378,36 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
 # Concave profile of slice measures and the epigraph identity
 # ---------------------------------------------------------------------------
 
+def _slice_measures(body: ConvexBody, xs: np.ndarray, terms: np.ndarray, samples: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(measures, half-widths, h) of the slices of a body at every x in xs.
+
+    The whole family of slices is measured at once where it has a closed
+    form (``gaussian.measure_slices``), with h None. Otherwise its present
+    slices are scored, in grid order, on one (samples, n-1) draw of
+    ``seed``, made only if some slice is present, and
+    h(z) = sum_i terms_i * [z in slice i] is summed over that draw.
+    """
+    family = body.slices(xs)
+    hws = np.zeros(len(xs))
+    try:
+        return gaussian.measure_slices(family), hws, None
+    except UnsupportedBodyError:
+        pass
+    measures = np.zeros(len(xs))
+    rows = np.flatnonzero(family.present)
+    if not rows.size:
+        return measures, hws, None
+    score = family.scorer(gaussian.normal_draw(body.dim - 1, samples, seed))
+    h = np.zeros(samples)
+    for i in rows:
+        hits = score(i)
+        h += terms[i] * hits
+        est = gaussian.hit_estimate(int(np.count_nonzero(hits)), samples)
+        measures[i], hws[i] = est.value, est.half_width
+    return measures, hws, h
+
+
 def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
               seed: int = 0) -> WProfile:
     """Profile of last-coordinate slice measures mapped through the quantile.
@@ -385,23 +419,31 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     quadrature identity: integrating the slice measures against the 1-d
     gaussian weight must recover the body's full measure.
 
-    Slices with a closed form (``measure_exact``, which covers every 1-d
-    slice) are exact. The rest are all scored on one seeded (samples, n-1)
-    draw, sub-draw ``grid_size`` of ``seed``, made only when a slice needs
-    it; the body itself is measured on sub-draw ``grid_size + 1`` with
-    4 * samples points. Slice estimates from one draw are correlated, so the
-    quadrature's half-width is that of the mean of
+    The body's ``slices`` gives every slice of the grid as one family of
+    arrays, with no body built per slice. Families with a closed form
+    (``gaussian.measure_slices``: every box and centered-ball slice, and
+    every slice of a 2-d body) are measured exactly in one array pass. The
+    rest are all scored on one seeded (samples, n-1) draw, sub-draw
+    ``grid_size`` of ``seed``, made only when some slice is nonempty; an
+    H-polytope's facet products with that draw are computed once for all
+    its slices. The body itself is measured on sub-draw ``grid_size + 1``
+    with 4 * samples points. Slice estimates from one draw are correlated,
+    so the quadrature's half-width is that of the mean of
     h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
     weights w_i, Monte Carlo slices only), 2.576 * std(h) / sqrt(samples).
     The concavity slack sums the half-widths of each triple, which holds
     under any correlation. A slice of measure above 1 - 1e-7 is left out of
     the profile like a measure-1 slice: there one rounding of the measure
-    moves g by more than the 1e-9 * (1 + max|g|) float slack.
+    moves g by more than the 1e-9 * (1 + max|g|) float slack. ``grid_size``
+    and ``samples`` are capped by PROFILE_GRID_CAP and PROFILE_SAMPLES_CAP.
     """
+    from scipy import integrate  # deferred: its import takes longer than most commands
+
     if body.dim < 2:
         raise InvalidBodyError("profile construction needs dimension >= 2")
-    if grid_size < 9:
-        raise ValueError("grid_size must be at least 9")
+    _at_least("grid_size", grid_size, 9)
+    _at_most("grid_size", grid_size, PROFILE_GRID_CAP)
+    _at_most("samples", samples, PROFILE_SAMPLES_CAP)
     grid_size += -(grid_size - 1) % 4  # 4k+1 points: Simpson at h, 2h and 4h
     r_trunc = bounding_radius(body)
     lo, hi = body.last_axis_extent()
@@ -416,24 +458,8 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     wsimp[1:-1:2] = 4.0
     wsimp[2:-1:2] = 2.0
     wsimp *= (xs[1] - xs[0]) / 3.0
-    measures = np.zeros(grid_size)
-    hws = np.zeros(grid_size)
-    draw = lhs_terms = None  # the shared slice draw and h(z) over it, made on demand
-    for i, x in enumerate(xs):
-        sl = body.slice_at(float(x))
-        if sl is None:
-            continue
-        try:
-            est = measure_exact(sl)
-        except UnsupportedBodyError:
-            if draw is None:
-                draw = gaussian.normal_draw(body.dim - 1, samples,
-                                            gaussian.sub_seed(seed, grid_size))
-                lhs_terms = np.zeros(samples)
-            hits = sl.contains_many(draw)
-            lhs_terms += (wsimp[i] * weights[i]) * hits
-            est = gaussian.hit_estimate(int(np.count_nonzero(hits)), samples)
-        measures[i], hws[i] = est.value, est.half_width
+    measures, hws, lhs_terms = _slice_measures(body, xs, wsimp * weights, samples,
+                                               gaussian.sub_seed(seed, grid_size))
 
     support = measures > 0.0
     if np.count_nonzero(support) < 2:
@@ -470,7 +496,8 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
                             for k in (1, 2, 4))
     quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0)
                 + 2.0 * TAIL_EPS + 1e-9)
-    hw_lhs = 0.0 if draw is None else gaussian.Z99 * float(np.std(lhs_terms)) / math.sqrt(samples)
+    hw_lhs = (0.0 if lhs_terms is None
+              else gaussian.Z99 * float(np.std(lhs_terms)) / math.sqrt(samples))
     tol = gaussian.CERT_HALF_WIDTHS * math.hypot(hw_lhs, rhs.half_width) + quad_err
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
@@ -596,9 +623,15 @@ def generate_theorem_instance(n: int, seed: int, trial: int,
 
 
 def _at_least(name: str, value: int, low: int) -> None:
-    """Reject a suite argument below its range before the suite draws anything."""
+    """Reject an argument below its range before anything is drawn."""
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _at_most(name: str, value: int, high: int) -> None:
+    """Reject an argument above its cap before anything is drawn."""
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 def theorem_suite(n: int, trials: int, seed: int, mc_samples: int = 1 << 16):

@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import latgauss.lattice
+import latgauss.minkowski
 from latgauss.cli import _COMMANDS, build_parser, main
 
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
@@ -444,6 +445,15 @@ class TestRecords:
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["verdict"] == "holds"
         assert rec["identity_residual"] <= rec["identity_tol"]
+
+    @pytest.mark.parametrize("cap, flag", [("PROFILE_GRID_CAP", "--grid-size"),
+                                           ("PROFILE_SAMPLES_CAP", "--samples")])
+    def test_w_profile_cap_is_exit_one(self, cap, flag, monkeypatch, capsys):
+        monkeypatch.setattr(latgauss.minkowski, cap, 1000)
+        code, out = run_cli("w-profile", "--body", BALL, flag, "1001")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert f"{flag[2:].replace('-', '_')} must be at most 1000, got 1001" in err
 
     def test_w_profile_coarse_grid_box_holds(self):
         # at 51 slices |S_h - S_2h| nearly cancels on this box, so the error

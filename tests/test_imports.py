@@ -2,6 +2,9 @@
 module-level private name goes unreferenced in the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +122,15 @@ def test_detects_a_symmetry_guarded_raise():
               "            raise ValueError('big')\n    return 0\n")
     assert _symmetry_guarded_raises(source) == [3, 8]
     assert _symmetry_guarded_raises(source, ("f",)) == [8]
+
+
+def test_cold_import_defers_scipy_optimize_and_integrate():
+    # every command pays for the package import; only LPs, root brackets,
+    # the theta quadrature and w-profile Simpson sums need these two modules
+    src = str(Path(latgauss.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, latgauss, latgauss.cli; latgauss.theta(); "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,18 +2,54 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import latgauss as lg
 import latgauss.convex
 import latgauss.gaussian
 import latgauss.lattice
-from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target,
+import latgauss.minkowski
+from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target, _slice_measures,
                                  generate_theorem_instance)
 from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, TILTED_CUP,
-                         lp_slice_reference, symmetric_polytope)
+                         lp_slice_reference, scalar_slice_reference, symmetric_polytope)
+
+
+def reference_slice_measures(body, xs, terms, samples, seed, slice_at=scalar_slice_reference):
+    """The per-slice loop that ``_slice_measures`` replaces: one body per
+    slice, measured by ``measure_exact`` or scored on the shared draw."""
+    measures, hws = np.zeros(len(xs)), np.zeros(len(xs))
+    draw = h = None
+    for i, x in enumerate(xs):
+        sl = slice_at(body, float(x))
+        if sl is None:
+            continue
+        try:
+            est = lg.measure_exact(sl)
+        except lg.UnsupportedBodyError:
+            if draw is None:
+                draw = latgauss.gaussian.normal_draw(body.dim - 1, samples, seed)
+                h = np.zeros(samples)
+            hits = sl.contains_many(draw)
+            h += terms[i] * hits
+            est = latgauss.gaussian.hit_estimate(int(np.count_nonzero(hits)), samples)
+        measures[i], hws[i] = est.value, est.half_width
+    return measures, hws, h
+
+
+# a slab of width 2e-7 across the plane: no slice clears the span test's
+# 1e-6 margin, so every nonempty slice is decided by its Chebyshev-center LP
+THIN_POLYTOPE = lg.HPolytope([[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0]],
+                             [1e-7, 1e-7, 1.0, 1.0])
+# pinned 3-d profile bodies of the CLI stream digests
+PINNED_POLYTOPE_3D = lg.HPolytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
+                                   [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-0.6, 0, -0.8]],
+                                  [1.2] * 8)
+PINNED_ELLIPSOID_3D = lg.Ellipsoid([0.8, 1.9, 1.3])
 
 
 class TestRandomThetaLattice:
@@ -430,8 +466,8 @@ class TestWProfile:
         # the last-axis span decides every slice: no LP per slice
         body = symmetric_polytope(3, 11)
         calls = []
-        linprog = latgauss.convex.optimize.linprog
-        monkeypatch.setattr(latgauss.convex.optimize, "linprog",
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: calls.append(1) or linprog(*a, **k))
         lg.w_profile(body, grid_size=81, samples=4096, seed=2)
         assert len(calls) <= 2
@@ -441,11 +477,81 @@ class TestWProfile:
                              ids=["symmetric", "triangle", "simplex", "unbounded"])
     def test_polytope_profile_matches_lp_reference(self, body, monkeypatch):
         fast = lg.w_profile(body, grid_size=81, samples=4096, seed=3)
-        monkeypatch.setattr(lg.HPolytope, "slice_at", lp_slice_reference)
+        monkeypatch.setattr(latgauss.minkowski, "_slice_measures",
+                            lambda *a: reference_slice_measures(*a, slice_at=lp_slice_reference))
         ref = lg.w_profile(body, grid_size=81, samples=4096, seed=3)
         for f in dataclasses.fields(lg.WProfile):
             a, b = getattr(fast, f.name), getattr(ref, f.name)
             assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), f.name
+
+    @pytest.mark.parametrize("body", [
+        lg.Ball(1.5, center=[0.3, -0.4]),
+        lg.Ball(1.5, center=[0.3, -0.2, 0.4]),
+        lg.Ball(1.2, center=[0.0, 0.0, 0.5]),
+        lg.AxisBox([math.inf, 0.8]),
+        lg.AxisBox([0.9, math.inf, 1.1]),
+        lg.Halfspace([0.0, 0.0, 1.0], 0.4),
+        lg.Halfspace([0.0, -1.0], 0.4),
+        lg.Halfspace([0.3, -1.0, 0.5], 0.2),
+        lg.Ellipsoid([0.8, 1.9]),
+        lg.Ellipsoid([0.8, 1.9, 1.3]),
+        lg.Ball(1.3, dim=4),
+        lg.AxisBox([0.9, 1.2, 0.7, 1.4]),
+        lg.Ellipsoid([0.9, 1.2, 0.7, 1.4]),
+        lg.Halfspace([0.2, -0.5, 0.1, 0.8], -0.3),
+        symmetric_polytope(4, 1),
+        symmetric_polytope(2, 5),
+        PINNED_POLYTOPE_3D,
+        THIN_POLYTOPE,
+        TILTED_CUP,
+        lg.FullSpace(3),
+    ], ids=["off-centre-ball-2d", "off-centre-ball-3d", "ball-centred-head", "slab-2d",
+            "slab-3d", "halfspace-along-axis-3d", "halfspace-along-axis-2d", "halfspace-3d",
+            "ellipsoid-2d", "ellipsoid-3d", "ball-4d", "box-4d", "ellipsoid-4d", "halfspace-4d",
+            "polytope-4d", "polytope-2d", "polytope-3d", "thin-polytope", "unbounded-polytope",
+            "space"])
+    def test_batched_slices_match_per_slice_loop_bitwise(self, body):
+        xs = np.linspace(-3.5, 3.5, 81)
+        terms = lg.std_normal_pdf(xs) * (xs[1] - xs[0])
+        fast = _slice_measures(body, xs, terms, 4096, 17)
+        for slice_at in (scalar_slice_reference, lambda b, x: b.slice_at(x)):
+            ref = reference_slice_measures(body, xs, terms, 4096, 17, slice_at)
+            for a, b in zip(fast, ref):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_thin_polytope_slices_take_the_lp(self, monkeypatch):
+        body = lg.HPolytope(THIN_POLYTOPE.normals, THIN_POLYTOPE.offsets)
+        calls = []
+        center = latgauss.convex._chebyshev_center
+        monkeypatch.setattr(latgauss.convex, "_chebyshev_center",
+                            lambda *a: calls.append(1) or center(*a))
+        family = body.slices(np.linspace(-0.9, 0.9, 19))
+        assert np.all(family.present) and len(calls) == 19
+
+    def test_oracle_profile_is_unsupported(self):
+        body = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0,
+                             symmetric_flag=True)
+        with pytest.raises(lg.UnsupportedBodyError):
+            lg.w_profile(body, grid_size=21, samples=4096)
+
+    @pytest.mark.parametrize("body", [PINNED_POLYTOPE_3D, PINNED_ELLIPSOID_3D],
+                             ids=["polytope-3d", "ellipsoid-3d"])
+    def test_profile_peak_memory(self, body):
+        # a (grid x samples) broadcast at default sizes would take 26 MB
+        tracemalloc.start()
+        try:
+            lg.w_profile(body, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("name, flag", [("PROFILE_GRID_CAP", "grid_size"),
+                                            ("PROFILE_SAMPLES_CAP", "samples")])
+    def test_profile_caps(self, name, flag, monkeypatch):
+        monkeypatch.setattr(latgauss.minkowski, name, 100)
+        with pytest.raises(ValueError, match=f"{flag} must be at most 100"):
+            lg.w_profile(lg.Ball(1.2, dim=2), **{flag: 101})
 
 
 class TestCorollary:
