@@ -33,6 +33,8 @@ TAIL_EPS = 1e-9
 # Margin of an H-polytope slice decision made without an LP, relative to
 # the reach from the interior point to the last-axis extreme (at least 1).
 SPAN_RTOL = 1e-6
+# The present mask of every one-row as_family: shared, so read-only.
+_ONE_ROW = np.broadcast_to(True, 1)
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -110,6 +112,11 @@ class ConvexBody:
         """Dilate about the origin by s > 0."""
         raise NotImplementedError
 
+    def as_family(self, s: float = 1.0) -> "SliceFamily":
+        """The dilate s * body as a one-row SliceFamily of its own kind, for
+        ``gaussian.measure_slices``; kinds with no closed form raise here."""
+        raise UnsupportedBodyError(f"no closed form for a {self.dim}-d {self.kind}")
+
     def anchor(self) -> np.ndarray:
         """A point of the body near its Gaussian mass center; search seed."""
         return np.zeros(self.dim)
@@ -169,6 +176,9 @@ class Halfspace(ConvexBody):
 
     def scale(self, s):
         return Halfspace(self.normal, s * self.offset)
+
+    def as_family(self, s=1.0):
+        return HalfspaceSlices(self.dim, _ONE_ROW, self.normal, np.array([s * self.offset]))
 
     def anchor(self):
         if self.offset >= 0:
@@ -234,6 +244,9 @@ class AxisBox(ConvexBody):
 
     def scale(self, s):
         return AxisBox(s * self.semiwidths)
+
+    def as_family(self, s=1.0):
+        return BoxSlices(self.dim, _ONE_ROW, s * self.semiwidths)
 
     def containment_margin(self, point):
         p = _as_vector(point, self.dim)
@@ -302,6 +315,9 @@ class Ball(ConvexBody):
     def scale(self, s):
         return Ball(s * self.radius, s * self.center)
 
+    def as_family(self, s=1.0):
+        return BallSlices(self.dim, _ONE_ROW, s * self.center, np.array([s * self.radius]))
+
     def anchor(self):
         return self.center.copy()
 
@@ -356,6 +372,9 @@ class Ellipsoid(ConvexBody):
 
     def scale(self, s):
         return Ellipsoid(s * self.semiaxes)
+
+    def as_family(self, s=1.0):
+        return EllipsoidSlices(self.dim, _ONE_ROW, s * self.semiaxes[None, :])
 
     def containment_margin(self, point):
         p = _as_vector(point, self.dim)
@@ -500,6 +519,10 @@ class HPolytope(ConvexBody):
         return HPolytope(self.normals, s * self.offsets,
                          interior_point=s * self.interior_point)
 
+    def as_family(self, s=1.0):
+        return PolytopeSlices(self.dim, _ONE_ROW, self.normals, s * self.offsets[None, :],
+                              s * self.interior_point[None, :])
+
     def anchor(self):
         return self.interior_point.copy()
 
@@ -549,6 +572,9 @@ class FullSpace(ConvexBody):
 
     def scale(self, s):
         return self
+
+    def as_family(self, s=1.0):
+        return SpaceSlices(self.dim, _ONE_ROW)
 
     def containment_margin(self, point):
         return math.inf
@@ -646,7 +672,8 @@ class SliceFamily:
 
     ``present[i]`` is False where slice i is empty or a null set. Each kind
     holds its slices' parameters as arrays over the grid, read only where
-    ``present``; ``slice(i)`` builds slice i as a body of dimension ``dim``.
+    ``present``; ``slice(i)`` builds slice i as a body of dimension ``dim``,
+    of the family's ``kind``. A body's ``as_family`` is a one-row family.
     """
 
     dim: int
@@ -665,12 +692,15 @@ class SliceFamily:
 
 @dataclass(frozen=True, eq=False)
 class SpaceSlices(SliceFamily):
+    kind = "space"
+
     def _build(self, i):
         return FullSpace(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
 class BoxSlices(SliceFamily):
+    kind = "axis_box"
     semiwidths: np.ndarray  # the same box at every present slice
 
     def _build(self, i):
@@ -679,6 +709,7 @@ class BoxSlices(SliceFamily):
 
 @dataclass(frozen=True, eq=False)
 class HalfspaceSlices(SliceFamily):
+    kind = "halfspace"
     normal: np.ndarray
     offsets: np.ndarray
 
@@ -688,6 +719,7 @@ class HalfspaceSlices(SliceFamily):
 
 @dataclass(frozen=True, eq=False)
 class BallSlices(SliceFamily):
+    kind = "ball"
     center: np.ndarray
     radii: np.ndarray
 
@@ -697,6 +729,7 @@ class BallSlices(SliceFamily):
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidSlices(SliceFamily):
+    kind = "ellipsoid"
     semiaxes: np.ndarray  # one row per slice
 
     def _build(self, i):
@@ -708,6 +741,7 @@ class EllipsoidSlices(SliceFamily):
 
 @dataclass(frozen=True, eq=False)
 class PolytopeSlices(SliceFamily):
+    kind = "hpolytope"
     normals: np.ndarray  # shared by every slice
     offsets: np.ndarray  # one row per slice
     interior: np.ndarray

@@ -4,7 +4,8 @@ The measure gamma_n is the standard Gaussian probability measure on R^n
 with density (2*pi)^(-n/2) * exp(-|x|^2 / 2). Closed forms exist for axis
 boxes (product of interval measures), halfspaces, centered balls
 (chi-square CDF), the full space and every 1-d body, which is an interval;
-everything else goes through the seeded Monte Carlo estimator.
+each is written once, in ``measure_slices``, for a family of bodies (a
+body alone is a one-row family). Everything else is seeded Monte Carlo.
 
 Scale calibration rests on one fact: for a body K with the origin inside
 and gauge g, the dilate sK is the sublevel set {g <= s}, so
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .convex import (BOUNDARY_ATOL, AxisBox, Ball, BallSlices, BoxSlices, ConvexBody,
-                     Ellipsoid, EllipsoidSlices, FullSpace, Halfspace, HalfspaceSlices,
-                     HPolytope, PolytopeSlices, SliceFamily, SpaceSlices)
+from .convex import (BOUNDARY_ATOL, BallSlices, BoxSlices, ConvexBody, EllipsoidSlices,
+                     HalfspaceSlices, PolytopeSlices, SliceFamily, SpaceSlices)
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
@@ -114,31 +114,20 @@ def theta() -> float:
     return _THETA
 
 
-def measure_interval(lo: float, hi: float) -> float:
-    """gamma_1([lo, hi]); endpoints may be -inf / +inf.
+def measure_interval(lo, hi):
+    """gamma_1([lo, hi]); scalars or arrays, endpoints may be -inf / +inf.
 
     An interval in the upper tail (lo >= 0) is a difference of upper tails,
     the mirror image of a lower-tail interval, so neither side subtracts two
-    values near 1.
+    values near 1. The tail is chosen element by element.
     """
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("interval endpoints must not be NaN")
-    if lo > hi:
-        raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-    return float(_tail_gap(lo, hi) if lo >= 0.0 else _tail_gap(-hi, -lo))
-
-
-def _measure_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``measure_interval`` of every [lo_i, hi_i], its tail chosen by element."""
-    if np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
-        raise ValueError("interval endpoints must be ordered and not NaN")
-    upper = lo >= 0.0
-    return _tail_gap(np.where(upper, lo, -hi), np.where(upper, hi, -lo))
-
-
-def _tail_gap(near, far):
-    """gamma_1([near, far]) as a difference of upper tails (accurate for near >= 0)."""
-    return 0.5 * special.erfc(near / _SQRT2) - 0.5 * special.erfc(far / _SQRT2)
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(np.isnan(a) | np.isnan(b) | (a > b)):
+        raise ValueError(f"interval endpoints must be ordered and not NaN: {lo}, {hi}")
+    upper = a >= 0.0
+    near, far = np.where(upper, a, -b), np.where(upper, b, -a)
+    out = 0.5 * special.erfc(near / _SQRT2) - 0.5 * special.erfc(far / _SQRT2)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -146,54 +135,26 @@ def _tail_gap(near, far):
 # ---------------------------------------------------------------------------
 
 def measure_exact(body: ConvexBody) -> MeasureEstimate:
-    """Closed-form gamma_n for axis boxes, halfspaces, centered balls, the
-    full space, and every 1-d body (ball, ellipsoid or H-polytope) as the
-    interval it is."""
-    if isinstance(body, AxisBox):
-        per_axis = 2.0 * std_normal_cdf(body.semiwidths) - 1.0
-        value = float(np.prod(per_axis))
-    elif isinstance(body, Halfspace):
-        value = std_normal_cdf(body.offset / float(np.linalg.norm(body.normal)))
-    elif isinstance(body, Ball) and body.symmetric:
-        value = float(special.gammainc(body.dim / 2.0, body.radius**2 / 2.0))
-    elif isinstance(body, FullSpace):
-        value = 1.0
-    elif body.dim == 1 and isinstance(body, (Ball, Ellipsoid)):
-        value = measure_interval(*body.last_axis_extent())
-    elif body.dim == 1 and isinstance(body, HPolytope):
-        value = measure_interval(*_facet_interval(body.normals[:, 0], body.offsets))
-    elif isinstance(body, Ball):
-        raise UnsupportedBodyError(
-            "no closed form for off-center balls -- use measure_mc")
-    else:
-        raise UnsupportedBodyError(
-            f"no closed form for kind {body.kind!r} -- use measure_mc")
-    return MeasureEstimate(value=min(max(value, 0.0), 1.0), method="exact")
-
-
-def _facet_interval(normals: np.ndarray, offsets: np.ndarray):
-    """Ends of the 1-d polytope {x : normals * x <= offsets} under the
-    membership rule n * x <= c + BOUNDARY_ATOL: its facet ratios. Offsets
-    (m,) give one interval, offsets (k, m) one per row."""
-    ends = (offsets + BOUNDARY_ATOL) / normals
-    return (np.max(ends[..., normals < 0.0], axis=-1, initial=-math.inf),
-            np.min(ends[..., normals > 0.0], axis=-1, initial=math.inf))
+    """Closed-form gamma_n of a body: ``measure_slices`` of its one-row
+    ``as_family()``. Raises UnsupportedBodyError where none exists."""
+    return MeasureEstimate(float(measure_slices(body.as_family())[0]), "exact")
 
 
 def measure_slices(family: SliceFamily) -> np.ndarray:
-    """Closed-form gamma_{n-1} of every slice of a family, 0 where absent.
+    """Closed-form gamma_dim of every body of a family, 0 where absent.
 
-    The grid form of ``measure_exact``, with its closed forms for the
-    slices a body's ``slices`` yields: the full space, a box, a halfspace,
-    a centered ball, and 1-d balls, ellipsoids and H-polytopes as the
-    intervals they are. Raises UnsupportedBodyError for any other family.
+    The one home of every closed form: the full space, an axis box (product
+    of interval measures), a halfspace, a centered ball (chi-square CDF),
+    and 1-d balls, ellipsoids and H-polytopes as the intervals they are.
+    The family is a body's ``slices`` over a grid, or its one-row
+    ``as_family``. Raises UnsupportedBodyError for any other family.
     """
     rows = family.present
     values = np.zeros(len(rows))
     if isinstance(family, SpaceSlices):
         values[rows] = 1.0
     elif isinstance(family, BoxSlices):
-        values[rows] = measure_exact(AxisBox(family.semiwidths)).value
+        values[rows] = np.prod(2.0 * std_normal_cdf(family.semiwidths) - 1.0)
     elif isinstance(family, HalfspaceSlices):
         values[rows] = std_normal_cdf(family.offsets[rows]
                                       / float(np.linalg.norm(family.normal)))
@@ -202,16 +163,18 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
                                         np.float_power(family.radii[rows], 2) / 2.0)
     elif family.dim == 1 and isinstance(family, BallSlices):
         r = family.radii[rows]
-        values[rows] = _measure_intervals(family.center[0] - r, family.center[0] + r)
+        values[rows] = measure_interval(family.center[0] - r, family.center[0] + r)
     elif family.dim == 1 and isinstance(family, EllipsoidSlices):
         a = family.semiaxes[rows, 0]
-        values[rows] = _measure_intervals(-a, a)
+        values[rows] = measure_interval(-a, a)
     elif family.dim == 1 and isinstance(family, PolytopeSlices):
-        values[rows] = _measure_intervals(*_facet_interval(family.normals[:, 0],
-                                                           family.offsets[rows]))
+        n = family.normals[:, 0]  # ends: facet ratios under n * x <= c + BOUNDARY_ATOL
+        ends = (family.offsets[rows] + BOUNDARY_ATOL) / n
+        values[rows] = measure_interval(np.max(ends[:, n < 0.0], axis=1, initial=-math.inf),
+                                        np.min(ends[:, n > 0.0], axis=1, initial=math.inf))
     else:
-        raise UnsupportedBodyError(f"no closed form for the slices of a "
-                                   f"{family.dim + 1}-d {type(family).__name__}")
+        what = f"a {family.dim}-d" if len(rows) == 1 else f"the slices of a {family.dim + 1}-d"
+        raise UnsupportedBodyError(f"no closed form for {what} {family.kind}")
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
@@ -281,21 +244,21 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
                     seed: int = 0) -> float:
     """Scale s with gamma_n(s * body) = target: the target-quantile of g(X).
 
-    Closed-form bodies (those ``measure_exact`` accepts) get one bracketed
-    root, solved to machine precision. Every other body gets the
-    ceil(target * samples)-th smallest gauge of the seeded draw that
-    ``mc_fraction`` uses, so ``measure_mc(body.scale(s), samples, seed)``
-    hits at least that many points. That branch needs the body's
-    ``gauge_many``, which raises InvalidBodyError on a body without a gauge.
-    An OracleBody gauge costs about 40 membership passes over the draw.
-    Raises CalibrationError when no scale reaches the target.
+    Bodies with a closed form get one bracketed root of
+    ``measure_slices(body.as_family(s)) - target``, to machine precision.
+    Every other body gets the ceil(target * samples)-th smallest gauge of
+    the seeded draw that ``mc_fraction`` uses, so ``measure_mc(body.scale(s),
+    samples, seed)`` hits at least that many points. That branch needs the
+    body's ``gauge_many``, which raises InvalidBodyError on a body without
+    a gauge. An OracleBody gauge costs about 40 membership passes over the
+    draw. Raises CalibrationError when no scale reaches the target.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if not body.contains(np.zeros(body.dim)):
         raise InvalidBodyError("calibration needs the origin inside the body")
     try:
-        measure_exact(body)
+        measure_slices(body.as_family())
     except UnsupportedBodyError:
         gauges = np.concatenate([body.gauge_many(pts)
                                  for pts in _normal_shards(body.dim, samples, seed)])
@@ -303,7 +266,7 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
         return float(np.partition(gauges, k - 1)[k - 1])
 
     def excess(s: float) -> float:
-        return measure_exact(body.scale(s)).value - target
+        return measure_slices(body.as_family(s))[0] - target
 
     lo = hi = 1.0
     for _ in range(64):

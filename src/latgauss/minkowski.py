@@ -257,16 +257,16 @@ def sharpness_witness(t: float) -> CheckReport:
     if not t > th:
         raise ValueError(f"no counterexample exists at t = {t} <= theta = {th}")
     body = AxisBox([th / 2.0])
+    est = measure_exact(body)
     search = find_coset_point_in_body(Coset(Lattice([[t]]), [t / 2.0]), body)
     gap = (t - th) / 2.0
     if search.status != "empty":
         # neither a hit (t > theta) nor a node-cap hit (one dimension) can
         # happen; report honestly if either ever does
         return CheckReport("sharpness", "holds" if search.status == "found" else "inconclusive",
-                           margin=gap, seed=0, measure=measure_exact(body),
+                           margin=gap, seed=0, measure=est,
                            witness=search.point, note=search.note or "unexpected intersection")
-    return CheckReport("sharpness", "violated", margin=gap, seed=0,
-                       measure=measure_exact(body),
+    return CheckReport("sharpness", "violated", margin=gap, seed=0, measure=est,
                        certificate=f"complete enumeration within radius "
                                    f"{search.radius:.9f}: no coset point; "
                                    f"nearest at distance {t / 2.0:.9f}")
@@ -408,6 +408,13 @@ def _slice_measures(body: ConvexBody, xs: np.ndarray, terms: np.ndarray, samples
     return measures, hws, h
 
 
+def _simpson(xs: np.ndarray, k: int) -> np.ndarray:
+    """Composite Simpson weights of the odd number of points xs[::k] of a uniform grid."""
+    w = np.where(np.arange(len(xs[::k])) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    return w * ((xs[k] - xs[0]) / 3.0)
+
+
 def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
               seed: int = 0) -> WProfile:
     """Profile of last-coordinate slice measures mapped through the quantile.
@@ -417,7 +424,9 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     where the measure is nondegenerate, and reports (i) the worst discrete
     second difference of g against its statistical slack and (ii) the
     quadrature identity: integrating the slice measures against the 1-d
-    gaussian weight must recover the body's full measure.
+    gaussian weight must recover the body's full measure. ``grid_size`` is
+    rounded up to 8k+1 points, so the composite Simpson sums S_h, S_2h and
+    S_4h of that identity each run over an odd number of points.
 
     The body's ``slices`` gives every slice of the grid as one family of
     arrays, with no body built per slice. Families with a closed form
@@ -437,14 +446,12 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     moves g by more than the 1e-9 * (1 + max|g|) float slack. ``grid_size``
     and ``samples`` are capped by PROFILE_GRID_CAP and PROFILE_SAMPLES_CAP.
     """
-    from scipy import integrate  # deferred: its import takes longer than most commands
-
     if body.dim < 2:
         raise InvalidBodyError("profile construction needs dimension >= 2")
     _at_least("grid_size", grid_size, 9)
     _at_most("grid_size", grid_size, PROFILE_GRID_CAP)
     _at_most("samples", samples, PROFILE_SAMPLES_CAP)
-    grid_size += -(grid_size - 1) % 4  # 4k+1 points: Simpson at h, 2h and 4h
+    grid_size += -(grid_size - 1) % 8  # 8k+1 points: odd counts at h, 2h and 4h
     r_trunc = bounding_radius(body)
     lo, hi = body.last_axis_extent()
     lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
@@ -454,11 +461,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
     xs = np.linspace(lo, hi, grid_size)
     weights = gaussian.std_normal_pdf(xs)
-    wsimp = np.ones(grid_size)  # Simpson weights
-    wsimp[1:-1:2] = 4.0
-    wsimp[2:-1:2] = 2.0
-    wsimp *= (xs[1] - xs[0]) / 3.0
-    measures, hws, lhs_terms = _slice_measures(body, xs, wsimp * weights, samples,
+    measures, hws, lhs_terms = _slice_measures(body, xs, _simpson(xs, 1) * weights, samples,
                                                gaussian.sub_seed(seed, grid_size))
 
     support = measures > 0.0
@@ -492,7 +495,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     # epigraph measure by quadrature vs the direct body measure
     # error estimate from two Richardson differences, since either one
     # alone can nearly cancel: |S_h - S_2h| and |S_2h - S_4h| / 16
-    lhs, coarse, coarser = (float(integrate.simpson((measures * weights)[::k], x=xs[::k]))
+    lhs, coarse, coarser = (float(_simpson(xs, k) @ (measures * weights)[::k])
                             for k in (1, 2, 4))
     quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0)
                 + 2.0 * TAIL_EPS + 1e-9)

@@ -32,7 +32,9 @@ BETA_GOLDEN = (
 # sha256 of whole JSON record streams, pinned from the code in which every
 # certificate site wrote "estimate -/+ 3 half-widths" by hand; theorem-n1
 # and the ellipsoid and H-polytope profiles were pinned again when every 1-d
-# body got its exact interval measure and profile slices came to share a draw
+# body got its exact interval measure and profile slices came to share a draw;
+# every profile was pinned again when its identity came to be summed with its
+# own Simpson weights (identity_lhs, _residual and _tol move in the last bits)
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
@@ -51,28 +53,28 @@ STREAM_DIGESTS = {
     "ehrhard": (("check-ehrhard", "--trials", "8", "--seed", "7", "--max-dim", "6"),
                 "b5de48042724d6ca0cb9a898a10633c40971d3cc1bfd72281ae413cdee34e871"),
     "w-profile-ball-2d": (PROFILE + (BALL,),
-                          "b4e24a6be504fbb2cfabba4c3c763612737329722dca34aede927059a8bbdd24"),
+                          "f178030847e2bc62bb791fbd8a573efd21b3e1a9f1a3c9a7b9c26928956158c8"),
     "w-profile-box-3d": (
         PROFILE + (json.dumps({"kind": "axis_box", "dim": 3, "semiwidths": [0.9, 1.3, 1.7]}),),
-        "0187aa066ba44227868599188812d0a0addc56024d5a2b68f21cc1fec836f0e4"),
+        "ffe47491889be681fab666a31a6267e8d30ab83107ff515be074c8b5dc147c75"),
     "w-profile-ellipsoid-2d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}),),
-        "5316eba51c9970dc5bf0dab7e8e6f3fc5c60113710431005259fc3d5d329d556"),
+        "f7fb3cbcb504832b3202e85ab5d67df72d38682855dcde37f7c63c16604faa8b"),
     "w-profile-hpolytope-2d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
                                "normals": [[1, 0], [0, 1], [0.6, 0.8],
                                            [-1, 0], [0, -1], [-0.6, -0.8]]}),),
-        "290d40acb7ee4ceb5c217d0839df31eb12c58c318faeb76b07f2ba0f4e32811f"),
+        "3eb3212164280d099aafe368191b478ccdf465e9a15f24713c5e47af1189834b"),
     # 3-d profiles score their 2-d slices on one shared draw
     "w-profile-ellipsoid-3d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}),),
-        "be67450563e3cf744691c1d8ddbd6295c02ccca5f2bd93e143e9468898dfe27f"),
+        "96c818a9e12da92cb8f18be6541c25f598770dc419d260a92af96a7dd6e446a2"),
     "w-profile-hpolytope-3d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
                                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
                                            [-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                            [-0.6, 0, -0.8]]}),),
-        "7c2d666c9f2dc8b9fd377ae318e9713daf709e3b2cdb115ed173fefe3360e8a9"),
+        "4a305d7d94b4f696a9c2c7794c09249929e50a952cec98df6bcd23a5b0e40537"),
     # lattice and balancing commands, pinned before their preconditions moved
     # into the bodies' gauge_many and Lattice
     "minima-3d": (("minima", "--lattice", R3),
@@ -415,6 +417,19 @@ class TestRecords:
         rec = json.loads(out)
         assert rec["method"] == "exact"
         assert rec["value"] == pytest.approx(1 - math.exp(-1.2**2 / 2), abs=1e-12)
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"kind": "ball", "dim": 3, "radius": 1.2, "center": [0.3, 0.0, 0.0]}, "3-d ball"),
+        ({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}, "2-d ellipsoid"),
+    ], ids=["off-center-ball", "ellipsoid-2d"])
+    def test_measure_without_closed_form(self, doc, named, capsys):
+        code, out = run_cli("measure", "--body", json.dumps(doc), "--method", "exact")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert f"no closed form for a {named}" in err and "Traceback" not in err
+        code, out = run_cli("measure", "--body", json.dumps(doc), "--method", "auto",
+                            "--samples", "4096")
+        assert code == 0 and json.loads(out)["method"] == "monte-carlo"
 
     def test_minima_record(self):
         code, out = run_cli("minima", "--lattice", Z2)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 import latgauss as lg
 from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
+from latgauss.gaussian import measure_slices
 
 THETA_PRINTED = 1.3489795  # reference value the constant must reproduce
 
@@ -126,6 +127,16 @@ class TestMeasureInterval:
         quad, _ = integrate.quad(lg.std_normal_pdf, lo, hi, epsabs=0.0, epsrel=1e-13)
         assert up == pytest.approx(quad, rel=1e-12)
 
+    def test_arrays_are_measured_element_by_element(self):
+        lo = np.array([-math.inf, -2.0, 0.0, 3.0, -8.001, 1.3])
+        hi = np.array([0.0, -0.5, 0.3, 8.0, -8.0, 1.3])
+        values = lg.measure_interval(lo, hi)
+        assert values.shape == lo.shape
+        assert [v.hex() for v in values.tolist()] == [
+            lg.measure_interval(a, b).hex() for a, b in zip(lo.tolist(), hi.tolist())]
+        with pytest.raises(ValueError):
+            lg.measure_interval(lo, hi - 1.0)
+
 
 class TestMeasureExact:
     def test_theta_square(self):
@@ -166,6 +177,82 @@ class TestMeasureExact:
         assert est.value == pytest.approx(lg.measure_interval(lo, hi), abs=1e-15)
         mc = lg.measure_mc(body, 1 << 16, seed=3)
         assert mc.lower <= est.value <= mc.upper
+
+
+def _interval_reference(lo, hi):
+    """gamma_1([lo, hi]) as a difference of upper tails, mirrored below 0."""
+    near, far = (lo, hi) if lo >= 0.0 else (-hi, -lo)
+    return 0.5 * special.erfc(near / math.sqrt(2.0)) - 0.5 * special.erfc(far / math.sqrt(2.0))
+
+
+def reference_measure(body):
+    """The closed forms of ``measure_exact`` as it was once written, one
+    scalar body at a time; ``measure_slices`` must reproduce them bit for bit."""
+    if isinstance(body, lg.AxisBox):  # inf semiwidths contribute factor 1
+        value = float(np.prod(2.0 * lg.std_normal_cdf(body.semiwidths) - 1.0))
+    elif isinstance(body, lg.Halfspace):
+        value = lg.std_normal_cdf(body.offset / float(np.linalg.norm(body.normal)))
+    elif isinstance(body, lg.Ball) and body.symmetric:
+        value = float(special.gammainc(body.dim / 2.0, body.radius**2 / 2.0))
+    elif isinstance(body, lg.FullSpace):
+        value = 1.0
+    elif isinstance(body, (lg.Ball, lg.Ellipsoid)):  # 1-d
+        value = _interval_reference(*body.last_axis_extent())
+    else:  # a 1-d H-polytope: its facet ratios under the membership tolerance
+        normals = body.normals[:, 0]
+        ends = (body.offsets + 1e-12) / normals
+        value = _interval_reference(max(ends[normals < 0.0], default=-math.inf),
+                                    min(ends[normals > 0.0], default=math.inf))
+    return min(max(float(value), 0.0), 1.0)
+
+
+def _seeded_closed_form_bodies(seed):
+    """One body of every kind and dimension with a closed form, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 3.0, 5)
+    widths[rng.random(5) < 0.3] = math.inf
+    normals = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.3, 2.0, 4)
+    return [
+        *(lg.AxisBox(widths[:n]) for n in (1, 3, 5)),
+        *(lg.Halfspace(rng.standard_normal(n), rng.uniform(-1.0, 1.0)) for n in (1, 2, 4)),
+        *(lg.Ball(rng.uniform(0.2, 3.0), dim=n) for n in (1, 2, 5)),
+        lg.FullSpace(3),
+        lg.Ball(rng.uniform(0.2, 1.5), center=[rng.uniform(-2.0, 2.0)]),
+        lg.Ellipsoid([rng.uniform(0.2, 3.0)]),
+        lg.HPolytope(normals[:, None], rng.uniform(0.2, 2.0, 4)),
+        lg.HPolytope(np.abs(normals)[:, None], rng.uniform(0.2, 2.0, 4)),  # a half-line
+    ]
+
+
+class TestClosedFormsWrittenOnce:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_row_family_matches_the_scalar_reference(self, seed):
+        bodies = _seeded_closed_form_bodies(seed)
+        for s in np.random.default_rng(100 + seed).uniform(0.1, 4.0, 4):
+            for body in bodies:
+                got = measure_slices(body.as_family(s))
+                ref = reference_measure(body.scale(s))
+                assert got.shape == (1,) and float(got[0]).hex() == ref.hex(), (body, s)
+                assert lg.measure_exact(body.scale(s)).value.hex() == ref.hex()
+
+    @pytest.mark.parametrize("body, named", [
+        (lg.Ball(1.0, center=[0.3, 0.0, 0.0]), "3-d ball"),
+        (lg.Ellipsoid([0.8, 1.9]), "2-d ellipsoid"),
+        (lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4),
+         "2-d hpolytope"),
+        (lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0), "2-d oracle"),
+    ], ids=["off-center-ball", "ellipsoid-2d", "hpolytope-2d", "oracle"])
+    def test_no_closed_form_names_the_body(self, body, named):
+        # an oracle has no family at all; the others have one with no closed form
+        with pytest.raises(UnsupportedBodyError, match=f"^no closed form for a {named}$"):
+            measure_slices(body.as_family())
+        with pytest.raises(UnsupportedBodyError, match=named):
+            lg.measure_exact(body)
+
+    def test_one_row_mask_is_read_only(self):
+        family = lg.AxisBox([1.0, 2.0]).as_family()
+        with pytest.raises(ValueError):
+            family.present[0] = False
 
 
 class TestMeasureMC:

@@ -1,5 +1,6 @@
-"""Import hygiene: no library module imports a name it never uses, and no
-module-level private name goes unreferenced in the package."""
+"""Import hygiene: no library module imports a name it never uses, no
+module-level private name goes unreferenced in the package, and scipy's
+slow submodules load only where they are needed."""
 
 import ast
 import os
@@ -11,8 +12,8 @@ import pytest
 
 import latgauss
 
-MODULES = sorted(p for p in Path(latgauss.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(latgauss.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -75,9 +76,8 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_no_dead_private_names():
-    package = sorted(Path(latgauss.__file__).parent.glob("*.py"))
     assert _dead_private_names({p.stem: p.read_text(encoding="utf-8")
-                                for p in package}) == []
+                                for p in PACKAGE}) == []
 
 
 def test_detects_a_dead_private_name():
@@ -89,31 +89,26 @@ def test_detects_a_dead_private_name():
     assert _dead_private_names(sources) == ["a: _SPARE", "a: _recursive"]
 
 
-def _symmetry_guarded_raises(source: str, exempt_functions=()) -> list[int]:
-    """Lines of ``raise`` statements inside an ``if`` whose test reads ``.symmetric``,
-    outside the named functions. Whether a body has a gauge is decided by its
-    ``gauge_many``; a caller that tests ``symmetric`` first decides it again."""
-    tree = ast.parse(source)
-    skipped = {id(node) for f in ast.walk(tree)
-               if isinstance(f, ast.FunctionDef) and f.name in exempt_functions
-               for node in ast.walk(f)}
+def _symmetry_guarded_raises(source: str) -> list[int]:
+    """Lines of ``raise`` statements inside an ``if`` whose test reads ``.symmetric``.
+    Whether a body has a gauge is decided by its ``gauge_many``; a caller
+    that tests ``symmetric`` first decides it again."""
     lines = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.If) and id(node) not in skipped
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.If)
                 and any(isinstance(a, ast.Attribute) and a.attr == "symmetric"
                         for a in ast.walk(node.test))):
             lines += [r.lineno for r in ast.walk(node) if isinstance(r, ast.Raise)]
     return sorted(set(lines))
 
 
-# convex.py owns the rule; measure_exact reads symmetric to pick a closed form
+# convex.py owns the rule
 GAUGE_CALLERS = [p for p in MODULES if p.stem != "convex"]
 
 
 @pytest.mark.parametrize("path", GAUGE_CALLERS, ids=[p.stem for p in GAUGE_CALLERS])
 def test_gauge_symmetry_is_decided_by_the_bodies(path):
-    exempt = ("measure_exact",) if path.stem == "gaussian" else ()
-    assert _symmetry_guarded_raises(path.read_text(encoding="utf-8"), exempt) == []
+    assert _symmetry_guarded_raises(path.read_text(encoding="utf-8")) == []
 
 
 def test_detects_a_symmetry_guarded_raise():
@@ -121,16 +116,37 @@ def test_detects_a_symmetry_guarded_raise():
               "\ndef g(body):\n    if body.symmetric and body.dim:\n        if body.dim > 3:\n"
               "            raise ValueError('big')\n    return 0\n")
     assert _symmetry_guarded_raises(source) == [3, 8]
-    assert _symmetry_guarded_raises(source, ("f",)) == [8]
 
 
 def test_cold_import_defers_scipy_optimize_and_integrate():
-    # every command pays for the package import; only LPs, root brackets,
-    # the theta quadrature and w-profile Simpson sums need these two modules
+    # every command pays for the package import; only LPs, root brackets and
+    # the theta quadrature need these two modules, and a w-profile neither
+    # of them on a body with no LP
     src = str(Path(latgauss.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, latgauss, latgauss.cli; latgauss.theta(); "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    loaded = "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    code = (f"import sys, latgauss, latgauss.cli; latgauss.theta(); {loaded}; "
+            "latgauss.w_profile(latgauss.Ellipsoid([0.8, 1.9, 1.3]), grid_size=17, "
+            f"samples=2000); {loaded}")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module a source imports, at any depth; ``from scipy import
+    integrate`` imports both ``scipy`` and ``scipy.integrate``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_theta_quadrature_imports_scipy_integrate():
+    importers = [p.stem for p in PACKAGE
+                 if "scipy.integrate" in _imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["cli"]

@@ -13,8 +13,8 @@ import latgauss.convex
 import latgauss.gaussian
 import latgauss.lattice
 import latgauss.minkowski
-from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target, _slice_measures,
-                                 generate_theorem_instance)
+from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target, _simpson,
+                                 _slice_measures, generate_theorem_instance)
 from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, TILTED_CUP,
                          lp_slice_reference, scalar_slice_reference, symmetric_polytope)
 
@@ -461,6 +461,24 @@ class TestWProfile:
     def test_needs_dim_two(self):
         with pytest.raises(Exception):
             lg.w_profile(lg.AxisBox([1.0]))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_simpson_weights_integrate_cubics_exactly(self, k):
+        xs = np.linspace(-1.3, 2.1, 57)
+        cubic = 0.7 * xs**3 - 1.1 * xs**2 + 0.4 * xs - 2.0
+        exact = (0.7 / 4 * (2.1**4 - 1.3**4) - 1.1 / 3 * (2.1**3 + 1.3**3)
+                 + 0.4 / 2 * (2.1**2 - 1.3**2) - 2.0 * 3.4)
+        assert _simpson(xs, k) @ cubic[::k] == pytest.approx(exact, rel=1e-13)
+
+    def test_grid_rounds_up_to_eight_k_plus_one(self):
+        assert lg.w_profile(lg.AxisBox([0.8, 1.3]), grid_size=51).xs.size == 57
+
+    def test_coarse_grid_identity_tolerance(self):
+        # every Simpson sum of the identity runs over an odd point count; an
+        # even-count 4h sum made this tolerance 1.2e-6
+        body = lg.AxisBox([0.9, 1.3, 1.7])  # pinned in the CLI stream digests
+        prof = lg.w_profile(body, grid_size=51, seed=3)
+        assert prof.identity_residual() <= prof.identity_tol < 1e-7
 
     def test_polytope_profile_solves_two_lps(self, monkeypatch):
         # the last-axis span decides every slice: no LP per slice
