@@ -735,9 +735,6 @@ class EllipsoidSlices(SliceFamily):
     def _build(self, i):
         return Ellipsoid(self.semiaxes[i])
 
-    def scorer(self, draw):
-        return lambda i: _ellipsoid_holds(draw, self.semiaxes[i])
-
 
 @dataclass(frozen=True, eq=False)
 class PolytopeSlices(SliceFamily):

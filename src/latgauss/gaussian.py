@@ -3,9 +3,11 @@
 The measure gamma_n is the standard Gaussian probability measure on R^n
 with density (2*pi)^(-n/2) * exp(-|x|^2 / 2). Closed forms exist for axis
 boxes (product of interval measures), halfspaces, centered balls
-(chi-square CDF), the full space and every 1-d body, which is an interval;
-each is written once, in ``measure_slices``, for a family of bodies (a
-body alone is a one-row family). Everything else is seeded Monte Carlo.
+(chi-square CDF), off-center balls (noncentral chi-square CDF), centered
+ellipsoids (Ruben's mixture of chi-square CDFs, up to SERIES_TERM_CAP
+terms), the full space and every 1-d body, which is an interval; each is
+written once, in ``measure_slices``, for a family of bodies (a body alone
+is a one-row family). Everything else is seeded Monte Carlo.
 
 Scale calibration rests on one fact: for a body K with the origin inside
 and gauge g, the dilate sK is the sublevel set {g <= s}, so
@@ -33,8 +35,10 @@ Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
 CERT_HALF_WIDTHS = 3.0  # half-widths a certified interval spans on each side
 FLOAT_SLACK = 1e-12  # tolerance against pure float noise in every certificate
 MIN_MC_SAMPLES = 1000  # smallest Monte Carlo draw
+SERIES_TERM_CAP = 1024  # most terms of an ellipsoid's series; past it, Monte Carlo
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Monte Carlo shard size: each shard draws an independent substream from
@@ -145,9 +149,12 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
 
     The one home of every closed form: the full space, an axis box (product
     of interval measures), a halfspace, a centered ball (chi-square CDF),
-    and 1-d balls, ellipsoids and H-polytopes as the intervals they are.
-    The family is a body's ``slices`` over a grid, or its one-row
-    ``as_family``. Raises UnsupportedBodyError for any other family.
+    1-d balls, ellipsoids and H-polytopes as the intervals they are, an
+    off-center ball (noncentral chi-square CDF) and a centered ellipsoid
+    (``_ellipsoid_series``). The family is a body's ``slices`` over a grid,
+    or its one-row ``as_family``. Raises UnsupportedBodyError for any other
+    family, and for ellipsoids whose series needs more than SERIES_TERM_CAP
+    terms.
     """
     rows = family.present
     values = np.zeros(len(rows))
@@ -172,10 +179,79 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
         ends = (family.offsets[rows] + BOUNDARY_ATOL) / n
         values[rows] = measure_interval(np.max(ends[:, n < 0.0], axis=1, initial=-math.inf),
                                         np.min(ends[:, n > 0.0], axis=1, initial=math.inf))
+    elif isinstance(family, BallSlices):
+        values[rows] = special.chndtr(np.float_power(family.radii[rows], 2), family.dim,
+                                      float(family.center @ family.center))
+    elif isinstance(family, EllipsoidSlices):
+        series = _ellipsoid_series(family.semiaxes[rows])
+        if series is None:
+            raise UnsupportedBodyError(f"no closed form for {_named(family)} within "
+                                       f"{SERIES_TERM_CAP} series terms")
+        values[rows] = series
     else:
-        what = f"a {family.dim}-d" if len(rows) == 1 else f"the slices of a {family.dim + 1}-d"
-        raise UnsupportedBodyError(f"no closed form for {what} {family.kind}")
+        raise UnsupportedBodyError(f"no closed form for {_named(family)}")
     return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def _named(family: SliceFamily) -> str:
+    """'a 2-d ellipsoid' for a one-row family, 'the slices of a 3-d ellipsoid' for a grid."""
+    if len(family.present) == 1:
+        return f"a {family.dim}-d {family.kind}"
+    return f"the slices of a {family.dim + 1}-d {family.kind}"
+
+
+def _ellipsoid_series(semiaxes: np.ndarray) -> np.ndarray | None:
+    """gamma_n of the centered ellipsoid of each row of a (rows, n) array of
+    semiaxes, by Ruben's mixture of chi-square CDFs (Ruben 1962; Sheil and
+    O'Muircheartaigh 1977, AS 106); None if a row needs more than
+    SERIES_TERM_CAP terms.
+
+    With lambda_i = 1 / a_i^2 and beta = min lambda, the measure
+    P(sum lambda_i X_i^2 <= 1) is sum_k c_k F_{n+2k}(1 / beta), where F_d is
+    the chi-square CDF with d degrees of freedom, c_0 = prod sqrt(beta /
+    lambda_i), g_m = sum_i (1 - beta / lambda_i)^m and c_k = sum_{j<k}
+    g_{k-j} c_j / 2k. The weights are nonnegative and sum to 1, and F_d falls
+    with d, so after K terms the rest is at most (1 - sum_{k<K} c_k) *
+    F_{n+2K}(1 / beta). Each row stops at the first K where that bound is
+    within one ulp of its partial sum: a relative stop, which keeps tiny
+    measures (the end slices of a profile) accurate too.
+
+    The terms come in blocks of doubling length: the weights one by one,
+    then one ``gammainc`` call and running sums for the whole block. Every
+    sum runs along one row, so a row's value is bitwise the one it gets
+    alone.
+    """
+    rows, n = semiaxes.shape
+    top = semiaxes.max(axis=1)
+    ratio = semiaxes / top[:, None]  # sqrt(beta / lambda_i)
+    shrink = 1.0 - ratio * ratio  # 1 - beta / lambda_i
+    half = np.float_power(top, 2)[:, None] / 2.0  # 1 / (2 beta), as for a centered ball
+    power = np.ones((rows, n))  # (1 - beta / lambda_i)^k
+    c = np.prod(ratio, axis=1)[:, None]  # c_k in column k
+    g = np.empty((rows, 1))  # g_k in column k, from k = 1
+    weight, value = np.zeros((rows, 1)), np.zeros((rows, 1))  # sums of c_k, c_k F_{n+2k}
+    out, open_rows = np.empty(rows), np.ones(rows, dtype=bool)
+    start = 0
+    while start <= SERIES_TERM_CAP:  # a block checks the stop at K = start, ..., stop - 1
+        stop = min(max(2 * start, 16), SERIES_TERM_CAP + 1)
+        g, c = (np.concatenate([a, np.empty((rows, stop - a.shape[1]))], axis=1) for a in (g, c))
+        for k in range(max(start, 1), stop):
+            power *= shrink
+            g[:, k] = np.add.reduce(power, axis=1)
+            c[:, k] = np.add.reduce(g[:, k:0:-1] * c[:, :k], axis=1) / (2 * k)
+        cdf = special.gammainc(n / 2.0 + np.arange(start, stop), half)  # F_{n+2k}(1 / beta)
+        weights = np.cumsum(np.concatenate([weight, c[:, start:stop]], axis=1), axis=1)
+        values = np.cumsum(np.concatenate([value, c[:, start:stop] * cdf], axis=1), axis=1)
+        done = (1.0 - weights[:, :-1]) * cdf <= _EPS * values[:, :-1]
+        settled = open_rows & done.any(axis=1)
+        first = np.argmax(done[settled], axis=1)  # the first K that meets the stop
+        out[settled] = values[settled, first]
+        open_rows &= ~settled
+        if not open_rows.any():
+            return out
+        weight, value = weights[:, -1:], values[:, -1:]
+        start = stop
+    return None
 
 
 def substream(seed: int, key: int) -> np.random.Generator:
@@ -246,25 +322,31 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
 
     Bodies with a closed form get one bracketed root of
     ``measure_slices(body.as_family(s)) - target``, to machine precision.
-    Every other body gets the ceil(target * samples)-th smallest gauge of
-    the seeded draw that ``mc_fraction`` uses, so ``measure_mc(body.scale(s),
-    samples, seed)`` hits at least that many points. That branch needs the
-    body's ``gauge_many``, which raises InvalidBodyError on a body without
-    a gauge. An OracleBody gauge costs about 40 membership passes over the
-    draw. Raises CalibrationError when no scale reaches the target.
+    Every other body, and an ellipsoid whose series passes SERIES_TERM_CAP
+    terms at some scale the root tries, gets the ceil(target * samples)-th
+    smallest gauge of the seeded draw that ``mc_fraction`` uses, so
+    ``measure_mc(body.scale(s), samples, seed)`` hits at least that many
+    points. That branch needs the body's ``gauge_many``, which raises
+    InvalidBodyError on a body without a gauge. An OracleBody gauge costs
+    about 40 membership passes over the draw. Raises CalibrationError when
+    no scale reaches the target.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if not body.contains(np.zeros(body.dim)):
         raise InvalidBodyError("calibration needs the origin inside the body")
     try:
-        measure_slices(body.as_family())
+        return _closed_form_root(body, target)
     except UnsupportedBodyError:
         gauges = np.concatenate([body.gauge_many(pts)
                                  for pts in _normal_shards(body.dim, samples, seed)])
         k = math.ceil(target * samples)
         return float(np.partition(gauges, k - 1)[k - 1])
 
+
+def _closed_form_root(body: ConvexBody, target: float) -> float:
+    """Root of ``measure_slices(body.as_family(s)) - target`` in s, bracketed
+    by halving or doubling from s = 1."""
     def excess(s: float) -> float:
         return measure_slices(body.as_family(s))[0] - target
 

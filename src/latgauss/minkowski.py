@@ -430,28 +430,34 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
 
     The body's ``slices`` gives every slice of the grid as one family of
     arrays, with no body built per slice. Families with a closed form
-    (``gaussian.measure_slices``: every box and centered-ball slice, and
-    every slice of a 2-d body) are measured exactly in one array pass. The
-    rest are all scored on one seeded (samples, n-1) draw, sub-draw
-    ``grid_size`` of ``seed``, made only when some slice is nonempty; an
-    H-polytope's facet products with that draw are computed once for all
-    its slices. The body itself is measured on sub-draw ``grid_size + 1``
-    with 4 * samples points. Slice estimates from one draw are correlated,
-    so the quadrature's half-width is that of the mean of
-    h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
+    (``gaussian.measure_slices``: every box, ball and halfspace slice, every
+    slice of an ellipsoid whose series converges within
+    ``gaussian.SERIES_TERM_CAP`` terms, and every slice of a 2-d body) are
+    measured exactly in one array pass. The rest are all scored on one
+    seeded (samples, n-1) draw, sub-draw ``grid_size`` of ``seed``, made
+    only when some slice is nonempty; an H-polytope's facet products with
+    that draw are computed once for all its slices. The body itself is
+    measured exactly where it has a closed form, and otherwise on sub-draw
+    ``grid_size + 1`` with 4 * samples points. Slice estimates from one
+    draw are correlated, so the quadrature's half-width is that of the mean
+    of h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
     weights w_i, Monte Carlo slices only), 2.576 * std(h) / sqrt(samples).
     The concavity slack sums the half-widths of each triple, which holds
     under any correlation. A slice of measure above 1 - 1e-7 is left out of
     the profile like a measure-1 slice: there one rounding of the measure
-    moves g by more than the 1e-9 * (1 + max|g|) float slack. ``grid_size``
-    and ``samples`` are capped by PROFILE_GRID_CAP and PROFILE_SAMPLES_CAP.
+    moves g by more than the 1e-9 * (1 + max|g|) float slack. The rounded
+    ``grid_size`` and ``samples`` are capped by PROFILE_GRID_CAP and
+    PROFILE_SAMPLES_CAP.
     """
     if body.dim < 2:
         raise InvalidBodyError("profile construction needs dimension >= 2")
     _at_least("grid_size", grid_size, 9)
-    _at_most("grid_size", grid_size, PROFILE_GRID_CAP)
+    points = grid_size + -(grid_size - 1) % 8  # 8k+1 points: odd counts at h, 2h and 4h
+    if points > PROFILE_GRID_CAP:
+        raise ValueError(f"grid_size must be at most {PROFILE_GRID_CAP}, got {grid_size}"
+                         + (f", which rounds up to {points}" if points > grid_size else ""))
     _at_most("samples", samples, PROFILE_SAMPLES_CAP)
-    grid_size += -(grid_size - 1) % 8  # 8k+1 points: odd counts at h, 2h and 4h
+    grid_size = points
     r_trunc = bounding_radius(body)
     lo, hi = body.last_axis_extent()
     lo, hi = max(lo, -r_trunc), min(hi, r_trunc)

@@ -34,7 +34,9 @@ BETA_GOLDEN = (
 # and the ellipsoid and H-polytope profiles were pinned again when every 1-d
 # body got its exact interval measure and profile slices came to share a draw;
 # every profile was pinned again when its identity came to be summed with its
-# own Simpson weights (identity_lhs, _residual and _tol move in the last bits)
+# own Simpson weights (identity_lhs, _residual and _tol move in the last bits);
+# the two ellipsoid profiles were pinned again when Ruben's series made their
+# slices and bodies exact
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
@@ -59,16 +61,16 @@ STREAM_DIGESTS = {
         "ffe47491889be681fab666a31a6267e8d30ab83107ff515be074c8b5dc147c75"),
     "w-profile-ellipsoid-2d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}),),
-        "f7fb3cbcb504832b3202e85ab5d67df72d38682855dcde37f7c63c16604faa8b"),
+        "a01295632b30bd4768accbc2341fa20cc513d505cc7d3a6c78cefb3dfe23d59e"),
     "w-profile-hpolytope-2d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
                                "normals": [[1, 0], [0, 1], [0.6, 0.8],
                                            [-1, 0], [0, -1], [-0.6, -0.8]]}),),
         "3eb3212164280d099aafe368191b478ccdf465e9a15f24713c5e47af1189834b"),
-    # 3-d profiles score their 2-d slices on one shared draw
     "w-profile-ellipsoid-3d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}),),
-        "96c818a9e12da92cb8f18be6541c25f598770dc419d260a92af96a7dd6e446a2"),
+        "6e8bbbbdf8a32d36ca0871da5276eeecc820e0be8667425fad945bd331425a95"),
+    # 3-d polytope profiles score their 2-d slices on one shared draw
     "w-profile-hpolytope-3d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
                                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
@@ -419,9 +421,12 @@ class TestRecords:
         assert rec["value"] == pytest.approx(1 - math.exp(-1.2**2 / 2), abs=1e-12)
 
     @pytest.mark.parametrize("doc, named", [
-        ({"kind": "ball", "dim": 3, "radius": 1.2, "center": [0.3, 0.0, 0.0]}, "3-d ball"),
-        ({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.8, 1.9]}, "2-d ellipsoid"),
-    ], ids=["off-center-ball", "ellipsoid-2d"])
+        ({"kind": "hpolytope", "dim": 3, "offsets": [1.0] * 6,
+          "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+         "3-d hpolytope"),
+        # aspect 100: Ruben's series would need more terms than its cap
+        ({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.674, 67.4]}, "2-d ellipsoid"),
+    ], ids=["hpolytope-3d", "ellipsoid-2d"])
     def test_measure_without_closed_form(self, doc, named, capsys):
         code, out = run_cli("measure", "--body", json.dumps(doc), "--method", "exact")
         err = capsys.readouterr().err

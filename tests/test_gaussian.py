@@ -1,7 +1,9 @@
 """Normal machinery, measures, and calibration."""
 
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from scipy import integrate, special
 
 import latgauss as lg
 from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
-from latgauss.gaussian import measure_slices
+from latgauss.gaussian import SERIES_TERM_CAP, measure_slices
 
 THETA_PRINTED = 1.3489795  # reference value the constant must reproduce
 
@@ -185,9 +187,30 @@ def _interval_reference(lo, hi):
     return 0.5 * special.erfc(near / math.sqrt(2.0)) - 0.5 * special.erfc(far / math.sqrt(2.0))
 
 
+def _ruben_reference(semiaxes):
+    """Ruben's series for a centred ellipsoid in 30-digit mpmath, summed until
+    the remaining weight times the next chi-square CDF is below 1e-25."""
+    with mp.workdps(30):
+        lam = [1 / mp.mpf(float(a)) ** 2 for a in semiaxes]
+        beta, n = min(lam), len(lam)
+
+        def cdf(k):  # F_{n+2k}(1 / beta)
+            return mp.gammainc(mp.mpf(n) / 2 + k, 0, 1 / (2 * beta), regularized=True)
+
+        c, g = [mp.fprod(mp.sqrt(beta / x) for x in lam)], [None]
+        total = c[0] * cdf(0)
+        while (1 - mp.fsum(c)) * cdf(len(c)) > mp.mpf(1e-25):
+            k = len(c)
+            g.append(mp.fsum((1 - beta / x) ** k for x in lam))
+            c.append(mp.fsum(g[k - j] * c[j] for j in range(k)) / (2 * k))
+            total += c[k] * cdf(k)
+        return float(total)
+
+
 def reference_measure(body):
-    """The closed forms of ``measure_exact`` as it was once written, one
-    scalar body at a time; ``measure_slices`` must reproduce them bit for bit."""
+    """The closed forms of ``measure_exact`` one scalar body at a time, as
+    they were once written; ``measure_slices`` must reproduce them bit for
+    bit, except Ruben's series for ellipsoids (to rounding)."""
     if isinstance(body, lg.AxisBox):  # inf semiwidths contribute factor 1
         value = float(np.prod(2.0 * lg.std_normal_cdf(body.semiwidths) - 1.0))
     elif isinstance(body, lg.Halfspace):
@@ -196,6 +219,10 @@ def reference_measure(body):
         value = float(special.gammainc(body.dim / 2.0, body.radius**2 / 2.0))
     elif isinstance(body, lg.FullSpace):
         value = 1.0
+    elif isinstance(body, lg.Ball) and body.dim > 1:
+        value = float(special.chndtr(body.radius**2, body.dim, body.center @ body.center))
+    elif isinstance(body, lg.Ellipsoid) and body.dim > 1:
+        value = _ruben_reference(body.semiaxes)
     elif isinstance(body, (lg.Ball, lg.Ellipsoid)):  # 1-d
         value = _interval_reference(*body.last_axis_extent())
     else:  # a 1-d H-polytope: its facet ratios under the membership tolerance
@@ -221,6 +248,8 @@ def _seeded_closed_form_bodies(seed):
         lg.Ellipsoid([rng.uniform(0.2, 3.0)]),
         lg.HPolytope(normals[:, None], rng.uniform(0.2, 2.0, 4)),
         lg.HPolytope(np.abs(normals)[:, None], rng.uniform(0.2, 2.0, 4)),  # a half-line
+        *(lg.Ball(rng.uniform(1.0, 2.0), center=rng.uniform(-0.5, 0.5, n)) for n in (2, 3, 4)),
+        *(lg.Ellipsoid(rng.uniform(0.5, 1.5, n)) for n in (2, 3, 4)),
     ]
 
 
@@ -232,18 +261,23 @@ class TestClosedFormsWrittenOnce:
             for body in bodies:
                 got = measure_slices(body.as_family(s))
                 ref = reference_measure(body.scale(s))
-                assert got.shape == (1,) and float(got[0]).hex() == ref.hex(), (body, s)
-                assert lg.measure_exact(body.scale(s)).value.hex() == ref.hex()
+                assert got.shape == (1,)
+                if isinstance(body, lg.Ellipsoid) and body.dim > 1:
+                    assert abs(got[0] - ref) <= 1e-15, (body, s)
+                else:
+                    assert float(got[0]).hex() == ref.hex(), (body, s)
+                assert lg.measure_exact(body.scale(s)).value.hex() == float(got[0]).hex()
 
     @pytest.mark.parametrize("body, named", [
-        (lg.Ball(1.0, center=[0.3, 0.0, 0.0]), "3-d ball"),
-        (lg.Ellipsoid([0.8, 1.9]), "2-d ellipsoid"),
+        (lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [1.0] * 6), "3-d hpolytope"),
+        (lg.Ellipsoid([0.674, 67.4]), f"2-d ellipsoid within {SERIES_TERM_CAP} series terms"),
         (lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4),
          "2-d hpolytope"),
         (lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0), "2-d oracle"),
-    ], ids=["off-center-ball", "ellipsoid-2d", "hpolytope-2d", "oracle"])
+    ], ids=["hpolytope-3d", "ellipsoid-2d", "hpolytope-2d", "oracle"])
     def test_no_closed_form_names_the_body(self, body, named):
-        # an oracle has no family at all; the others have one with no closed form
+        # an oracle has no family at all; the others have one with no closed
+        # form, or (an ellipsoid of aspect 100) a series past its term cap
         with pytest.raises(UnsupportedBodyError, match=f"^no closed form for a {named}$"):
             measure_slices(body.as_family())
         with pytest.raises(UnsupportedBodyError, match=named):
@@ -334,8 +368,25 @@ class TestCalibrate:
             lg.calibrate_scale(lg.Halfspace([1.0], 0.5), 0.3)
 
     def test_off_center_ball_has_no_gauge(self):
+        # its calibration needs none: the root of its noncentral chi-square CDF
+        ball = lg.Ball(1.0, center=[0.3, 0.0])
         with pytest.raises(InvalidBodyError):
-            lg.calibrate_scale(lg.Ball(1.0, center=[0.3, 0.0]), 0.5)
+            ball.gauge_many(np.zeros((1, 2)))
+        s = lg.calibrate_scale(ball, 0.5)
+        assert lg.measure_exact(ball.scale(s)).value == pytest.approx(0.5, abs=1e-12)
+
+    def test_asymmetric_body_without_closed_form_has_no_gauge(self):
+        triangle = lg.HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.5, 0.5, 1.0])
+        with pytest.raises(InvalidBodyError):
+            lg.calibrate_scale(triangle, 0.5)
+
+    def test_series_past_its_cap_calibrates_by_the_gauge(self):
+        # closed form at s = 1, but the bracket reaches scales past the cap
+        body = lg.Ellipsoid([0.2, 12.0])
+        assert lg.measure_exact(body).method == "exact"
+        s = lg.calibrate_scale(body, 0.99, samples=4096, seed=2)
+        est = lg.measure_mc(body.scale(s), 4096, 2)
+        assert round(est.value * 4096) == math.ceil(0.99 * 4096)
 
 
 _widths = st.floats(min_value=0.2, max_value=3.0)
@@ -348,19 +399,29 @@ def _symmetric_polytope(draw, dim: int):
                         np.tile(rng.uniform(0.5, 1.5, len(normals)), 2))
 
 
+_semiaxes = st.floats(min_value=0.5, max_value=2.0)  # as the benchmark draws them
+
+
 @st.composite
 def _exact_bodies(draw):
     """(body, target) pairs of every kind with a closed-form measure."""
-    kind = draw(st.sampled_from(["ball", "box", "slab", "halfspace", "ellipsoid", "hpolytope"]))
+    kind = draw(st.sampled_from(["ball", "off-centre-ball", "box", "slab", "halfspace",
+                                 "ellipsoid", "hpolytope"]))
     dim = draw(st.integers(1, 5))
     target = draw(st.floats(min_value=0.01, max_value=0.99))
-    # a 1-d ellipsoid or H-polytope is an interval
+    # a 1-d H-polytope is an interval
     if kind == "ellipsoid":
-        return lg.Ellipsoid([draw(_widths)]), target
+        return lg.Ellipsoid(draw(st.lists(_semiaxes, min_size=dim, max_size=dim))), target
     if kind == "hpolytope":
         return _symmetric_polytope(draw, 1), target
     if kind == "ball":
         return lg.Ball(draw(_widths), dim=dim), target
+    if kind == "off-centre-ball":  # the origin inside, so dilates grow
+        unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+                    .filter(lambda v: np.linalg.norm(v) > 0.1))
+        r = draw(_widths)
+        shift = draw(st.floats(0.05, 0.9)) * r / float(np.linalg.norm(unit))
+        return lg.Ball(r, center=shift * np.asarray(unit)), target
     if kind == "halfspace":
         normal = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
                       .filter(lambda v: np.linalg.norm(v) > 0.1))
@@ -375,11 +436,8 @@ def _exact_bodies(draw):
 
 @st.composite
 def _gauge_bodies(draw):
-    """Symmetric bodies without a closed form: H-polytopes and ellipsoids."""
-    dim = draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        return lg.Ellipsoid(draw(st.lists(_widths, min_size=dim, max_size=dim)))
-    return _symmetric_polytope(draw, dim)
+    """Symmetric bodies without a closed form: H-polytopes."""
+    return _symmetric_polytope(draw, draw(st.integers(2, 4)))
 
 
 class TestCalibrateRoundTrip:
@@ -397,6 +455,88 @@ class TestCalibrateRoundTrip:
         s = lg.calibrate_scale(body, target, samples=samples, seed=seed)
         est = lg.measure_mc(body.scale(s), samples, seed)
         assert round(est.value * samples) == math.ceil(target * samples)
+
+
+def _mp_ellipsoid(semiaxes):
+    """gamma_n of a centred ellipsoid by 20-digit mpmath quadrature, n <= 4.
+
+    The last axis, or the polar radius of the last two when their semiaxes
+    are equal, is integrated after the substitution a sin(t), so the
+    integrand is smooth; the rest of the ellipsoid, scaled by cos(t), is
+    measured the same way, down to an erf.
+    """
+    a = [mp.mpf(x) for x in semiaxes]
+    if len(a) == 1:
+        return mp.erf(a[0] / mp.sqrt(2))
+    polar = len(a) >= 3 and a[-1] == a[-2]
+    b, head = a[-1], a[:-2] if polar else a[:-1]
+
+    def integrand(t):
+        x, c = b * mp.sin(t), mp.cos(t)
+        density = x * mp.exp(-x * x / 2) if polar else mp.npdf(x)
+        return density * b * c * _mp_ellipsoid([h * c for h in head])
+
+    return mp.quad(integrand, [0 if polar else -mp.pi / 2, mp.pi / 2], method="gauss-legendre")
+
+
+def _mp_off_centre_ball(radius, center):
+    """gamma_n(B(c, r)) as the Poisson mixture of chi-square CDFs in mpmath."""
+    mu, x = mp.mpf(float(np.dot(center, center))) / 2, mp.mpf(radius) ** 2 / 2
+    return mp.nsum(lambda j: mp.exp(-mu) * mu**j / mp.factorial(j)
+                   * mp.gammainc(mp.mpf(len(center)) / 2 + j, 0, x, regularized=True),
+                   [0, mp.inf])
+
+
+class TestSeriesAndNoncentralForms:
+    @pytest.mark.parametrize("body", [
+        lg.Ellipsoid([0.8, 1.9]), lg.Ellipsoid([0.3, 2.4]), lg.Ellipsoid([1.7, 0.05]),
+        lg.Ellipsoid([0.8, 1.9, 1.3]), lg.Ellipsoid([1.4, 0.6, 0.6]),
+        lg.Ellipsoid([0.7, 1.6, 1.1, 1.1]),
+        lg.Ball(1.2, center=[0.3, -0.4]), lg.Ball(0.6, center=[2.5, 1.0]),
+        lg.Ball(1.5, center=[0.2, 0.9, -0.3]), lg.Ball(2.0, center=[0.5, 0.5, 0.5, -1.0]),
+    ], ids=["ellipse", "thin-ellipse", "needle-ellipse", "ellipsoid-3d", "spheroid-3d",
+            "ellipsoid-4d", "ball-2d", "far-ball-2d", "ball-3d", "ball-4d"])
+    def test_matches_mpmath_reference(self, body):
+        with mp.workdps(20):
+            ref = (_mp_ellipsoid(body.semiaxes) if isinstance(body, lg.Ellipsoid)
+                   else _mp_off_centre_ball(body.radius, body.center))
+            assert abs(lg.measure_exact(body).value - ref) <= 1e-15
+
+    @given(st.lists(_semiaxes, min_size=2, max_size=5).flatmap(
+        lambda a: st.tuples(st.just(a), st.permutations(a))))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_semiaxis_permutation_keeps_the_measure(self, axes):
+        a, b = (lg.measure_exact(lg.Ellipsoid(x)).value for x in axes)
+        assert abs(a - b) <= 1e-15
+
+    @given(st.integers(2, 6), _widths)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_equal_semiaxes_are_the_ball(self, dim, r):
+        assert (lg.measure_exact(lg.Ellipsoid([r] * dim)).value
+                == lg.measure_exact(lg.Ball(r, dim=dim)).value)
+
+    @given(st.lists(_semiaxes, min_size=2, max_size=5), st.floats(0.01, 0.99))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_calibration_round_trips(self, semiaxes, target):
+        body = lg.Ellipsoid(semiaxes)
+        s = lg.calibrate_scale(body, target)
+        assert abs(lg.measure_exact(body.scale(s)).value - target) <= 1e-12
+
+    @given(st.integers(2, 4), st.floats(0.45, 2.0), st.data())
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    def test_aspect_100_falls_back_to_monte_carlo(self, dim, short, data):
+        middle = data.draw(st.lists(st.floats(short, 100.0 * short),
+                                    min_size=dim - 2, max_size=dim - 2))
+        body = lg.Ellipsoid([short, *middle, 100.0 * short])
+        with pytest.raises(UnsupportedBodyError, match=f"within {SERIES_TERM_CAP} series terms"):
+            lg.measure_exact(body)
+        seconds = []
+        for _ in range(3):  # the best of three, against a busy host
+            start = time.perf_counter()
+            est = lg.measure_auto(body)
+            seconds.append(time.perf_counter() - start)
+            assert est.method == "monte-carlo"
+        assert min(seconds) < 0.05
 
 
 class TestMeasureEstimateInvariants:

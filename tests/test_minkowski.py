@@ -352,10 +352,16 @@ class TestEhrhard:
         for trial, kind, rep in lg.ehrhard_suite(16, seed=2):
             assert rep.verdict == "holds", (trial, kind)
 
-    def test_mc_near_equality_never_certifies_violation(self):
-        # off-center balls force the Monte Carlo path; near-equality margins
-        # sit inside the propagated intervals, which must read as holds or
-        # inconclusive, never as a certified violation
+    @pytest.fixture
+    def monte_carlo(self, monkeypatch):
+        # every closed-form pair has an exact margin; sampling them tests
+        # how Monte Carlo intervals propagate through the quantile
+        monkeypatch.setattr(latgauss.minkowski, "measure_auto",
+                            lambda body, samples, seed: lg.measure_mc(body, samples, seed))
+
+    def test_mc_near_equality_never_certifies_violation(self, monte_carlo):
+        # near-equality margins sit inside the propagated intervals, which
+        # must read as holds or inconclusive, never as a certified violation
         a = lg.Ball(1.5, center=[0.2, 0.0])
         b = lg.Ball(1.1, center=[0.0, 0.3])
         for seed in range(6):
@@ -363,13 +369,20 @@ class TestEhrhard:
             assert rep.note == "monte-carlo intervals"
             assert rep.verdict in ("holds", "inconclusive"), rep.verdict
 
-    def test_mc_wide_margin_certifies_holds(self):
+    def test_mc_wide_margin_certifies_holds(self, monte_carlo):
         # opposite off-center balls recenter under interpolation, so the
         # left quantile beats the endpoint average by a wide margin
         a = lg.Ball(1.5, center=[1.5, 0.0])
         b = lg.Ball(1.5, center=[-1.5, 0.0])
         rep = lg.check_ehrhard(a, b, 0.5, samples=60_000, seed=3)
         assert rep.verdict == "holds" and rep.note == "monte-carlo intervals"
+        assert rep.margin > 0.3
+
+    def test_off_center_balls_are_exact(self):
+        a = lg.Ball(1.5, center=[1.5, 0.0])
+        b = lg.Ball(1.5, center=[-1.5, 0.0])
+        rep = lg.check_ehrhard(a, b, 0.5, seed=3)
+        assert rep.verdict == "holds" and rep.note == "exact"
         assert rep.margin > 0.3
 
 
@@ -404,14 +417,22 @@ class TestWProfile:
         assert prof.g.size == prof.g_half_widths.size == 0  # no slice in (0, 1)
         assert prof.identity_residual() <= prof.identity_tol
 
-    def test_mc_slice_path_ellipsoid(self):
-        # ellipsoid slices have no closed-form measure: the whole profile
+    def test_mc_slice_path_polytope(self):
+        # polygon slices have no closed-form measure: the whole profile
         # goes through seeded Monte Carlo and must stay inside its slack
-        body = lg.Ellipsoid([1.4, 0.9, 0.6])
-        prof = lg.w_profile(body, grid_size=81, samples=4096, seed=5)
+        prof = lg.w_profile(PINNED_POLYTOPE_3D, grid_size=81, samples=4096, seed=5)
         assert prof.concavity_excess <= 0.0
         assert prof.identity_residual() <= prof.identity_tol
         assert prof.identity_rhs.method == "monte-carlo"
+
+    def test_ellipsoid_profile_is_exact(self):
+        # Ruben's series measures every 2-d slice and the body itself
+        body = lg.Ellipsoid([1.4, 0.9, 0.6])
+        prof = lg.w_profile(body, grid_size=81, samples=4096, seed=5)
+        assert prof.identity_rhs.method == "exact"
+        assert not np.any(prof.g_half_widths)
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol < 1e-7
 
     def test_ellipse_profile_concave_formula(self):
         # 1-d slices are exact intervals: g(x) = quantile(2*Phi(a1*sqrt(1-(x/a2)^2)) - 1)
@@ -424,11 +445,24 @@ class TestWProfile:
         assert prof.concavity_excess <= 0.0
         assert prof.identity_residual() <= prof.identity_tol
 
+    def test_ellipsoid_past_the_series_cap_is_sampled(self, monkeypatch):
+        # one slice past the cap sends the whole family, and the body, to Monte Carlo
+        monkeypatch.setattr(latgauss.gaussian, "SERIES_TERM_CAP", 16)
+        body = lg.Ellipsoid([0.3, 2.4, 1.1])
+        with pytest.raises(lg.UnsupportedBodyError):
+            lg.measure_exact(body)
+        prof = lg.w_profile(body, grid_size=81, samples=4096, seed=5)
+        assert prof.identity_rhs.method == "monte-carlo" and np.all(prof.g_half_widths > 0.0)
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol
+
     @pytest.mark.parametrize("body, draws", [
-        (lg.Ellipsoid([1.4, 0.9, 0.6]), 2),  # one for all 2-d slices, one for the body
-        (lg.Ellipsoid([1.4, 0.9]), 1),       # exact 1-d slices, Monte Carlo body
-        (lg.AxisBox([0.8, 1.3, 0.9]), 0),    # exact throughout
-    ], ids=["ellipsoid-3d", "ellipsoid-2d", "box-3d"])
+        (PINNED_POLYTOPE_3D, 2),               # one for all 2-d slices, one for the body
+        (symmetric_polytope(2, 5), 1),         # exact 1-d slices, Monte Carlo body
+        (lg.Ellipsoid([1.4, 0.9, 0.6]), 0),    # exact throughout, as below
+        (lg.Ellipsoid([1.4, 0.9]), 0),
+        (lg.AxisBox([0.8, 1.3, 0.9]), 0),
+    ], ids=["polytope-3d", "polytope-2d", "ellipsoid-3d", "ellipsoid-2d", "box-3d"])
     def test_profile_draws_once_for_its_slices(self, body, draws, monkeypatch):
         keys = []
         substream = latgauss.gaussian.substream
@@ -472,6 +506,16 @@ class TestWProfile:
 
     def test_grid_rounds_up_to_eight_k_plus_one(self):
         assert lg.w_profile(lg.AxisBox([0.8, 1.3]), grid_size=51).xs.size == 57
+
+    def test_rounded_grid_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(latgauss.minkowski, "PROFILE_GRID_CAP", 100)
+        for grid_size in range(90, 102):
+            try:
+                points = lg.w_profile(lg.AxisBox([0.8, 1.3]), grid_size=grid_size).xs.size
+            except ValueError as err:
+                assert grid_size > 97 and "must be at most 100" in str(err)
+            else:
+                assert grid_size <= points == 97
 
     def test_coarse_grid_identity_tolerance(self):
         # every Simpson sum of the identity runs over an odd point count; an
