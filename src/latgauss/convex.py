@@ -33,6 +33,12 @@ TAIL_EPS = 1e-9
 # Margin of an H-polytope slice decision made without an LP, relative to
 # the reach from the interior point to the last-axis extreme (at least 1).
 SPAN_RTOL = 1e-6
+# An H-polytope (or slice) has an interior when its Chebyshev radius, half
+# the width of a 1-d slice, exceeds this.
+MIN_CHEBYSHEV_RADIUS = 1e-10
+# Two facets of a polygon are parallel when the cross product of their unit
+# normals is at most this.
+_PARALLEL_SIN = 1e-12
 # The present mask of every one-row as_family: shared, so read-only.
 _ONE_ROW = np.broadcast_to(True, 1)
 
@@ -449,9 +455,13 @@ class HPolytope(ConvexBody):
     def last_axis_vertices(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Vertices of the body with the least and the greatest last coordinate.
 
-        Two LPs, solved once per body; a side where the body is unbounded
-        (or its LP fails) is None.
+        A polygon reads them off its edges (``polygon_edges``), with no LP;
+        a side where an edge runs off to infinity, or where no vertex lies,
+        is None. Otherwise two LPs, solved once per body; a side where the
+        body is unbounded (or its LP fails) is None.
         """
+        if self.dim == 2:
+            return _polygon_extremes(self.normals, self.offsets)
         return (_last_axis_vertex(self.normals, self.offsets, 1.0),
                 _last_axis_vertex(self.normals, self.offsets, -1.0))
 
@@ -460,8 +470,11 @@ class HPolytope(ConvexBody):
 
         Every slice keeps the facets whose normal has a head (first n-1
         coordinates) longer than BOUNDARY_ATOL; its offsets are one row of
-        ``offsets - normals[:, -1] * x``. Let e be the extreme last
-        coordinate on x's side of the interior point p, and
+        ``offsets - normals[:, -1] * x``. A 1-d slice is the interval its
+        facet ratios leave: present when its half width exceeds
+        MIN_CHEBYSHEV_RADIUS, with its midpoint as interior point (a point 1
+        inside its finite end on a half-line). In higher dimension, let e be
+        the extreme last coordinate on x's side of the interior point p, and
         tol = SPAN_RTOL * max(1, |e - p_n|). A slice more than tol beyond e
         is empty. Otherwise the point where the segment from p to e's vertex
         reaches last coordinate x becomes the slice's interior point,
@@ -480,6 +493,14 @@ class HPolytope(ConvexBody):
         if not np.any(keep):
             return SpaceSlices(self.dim - 1, present)
         N, C = heads[keep], cs[:, keep]
+        if self.dim == 2:
+            ratios = C / N[:, 0]
+            lo = np.max(ratios[:, N[:, 0] < 0.0], axis=1, initial=-math.inf)
+            hi = np.min(ratios[:, N[:, 0] > 0.0], axis=1, initial=math.inf)
+            present &= (hi - lo) / 2.0 > MIN_CHEBYSHEV_RADIUS
+            lo = np.where(np.isinf(lo), hi - 2.0, lo)  # a half-line has one finite end
+            hi = np.where(np.isinf(hi), lo + 2.0, hi)
+            return PolytopeSlices(1, present, N, C, ((lo + hi) / 2.0)[:, None])
         interior = np.zeros((len(xs), self.dim - 1))
         undecided = present.copy()
         if np.any(present):
@@ -532,7 +553,13 @@ class HPolytope(ConvexBody):
                             / np.linalg.norm(self.normals, axis=1)))
 
     def last_axis_extent(self):
-        return (-math.inf, math.inf)  # refined by truncation in callers
+        """A polygon's vertex span (infinite on a side with no vertex);
+        (-inf, inf) in higher dimension, refined by truncation in callers."""
+        if self.dim != 2:
+            return (-math.inf, math.inf)
+        lo, hi = self.last_axis_vertices
+        return (-math.inf if lo is None else float(lo[-1]),
+                math.inf if hi is None else float(hi[-1]))
 
     def to_document(self):
         return {"kind": "hpolytope", "dim": self.dim,
@@ -790,9 +817,67 @@ def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
                            A_ub=A_ub, b_ub=b_ub,
                            bounds=[(None, None)] * n + [(None, None)],
                            method="highs")
-    if not res.success or res.x[-1] <= 1e-10:
+    if not res.success or res.x[-1] <= MIN_CHEBYSHEV_RADIUS:
         return None
     return res.x[:n]
+
+
+def polygon_edges(normals: np.ndarray, offsets: np.ndarray):
+    """Edges of the polygons {x in R^2 : N x <= c}, one polygon per row of
+    the (rows, m) array of offsets, in one array pass with no LP.
+
+    Facet j's line is the points d_j * u_j + t * w_j, with u_j its unit
+    normal, d_j = c_j / |n_j| its signed distance from the origin and
+    w_j = (-u_j1, u_j0), so that t runs counterclockwise around the polygon.
+    The other facets clip the line to its edge, the t-interval
+    [start, stop]; a facet is left out of its own clip. A parallel facet
+    clips nothing, or the whole line: the same-direction one with the
+    smaller distance (the lower index on a tie) keeps its edge, and an
+    opposite one empties the line when the strip between them is empty.
+    Returns (unit normals, d, start, stop, live, stopper): ``live`` marks
+    the edges of positive length, and ``stopper`` the facet that ends each
+    edge at ``stop``. Ends may be infinite on an unbounded polygon.
+    """
+    unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+    delta = unit[None, :, :] - unit[:, None, :]  # [j, k] = u_k - u_j, small when near parallel
+    sin = unit[:, None, 0] * delta[..., 1] - unit[:, None, 1] * delta[..., 0]  # w_j . u_k
+    vers = (delta[..., 0] ** 2 + delta[..., 1] ** 2) / 2.0  # 1 - u_j . u_k, without cancellation
+    parallel = np.abs(sin) <= _PARALLEL_SIN
+    np.fill_diagonal(parallel, True)
+    d = offsets / np.linalg.norm(normals, axis=1)
+    dj, dk = d[:, :, None], d[:, None, :]
+    # facet k holds the point at t of line j iff t * sin[j, k] <= d_k - d_j * (u_j . u_k)
+    bound = ((dk - dj) + dj * vers) / np.where(parallel, 1.0, sin)
+    ahead = np.where(parallel | (sin < 0.0), math.inf, bound)
+    stopper = np.argmin(ahead, axis=2)
+    stop = np.take_along_axis(ahead, stopper[:, :, None], axis=2)[:, :, 0]
+    start = np.max(np.where(parallel | (sin > 0.0), -math.inf, bound), axis=2)
+    index = np.arange(len(normals))
+    tie = (dk < dj) | ((dk == dj) & (index[None, :] < index[:, None]))
+    shadowed = parallel & np.where(vers < 1.0, tie & (index[None, :] != index[:, None]),
+                                   (dk - dj) + dj * vers < 0.0)
+    live = (start < stop) & ~np.any(shadowed, axis=2)
+    return unit, d, start, stop, live, stopper
+
+
+def _polygon_extremes(normals: np.ndarray,
+                      offsets: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Vertices of a polygon with the least and the greatest second
+    coordinate, read off its edges; None on a side where an edge runs off
+    to infinity, or where no vertex lies (a strip)."""
+    unit, (d,), (start,), (stop,), (live,), _ = polygon_edges(normals, offsets[None, :])
+    ends = live & np.isfinite(stop)  # every vertex ends one edge
+    vertices = d[ends, None] * unit[ends] + stop[ends, None] * np.stack(
+        [-unit[ends, 1], unit[ends, 0]], axis=1)
+    rise = unit[:, 0]  # the last coordinate grows with t along an edge where this is > 0
+    out = []
+    for sign in (-1.0, 1.0):  # an edge running off to infinity on this side leaves no extreme
+        if not vertices.size or np.any(live & ((np.isinf(stop) & (sign * rise > 0.0))
+                                               | (np.isinf(start) & (sign * rise < 0.0)))):
+            out.append(None)
+        else:
+            out.append(vertices[np.argmax(sign * vertices[:, 1])])
+    return out[0], out[1]
 
 
 def _last_axis_vertex(normals: np.ndarray, offsets: np.ndarray,

@@ -5,9 +5,16 @@ with density (2*pi)^(-n/2) * exp(-|x|^2 / 2). Closed forms exist for axis
 boxes (product of interval measures), halfspaces, centered balls
 (chi-square CDF), off-center balls (noncentral chi-square CDF), centered
 ellipsoids (Ruben's mixture of chi-square CDFs, up to SERIES_TERM_CAP
-terms), the full space and every 1-d body, which is an interval; each is
-written once, in ``measure_slices``, for a family of bodies (a body alone
-is a one-row family). Everything else is seeded Monte Carlo.
+terms), bounded polygons (a signed sum of triangles, each by Owen's T
+function), the full space and every 1-d body, which is an interval; each
+is written once, in ``measure_slices``, for a family of bodies (a body
+alone is a one-row family). Everything else is seeded Monte Carlo.
+
+Owen's T is accurate in absolute terms, so a polygon's measure is exact to
+about 1e-16, not relative to its size: ``minkowski.w_profile`` leaves
+slices below 1e-7 out of its concavity check, and adds a term for every
+polygon vertex inside its grid to its identity tolerance, since the slice
+measure changes slope there.
 
 Scale calibration rests on one fact: for a body K with the origin inside
 and gauge g, the dilate sK is the sublevel set {g <= s}, so
@@ -28,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .convex import (BOUNDARY_ATOL, BallSlices, BoxSlices, ConvexBody, EllipsoidSlices,
-                     HalfspaceSlices, PolytopeSlices, SliceFamily, SpaceSlices)
+                     HalfspaceSlices, PolytopeSlices, SliceFamily, SpaceSlices, polygon_edges)
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
@@ -149,12 +156,17 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
 
     The one home of every closed form: the full space, an axis box (product
     of interval measures), a halfspace, a centered ball (chi-square CDF),
-    1-d balls, ellipsoids and H-polytopes as the intervals they are, an
-    off-center ball (noncentral chi-square CDF) and a centered ellipsoid
-    (``_ellipsoid_series``). The family is a body's ``slices`` over a grid,
-    or its one-row ``as_family``. Raises UnsupportedBodyError for any other
-    family, and for ellipsoids whose series needs more than SERIES_TERM_CAP
-    terms.
+    1-d balls, ellipsoids and H-polytopes as the intervals they are, a 2-d
+    H-polytope as its signed sum of triangles by Owen's T
+    (``_polygon_measures``), an off-center ball (noncentral chi-square CDF)
+    and a centered ellipsoid (``_ellipsoid_series``). H-polytopes keep the
+    membership rule: their offsets are moved out by BOUNDARY_ATOL. A
+    polygon's value is exact to absolute rounding, about 1e-16, so a tiny
+    one is not exact relative to its size. The family is a body's
+    ``slices`` over a grid, or its one-row ``as_family``. Raises
+    UnsupportedBodyError for any other family, for a polygon family with an
+    unbounded row, and for ellipsoids whose series needs more than
+    SERIES_TERM_CAP terms.
     """
     rows = family.present
     values = np.zeros(len(rows))
@@ -179,6 +191,12 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
         ends = (family.offsets[rows] + BOUNDARY_ATOL) / n
         values[rows] = measure_interval(np.max(ends[:, n < 0.0], axis=1, initial=-math.inf),
                                         np.min(ends[:, n > 0.0], axis=1, initial=math.inf))
+    elif family.dim == 2 and isinstance(family, PolytopeSlices):
+        polygons = _polygon_measures(family.normals, family.offsets[rows] + BOUNDARY_ATOL)
+        if polygons is None:
+            raise UnsupportedBodyError(f"no closed form for {_named(family)} with an "
+                                       f"unbounded side")
+        values[rows] = polygons
     elif isinstance(family, BallSlices):
         values[rows] = special.chndtr(np.float_power(family.radii[rows], 2), family.dim,
                                       float(family.center @ family.center))
@@ -198,6 +216,31 @@ def _named(family: SliceFamily) -> str:
     if len(family.present) == 1:
         return f"a {family.dim}-d {family.kind}"
     return f"the slices of a {family.dim + 1}-d {family.kind}"
+
+
+def _polygon_measures(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
+    """gamma_2 of the polygon {x : N x <= c} of each row of a (rows, m) array
+    of offsets, by Owen's T function (Owen 1956; Patefield and Tandy 2000);
+    None if a polygon is unbounded.
+
+    With the origin as apex, a polygon is the signed sum of the triangles
+    (0, edge), signed +1 where the origin is on the inner side of the edge's
+    line. Let h be the distance from the origin to that line and a_p, a_q
+    the tangential coordinates of the edge's ends over h; the triangle
+    measures (atan a_q - atan a_p) / 2 pi - (T(h, a_q) - T(h, a_p)). Edges
+    come from ``convex.polygon_edges``, so there is no vertex sort and no
+    LP, and an empty polygon has no live edge and measures 0. Every sum
+    runs along one row, so a row's value is bitwise the one it gets alone.
+    """
+    _, d, start, stop, live, _ = polygon_edges(normals, offsets)
+    if np.any(live & (np.isinf(start) | np.isinf(stop))):
+        return None
+    h = np.abs(d)
+    reach = np.where(h > 0.0, h, 1.0)  # a line through the origin spans no triangle
+    a_p, a_q = np.where(live, start, 0.0) / reach, np.where(live, stop, 0.0) / reach
+    triangles = ((np.arctan(a_q) - np.arctan(a_p)) / (2.0 * math.pi)
+                 - (special.owens_t(h, a_q) - special.owens_t(h, a_p)))
+    return np.add.reduce(np.sign(d) * triangles, axis=1)
 
 
 def _ellipsoid_series(semiaxes: np.ndarray) -> np.ndarray | None:

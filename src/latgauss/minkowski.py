@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
-                     bounding_radius, minkowski_combination)
+                     bounding_radius, minkowski_combination, polygon_edges)
 from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
                      UnsupportedBodyError)
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
@@ -33,6 +33,7 @@ from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, cover
 
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 _PROFILE_TOP = 1.0 - 1e-7     # largest slice measure a w-profile maps through Phi^{-1}
+_PROFILE_BOTTOM = 1e-7        # smallest one
 # w_profile argument caps. Per sample it holds n - 1 draw coordinates, h(z)
 # and, for an H-polytope of m facets, m facet products: (n + m) * 8 bytes.
 # Per grid point it holds one row of slice parameters.
@@ -77,8 +78,9 @@ class CheckReport:
 class WProfile:
     """Sampled concave profile g(x) = Phi^{-1}(slice measure at x).
 
-    ``xs``/``g`` cover exactly the domain where the slice measure is strictly
-    between 0 and 1; ``concavity_excess <= 0`` means every interior second
+    ``xs``/``g`` cover the grid points whose slice measure lies in
+    [1e-7, 1 - 1e-7], and ``domain`` the ends of those with a nonempty
+    slice; ``concavity_excess <= 0`` means every interior second
     difference stays within its statistical slack, and the quadrature value
     of the 2-d epigraph measure should match the body measure within
     ``identity_tol``.
@@ -415,12 +417,41 @@ def _simpson(xs: np.ndarray, k: int) -> np.ndarray:
     return w * ((xs[k] - xs[0]) / 3.0)
 
 
+def _kink_error(body: ConvexBody, xs: np.ndarray) -> float:
+    """Simpson error a polygon's vertices add to the identity: |J| * h^2 / 3
+    for every vertex height strictly inside the grid xs of spacing h.
+
+    A 1-d slice of a polygon is [L(x), R(x)], and its measure
+    m = Phi(R) - Phi(L) changes slope where two facets of one side meet.
+    There (m * phi)' jumps by J = phi(v_1) * phi(v_2) * (s_k - s_j), with s
+    the facets' slopes dR/dx or dL/dx, and a slope jump costs the composite
+    Simpson rule up to |J| * h^2 / 6 (the bound doubles it). Vertices where
+    the two sides meet are the ends of the polygon's span, where the grid
+    ends too. Other bodies add 0.
+    """
+    if not (isinstance(body, HPolytope) and body.dim == 2):
+        return 0.0
+    unit, (d,), _, (stop,), (live,), (stopper,) = polygon_edges(body.normals,
+                                                                body.offsets[None, :])
+    j = np.flatnonzero(live & np.isfinite(stop))  # each vertex ends one edge
+    k = stopper[j]
+    one_side = unit[j, 0] * unit[k, 0] > 0.0
+    j, k = j[one_side], k[one_side]
+    vertex = d[j, None] * unit[j] + stop[j, None] * np.stack([-unit[j, 1], unit[j, 0]], axis=1)
+    inside = (vertex[:, 1] > xs[0]) & (vertex[:, 1] < xs[-1])
+    jumps = (np.exp(-0.5 * np.sum(vertex * vertex, axis=1)) / (2.0 * math.pi)
+             * np.abs(unit[j, 1] / unit[j, 0] - unit[k, 1] / unit[k, 0]))
+    return float(np.sum(jumps[inside])) * (xs[1] - xs[0]) ** 2 / 3.0
+
+
 def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
               seed: int = 0) -> WProfile:
     """Profile of last-coordinate slice measures mapped through the quantile.
 
     Samples the slice measure on a uniform grid over the body's last-axis
-    extent (truncated for unbounded bodies), forms g = Phi^{-1}(measure)
+    extent (truncated for unbounded bodies; a 2-d H-polytope's extent runs
+    between its lowest and highest vertex, from its edges, while higher
+    dimensions take the truncation), forms g = Phi^{-1}(measure)
     where the measure is nondegenerate, and reports (i) the worst discrete
     second difference of g against its statistical slack and (ii) the
     quadrature identity: integrating the slice measures against the 1-d
@@ -432,8 +463,9 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     arrays, with no body built per slice. Families with a closed form
     (``gaussian.measure_slices``: every box, ball and halfspace slice, every
     slice of an ellipsoid whose series converges within
-    ``gaussian.SERIES_TERM_CAP`` terms, and every slice of a 2-d body) are
-    measured exactly in one array pass. The rest are all scored on one
+    ``gaussian.SERIES_TERM_CAP`` terms, every bounded polygon slice of a 3-d
+    H-polytope, by Owen's T, and every slice of a 2-d body) are measured
+    exactly in one array pass. The rest are all scored on one
     seeded (samples, n-1) draw, sub-draw ``grid_size`` of ``seed``, made
     only when some slice is nonempty; an H-polytope's facet products with
     that draw are computed once for all its slices. The body itself is
@@ -445,9 +477,15 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     The concavity slack sums the half-widths of each triple, which holds
     under any correlation. A slice of measure above 1 - 1e-7 is left out of
     the profile like a measure-1 slice: there one rounding of the measure
-    moves g by more than the 1e-9 * (1 + max|g|) float slack. The rounded
-    ``grid_size`` and ``samples`` are capped by PROFILE_GRID_CAP and
-    PROFILE_SAMPLES_CAP.
+    moves g by more than the 1e-9 * (1 + max|g|) float slack. So is a
+    slice below 1e-7: Owen's T is exact in absolute terms only, and a tip
+    polygon of measure about 1e-23 carries noise that Phi^{-1} turns into a
+    false violation. Both stay in the identity. The quadrature error of the
+    identity is max(|S_h - S_2h|, |S_2h - S_4h| / 16), plus, for a 2-d
+    H-polytope, |J| * h^2 / 3 at every vertex height inside the grid
+    (``_kink_error``): the slice measure changes slope there, which the
+    Richardson differences can miss. The rounded ``grid_size`` and
+    ``samples`` are capped by PROFILE_GRID_CAP and PROFILE_SAMPLES_CAP.
     """
     if body.dim < 2:
         raise InvalidBodyError("profile construction needs dimension >= 2")
@@ -473,7 +511,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     support = measures > 0.0
     if np.count_nonzero(support) < 2:
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
-    mask = support & (measures <= _PROFILE_TOP)
+    mask = support & (measures >= _PROFILE_BOTTOM) & (measures <= _PROFILE_TOP)
     gx = xs[mask]
     g = gaussian.std_normal_quantile(measures[mask])
     g_hw = hws[mask] / gaussian.std_normal_pdf(g)
@@ -503,7 +541,7 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     # alone can nearly cancel: |S_h - S_2h| and |S_2h - S_4h| / 16
     lhs, coarse, coarser = (float(_simpson(xs, k) @ (measures * weights)[::k])
                             for k in (1, 2, 4))
-    quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0)
+    quad_err = (max(abs(lhs - coarse), abs(coarse - coarser) / 16.0) + _kink_error(body, xs)
                 + 2.0 * TAIL_EPS + 1e-9)
     hw_lhs = (0.0 if lhs_terms is None
               else gaussian.Z99 * float(np.std(lhs_terms)) / math.sqrt(samples))
@@ -565,10 +603,11 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# Headroom of a calibrated hpolytope against the checker's certificate, in
-# binomial sigmas sqrt(p(1-p)/samples): CERT_HALF_WIDTHS * Z99 for the
-# certificate itself plus six sigmas of the noise in (calibrated measure -
-# the checker's estimate), which is the difference of two independent draws.
+# Headroom of a calibrated hpolytope with n >= 3, measured by Monte Carlo,
+# against the checker's certificate, in binomial sigmas sqrt(p(1-p)/samples):
+# CERT_HALF_WIDTHS * Z99 for the certificate itself plus six sigmas of the
+# noise in (calibrated measure - the checker's estimate), which is the
+# difference of two independent draws.
 _RECERT_SIGMAS = gaussian.CERT_HALF_WIDTHS * gaussian.Z99 + 6.0 * math.sqrt(2.0)
 
 
@@ -577,7 +616,9 @@ def _recertifiable_target(samples: int) -> float:
 
     Solving (t - 1/2)^2 = c * t * (1 - t), c = _RECERT_SIGMAS^2 / samples,
     gives t = 1/2 + sqrt(c / (1 + c)) / 2 < 1; the default 2^16 samples
-    need only 0.532, so the fixed 0.57 governs there.
+    need only 0.532, so the fixed 0.57 governs there. The headroom matters
+    for n >= 3 only, where an hpolytope is calibrated and certified by
+    Monte Carlo; a polygon meets its target exactly.
     """
     c = _RECERT_SIGMAS ** 2 / samples
     return max(0.57, 0.5 + 0.5 * math.sqrt(c / (1.0 + c)))
@@ -587,8 +628,9 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
                             mc_samples: int = 1 << 16) -> ConvexBody:
     """Body of the requested kind with gaussian measure >= 1/2.
 
-    Closed-form kinds, and at n = 1 every kind, meet the bound exactly. An
-    hpolytope with n >= 2 is calibrated on an ``mc_samples`` draw to clear
+    Closed-form kinds, and at n <= 2 every kind, meet the bound exactly:
+    a bounded polygon calibrates by the root of its Owen's T measure. An
+    hpolytope with n >= 3 is calibrated on an ``mc_samples`` draw to clear
     the checker's certificate (estimate - 3 half-widths >= 1/2 on its own
     draw); certification is left to ``check_theorem_instance``, which
     reports a miss as ``inconclusive``.

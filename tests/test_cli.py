@@ -36,7 +36,10 @@ BETA_GOLDEN = (
 # every profile was pinned again when its identity came to be summed with its
 # own Simpson weights (identity_lhs, _residual and _tol move in the last bits);
 # the two ellipsoid profiles were pinned again when Ruben's series made their
-# slices and bodies exact
+# slices and bodies exact; theorem-n2 and the two H-polytope profiles were
+# pinned again when Owen's T made polygons exact (the n = 2 polytope trials
+# calibrate and certify exactly, the 2-d profile spans its vertices and
+# measures its body exactly, and the 3-d profile measures its slices exactly)
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
@@ -45,7 +48,7 @@ STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
                    "e6e5c304d51e55afd1f0b1aafe727716251fe92440bcc383bf88727afa0e5f14"),
     "theorem-n2": (THEOREM + ("2",),
-                   "eed29e22f91759aa97d8f20e5e17657db668854345d394b2863d4335c78bb952"),
+                   "fc20aea91a94f160b5c32ce1605270f5d19924d6883d4fc8c1f223f135bb1549"),
     "theorem-n3": (THEOREM + ("3",),
                    "d5bed4715098569e753f54ed68729af1de8c76fc54209987f24bf8fe5704315b"),
     "theorem-n4": (THEOREM + ("4",),
@@ -66,17 +69,17 @@ STREAM_DIGESTS = {
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
                                "normals": [[1, 0], [0, 1], [0.6, 0.8],
                                            [-1, 0], [0, -1], [-0.6, -0.8]]}),),
-        "3eb3212164280d099aafe368191b478ccdf465e9a15f24713c5e47af1189834b"),
+        "a5624c284cba2399d6a853993147b83057c1a7ce22fc8b4a12060460f76e0e8a"),
     "w-profile-ellipsoid-3d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}),),
         "6e8bbbbdf8a32d36ca0871da5276eeecc820e0be8667425fad945bd331425a95"),
-    # 3-d polytope profiles score their 2-d slices on one shared draw
+    # 3-d polytope profiles measure their polygon slices by Owen's T
     "w-profile-hpolytope-3d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
                                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
                                            [-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                            [-0.6, 0, -0.8]]}),),
-        "4a305d7d94b4f696a9c2c7794c09249929e50a952cec98df6bcd23a5b0e40537"),
+        "b7037a8b0477261745013d25271ce5463e9effa2cb7f31126cd398172b4e94dd"),
     # lattice and balancing commands, pinned before their preconditions moved
     # into the bodies' gauge_many and Lattice
     "minima-3d": (("minima", "--lattice", R3),

@@ -55,6 +55,14 @@ def scalar_slice_reference(body, x):
     if not np.any(keep):
         return lg.FullSpace(body.dim - 1)
     N, c = heads[keep], cs[keep]
+    if body.dim == 2:  # the interval of the facet ratios, with its midpoint inside
+        ratios = [ci / ni for ni, ci in zip(N[:, 0], c)]
+        lo = max((r for ni, r in zip(N[:, 0], ratios) if ni < 0.0), default=-math.inf)
+        hi = min((r for ni, r in zip(N[:, 0], ratios) if ni > 0.0), default=math.inf)
+        if not (hi - lo) / 2.0 > convex.MIN_CHEBYSHEV_RADIUS:
+            return None
+        mid = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2.0
+        return lg.HPolytope(N, c, interior_point=[mid])
     p = body.interior_point
     vertex = body.last_axis_vertices[0 if x <= p[-1] else 1]
     if vertex is not None:
@@ -214,6 +222,29 @@ class TestSlice:
         assert np.allclose(hi, [0.0, 1.0], atol=1e-12)
         lo, hi = TILTED_CUP.last_axis_vertices
         assert np.allclose(lo, [-1.0, -1.0, -1.0], atol=1e-12) and hi is None
+
+    @pytest.mark.parametrize("body", [
+        *(symmetric_polytope(2, seed) for seed in range(6)), OFF_ORIGIN_TRIANGLE,
+        lg.HPolytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0]),  # a wedge open downwards
+        lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.5]),  # open upwards
+    ], ids=[*(f"symmetric-{seed}" for seed in range(6)), "triangle", "wedge", "cup"])
+    def test_polygon_span_needs_no_lp(self, body, monkeypatch):
+        # a polygon reads its last-axis extremes off its edges; the LPs agree
+        lp = [convex._last_axis_vertex(body.normals, body.offsets, s) for s in (1.0, -1.0)]
+        monkeypatch.setattr(convex, "_last_axis_vertex", None)
+        fresh = lg.HPolytope(body.normals, body.offsets, body.interior_point)
+        for vertex, ref, end in zip(fresh.last_axis_vertices, lp, fresh.last_axis_extent()):
+            assert (vertex is None) == (ref is None) == math.isinf(end)
+            if vertex is not None:
+                assert vertex[-1] == pytest.approx(ref[-1], abs=1e-12)
+                assert vertex[-1] == end
+                assert np.all(body.normals @ vertex <= body.offsets + 1e-12)
+
+    def test_strip_has_no_span_vertex(self):
+        # its edges are whole lines: the profile grid falls back to truncation
+        strip = lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
+        assert strip.last_axis_vertices == (None, None)
+        assert strip.last_axis_extent() == (-math.inf, math.inf)
 
 
 class TestGauge:

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import latgauss as lg
+import latgauss.convex
 from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
-from latgauss.gaussian import SERIES_TERM_CAP, measure_slices
+from latgauss.gaussian import SERIES_TERM_CAP, _polygon_measures, measure_slices
 
 THETA_PRINTED = 1.3489795  # reference value the constant must reproduce
 
@@ -271,13 +272,14 @@ class TestClosedFormsWrittenOnce:
     @pytest.mark.parametrize("body, named", [
         (lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [1.0] * 6), "3-d hpolytope"),
         (lg.Ellipsoid([0.674, 67.4]), f"2-d ellipsoid within {SERIES_TERM_CAP} series terms"),
-        (lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4),
-         "2-d hpolytope"),
+        (lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0] * 3),
+         "2-d hpolytope with an unbounded side"),
         (lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0), "2-d oracle"),
     ], ids=["hpolytope-3d", "ellipsoid-2d", "hpolytope-2d", "oracle"])
     def test_no_closed_form_names_the_body(self, body, named):
         # an oracle has no family at all; the others have one with no closed
-        # form, or (an ellipsoid of aspect 100) a series past its term cap
+        # form, or (an ellipsoid of aspect 100) a series past its term cap, or
+        # (a polygon open downwards) an edge that runs off to infinity
         with pytest.raises(UnsupportedBodyError, match=f"^no closed form for a {named}$"):
             measure_slices(body.as_family())
         with pytest.raises(UnsupportedBodyError, match=named):
@@ -376,9 +378,16 @@ class TestCalibrate:
         assert lg.measure_exact(ball.scale(s)).value == pytest.approx(0.5, abs=1e-12)
 
     def test_asymmetric_body_without_closed_form_has_no_gauge(self):
-        triangle = lg.HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.5, 0.5, 1.0])
+        simplex = lg.HPolytope([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+                                [1.0, 1.0, 1.0]], [0.5, 0.5, 0.5, 1.0])
         with pytest.raises(InvalidBodyError):
-            lg.calibrate_scale(triangle, 0.5)
+            lg.calibrate_scale(simplex, 0.5)
+
+    def test_asymmetric_polygon_calibrates_by_its_closed_form(self):
+        # the 2-d counterpart has Owen's T closed form, so it needs no gauge
+        triangle = lg.HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.5, 0.5, 1.0])
+        s = lg.calibrate_scale(triangle, 0.5)
+        assert lg.measure_exact(triangle.scale(s)).value == pytest.approx(0.5, abs=1e-12)
 
     def test_series_past_its_cap_calibrates_by_the_gauge(self):
         # closed form at s = 1, but the bracket reaches scales past the cap
@@ -409,11 +418,11 @@ def _exact_bodies(draw):
                                  "ellipsoid", "hpolytope"]))
     dim = draw(st.integers(1, 5))
     target = draw(st.floats(min_value=0.01, max_value=0.99))
-    # a 1-d H-polytope is an interval
+    # a 1-d H-polytope is an interval, a 2-d one a polygon
     if kind == "ellipsoid":
         return lg.Ellipsoid(draw(st.lists(_semiaxes, min_size=dim, max_size=dim))), target
     if kind == "hpolytope":
-        return _symmetric_polytope(draw, 1), target
+        return _symmetric_polytope(draw, min(dim, 2)), target
     if kind == "ball":
         return lg.Ball(draw(_widths), dim=dim), target
     if kind == "off-centre-ball":  # the origin inside, so dilates grow
@@ -436,8 +445,8 @@ def _exact_bodies(draw):
 
 @st.composite
 def _gauge_bodies(draw):
-    """Symmetric bodies without a closed form: H-polytopes."""
-    return _symmetric_polytope(draw, draw(st.integers(2, 4)))
+    """Symmetric bodies without a closed form: H-polytopes past the plane."""
+    return _symmetric_polytope(draw, draw(st.integers(3, 4)))
 
 
 class TestCalibrateRoundTrip:
@@ -537,6 +546,129 @@ class TestSeriesAndNoncentralForms:
             seconds.append(time.perf_counter() - start)
             assert est.method == "monte-carlo"
         assert min(seconds) < 0.05
+
+
+def _mp_polygon(normals, offsets):
+    """gamma_2 of {x : N x <= c + 1e-12} in 30-digit mpmath: the vertices are
+    the feasible crossings of facet pairs, and the slice measure
+    phi(y) * (Phi(R(y)) - Phi(L(y))) is integrated between consecutive
+    vertex heights, where it is smooth."""
+    with mp.workdps(30):
+        N = [[mp.mpf(float(a)) for a in row] for row in normals]
+        c = [mp.mpf(float(x)) + mp.mpf(1e-12) for x in offsets]
+        heights = set()
+        for j in range(len(N)):
+            for k in range(j + 1, len(N)):
+                det = N[j][0] * N[k][1] - N[j][1] * N[k][0]
+                if det == 0:
+                    continue
+                x = (c[j] * N[k][1] - c[k] * N[j][1]) / det
+                y = (N[j][0] * c[k] - N[k][0] * c[j]) / det
+                if all(a * x + b * y <= ci + mp.mpf(1e-25) for (a, b), ci in zip(N, c)):
+                    heights.add(y)
+
+        def slice_measure(y):
+            lo, hi = -mp.inf, mp.inf
+            for (a, b), ci in zip(N, c):
+                if a > 0:
+                    hi = min(hi, (ci - b * y) / a)
+                elif a < 0:
+                    lo = max(lo, (ci - b * y) / a)
+            return mp.npdf(y) * (mp.ncdf(hi) - mp.ncdf(lo)) if hi > lo else mp.mpf(0)
+
+        return float(mp.quad(slice_measure, sorted(heights))) if heights else 0.0
+
+
+_HEXAGON = [[1.0, 0.0], [0.5, math.sqrt(0.75)], [-0.5, math.sqrt(0.75)],
+            [-1.0, 0.0], [-0.5, -math.sqrt(0.75)], [0.5, -math.sqrt(0.75)]]
+
+
+def _polygon(normals, offsets):
+    """The polygon as a one-row family, which may be empty (an HPolytope may not)."""
+    return latgauss.convex.PolytopeSlices(2, np.ones(1, dtype=bool), np.asarray(normals, float),
+                                          np.asarray(offsets, float)[None, :], np.zeros((1, 2)))
+
+
+@st.composite
+def _polygons(draw):
+    """(normals, offsets) of a polygon: pairs of opposite facets, so it is
+    bounded, with offsets that may leave the origin outside or empty it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.standard_normal((draw(st.integers(2, 4)), 2))
+    lengths = np.tile(np.linalg.norm(normals, axis=1), 2)
+    return np.vstack([normals, -normals]), rng.uniform(-0.5, 1.5, len(lengths)) * lengths
+
+
+class TestPolygonMeasure:
+    @pytest.mark.parametrize("normals, offsets", [
+        (_HEXAGON, [1.1] * 6),
+        ([[0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], [0.0, 1.0, 1.0]),  # the origin on an edge
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-5.0, 5.3, 1.0, 1.0]),  # far off
+        ([[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0]], [1e-7, 1e-7, 1.0, 1.0]),
+        # a repeated facet, a scaled one, a redundant parallel one, two on one line
+        ([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+          [0.0, -1.0], [0.0, -3.0]], [1.0, 1.0, 2.0, 1.5, 0.5, 0.7, 0.9, 2.7]),
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, 1.0, 1.0]),  # empty
+    ], ids=["hexagon", "triangle", "far-square", "sliver", "parallel-facets", "empty"])
+    def test_matches_mpmath_reference(self, normals, offsets):
+        got = measure_slices(_polygon(normals, offsets))[0]
+        assert abs(got - _mp_polygon(normals, offsets)) <= 1e-15
+
+    def test_empty_polygon_measures_zero(self):
+        assert measure_slices(_polygon([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                                       [-1.0, -1.0, 1.0]))[0] == 0.0
+
+    def test_unbounded_polygon_is_sampled(self):
+        wedge = lg.HPolytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0])
+        with pytest.raises(UnsupportedBodyError, match="with an unbounded side"):
+            lg.measure_exact(wedge)
+        est = lg.measure_auto(wedge, samples=1 << 16, seed=4)
+        assert est.method == "monte-carlo"
+        assert abs(est.value - _mp_polygon([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                           [1.0, 1.0, 40.0])) <= 3.0 * est.half_width
+
+    def test_family_rows_are_their_one_row_values_bitwise(self):
+        rng = np.random.default_rng(8)
+        normals = rng.standard_normal((4, 2))
+        normals = np.vstack([normals, -normals])
+        offsets = rng.uniform(-0.3, 2.0, (300, 8))
+        family = latgauss.convex.PolytopeSlices(2, rng.random(300) < 0.9, normals, offsets,
+                                                np.zeros((300, 1)))
+        values = measure_slices(family)
+        assert np.count_nonzero(values) > 150
+        for i, value in enumerate(values):
+            alone = measure_slices(_polygon(normals, offsets[i]))[0] if family.present[i] else 0.0
+            assert value.hex() == alone.hex(), i
+
+    @given(_polygons(), st.floats(-math.pi, math.pi))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_rotation_keeps_the_measure(self, polygon, angle):
+        normals, offsets = polygon
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        a, b = (measure_slices(_polygon(n, offsets))[0] for n in (normals, normals @ rot.T))
+        assert abs(a - b) <= 2e-15
+
+    @given(_polygons(), st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_facet_permutation_and_duplication_keep_the_measure(self, polygon, data):
+        normals, offsets = polygon
+        m = len(normals)
+        order = np.array(data.draw(st.permutations(range(m)))
+                         + data.draw(st.lists(st.integers(0, m - 1), max_size=m)))
+        a = measure_slices(_polygon(normals, offsets))[0]
+        b = measure_slices(_polygon(normals[order], offsets[order]))[0]
+        assert abs(a - b) <= 2e-15
+
+    @given(_polygons(), st.lists(st.floats(0.25, 4.0), min_size=8, max_size=8))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_facet_scaling_keeps_the_polygon(self, polygon, factors):
+        # (n, c) -> (k n, k c) is the same half-plane; measured without the
+        # membership tolerance, which is not scaled with it
+        normals, offsets = polygon
+        k = np.array(factors[:len(normals)])
+        a = _polygon_measures(normals, offsets[None, :])[0]
+        b = _polygon_measures(normals * k[:, None], (offsets * k)[None, :])[0]
+        assert abs(a - b) <= 2e-15
 
 
 class TestMeasureEstimateInvariants:

@@ -133,6 +133,22 @@ def test_cold_import_defers_scipy_optimize_and_integrate():
     assert proc.stdout.split() == ["[]", "[]"]
 
 
+def test_polygon_profile_never_imports_scipy_optimize():
+    # a 2-d H-polytope reads its span off its edges and is measured by
+    # Owen's T, so its w-profile solves no LP and brackets no root
+    src = str(Path(latgauss.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    body = ('{"kind": "hpolytope", "dim": 2, "offsets": [1.2, 1.2, 1.2, 1.2, 1.2, 1.2], '
+            '"normals": [[1, 0], [0, 1], [0.6, 0.8], [-1, 0], [0, -1], [-0.6, -0.8]]}')
+    code = ("import sys, latgauss.cli; "
+            f"code = latgauss.cli.main(['w-profile', '--body', {body!r}]); "
+            "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert '"verdict": "holds"' in proc.stdout
+    assert proc.stderr.split() == ["0", "False"]
+
+
 def _imported_modules(source: str) -> set[str]:
     """Every module a source imports, at any depth; ``from scipy import
     integrate`` imports both ``scipy`` and ``scipy.integrate``."""

@@ -41,10 +41,14 @@ def reference_slice_measures(body, xs, terms, samples, seed, slice_at=scalar_sli
     return measures, hws, h
 
 
-# a slab of width 2e-7 across the plane: no slice clears the span test's
-# 1e-6 margin, so every nonempty slice is decided by its Chebyshev-center LP
+# a slab of width 2e-7 across the plane, and across a 3-d box: no slice of
+# the 3-d one clears the span test's 1e-6 margin, so every nonempty slice
+# is decided by its Chebyshev-center LP
 THIN_POLYTOPE = lg.HPolytope([[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0]],
                              [1e-7, 1e-7, 1.0, 1.0])
+THIN_POLYTOPE_3D = lg.HPolytope([[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0],
+                                 [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                                [1e-7, 1e-7, 1.0, 1.0, 1.0, 1.0])
 # pinned 3-d profile bodies of the CLI stream digests
 PINNED_POLYTOPE_3D = lg.HPolytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
                                    [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-0.6, 0, -0.8]],
@@ -418,12 +422,13 @@ class TestWProfile:
         assert prof.identity_residual() <= prof.identity_tol
 
     def test_mc_slice_path_polytope(self):
-        # polygon slices have no closed-form measure: the whole profile
-        # goes through seeded Monte Carlo and must stay inside its slack
-        prof = lg.w_profile(PINNED_POLYTOPE_3D, grid_size=81, samples=4096, seed=5)
+        # 3-d slices of a 4-d polytope have no closed-form measure: the whole
+        # profile goes through seeded Monte Carlo and must stay inside its slack
+        prof = lg.w_profile(symmetric_polytope(4, 1), grid_size=81, samples=4096, seed=5)
         assert prof.concavity_excess <= 0.0
         assert prof.identity_residual() <= prof.identity_tol
         assert prof.identity_rhs.method == "monte-carlo"
+        assert np.all(prof.g_half_widths > 0.0)
 
     def test_ellipsoid_profile_is_exact(self):
         # Ruben's series measures every 2-d slice and the body itself
@@ -457,12 +462,14 @@ class TestWProfile:
         assert prof.identity_residual() <= prof.identity_tol
 
     @pytest.mark.parametrize("body, draws", [
-        (PINNED_POLYTOPE_3D, 2),               # one for all 2-d slices, one for the body
-        (symmetric_polytope(2, 5), 1),         # exact 1-d slices, Monte Carlo body
-        (lg.Ellipsoid([1.4, 0.9, 0.6]), 0),    # exact throughout, as below
+        (symmetric_polytope(4, 1), 2),         # one for all 3-d slices, one for the body
+        (PINNED_POLYTOPE_3D, 1),               # exact polygon slices, Monte Carlo body
+        (symmetric_polytope(2, 5), 0),         # exact throughout, as below
+        (lg.Ellipsoid([1.4, 0.9, 0.6]), 0),
         (lg.Ellipsoid([1.4, 0.9]), 0),
         (lg.AxisBox([0.8, 1.3, 0.9]), 0),
-    ], ids=["polytope-3d", "polytope-2d", "ellipsoid-3d", "ellipsoid-2d", "box-3d"])
+    ], ids=["polytope-4d", "polytope-3d", "polytope-2d", "ellipsoid-3d", "ellipsoid-2d",
+            "box-3d"])
     def test_profile_draws_once_for_its_slices(self, body, draws, monkeypatch):
         keys = []
         substream = latgauss.gaussian.substream
@@ -491,6 +498,61 @@ class TestWProfile:
         prof = lg.w_profile(body, seed=seed)
         assert prof.concavity_excess <= 0.0
         assert prof.identity_residual() <= prof.identity_tol
+
+    # Polytopes of the slice-checks benchmark stream whose exact measures
+    # exposed two faults that Monte Carlo slack hid. The slice measure of a
+    # polygon changes slope at every vertex height, which the Simpson error
+    # estimate alone can miss (seed 12 round 38: residual 1.0e-5 against a
+    # tolerance of 6.2e-6 without the vertex term; seed 11 round 9 failed so
+    # on the truncation grid). A polygon slice of measure about 1e-23 is
+    # exact only to absolute rounding, which the quantile turns into a false
+    # concavity violation (seed 12 round 25, excess +0.117 without the floor).
+    @pytest.mark.parametrize("offset, normals, seed", [
+        (1.3030928354324685,
+         [[-0.39150597945032095, -0.9201755637130585], [-0.9533747722457019, -0.301788905769341],
+          [-0.787255870498984, 0.6166264625888895]], 1799980479),
+        (1.3321253004779385,
+         [[0.6186160753332967, 0.7856934207050668], [0.9916499140270679, 0.12895909432881747],
+          [-0.8650120047615718, -0.5017511650393714]], 1492056371),
+        (0.9885484337651537,
+         [[0.6405545724240939, 0.1969990410522081, -0.7422137276897381],
+          [0.4918408489545129, 0.320883505425881, -0.8093987615788047],
+          [0.07605275753516112, 0.6210155109297739, -0.7800998098038032],
+          [-0.58076542776882, 0.5409648274386202, -0.6083326173918371]], 2470413825),
+    ], ids=["seed-11-2d-round-9", "seed-12-2d-round-38", "seed-12-3d-round-25"])
+    def test_benchmark_polytope_profile_holds(self, offset, normals, seed, monkeypatch):
+        normals = [*normals, *(-np.asarray(normals)).tolist()]
+        body = lg.body_from_document({"kind": "hpolytope", "dim": len(normals[0]),
+                                      "normals": normals, "offsets": [offset] * len(normals)})
+        prof = lg.w_profile(body, seed=seed)
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol
+        if body.dim == 2:  # exact on both sides: the tolerance is the quadrature's alone
+            assert prof.identity_rhs.method == "exact" and prof.identity_tol < 1e-4
+            # and on the truncation grid, where the end vertices lie inside it too
+            monkeypatch.setattr(lg.HPolytope, "last_axis_extent",
+                                lambda self: (-math.inf, math.inf))
+            prof = lg.w_profile(lg.HPolytope(body.normals, body.offsets), seed=seed)
+            assert prof.identity_residual() <= prof.identity_tol
+
+    def test_polygon_profile_spans_its_vertices(self):
+        # the grid runs from the lowest to the highest vertex, so only its two
+        # end points, where the slice is a single point, are empty
+        body = symmetric_polytope(2, 3)
+        lo, hi = body.last_axis_extent()
+        prof = lg.w_profile(body, seed=4)
+        assert prof.xs.size == 199 and lo < prof.xs[0] < prof.xs[-1] < hi
+        assert prof.domain == (prof.xs[0], prof.xs[-1])
+
+    def test_vertex_term_counts_vertices_inside_the_grid(self):
+        square = lg.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4)
+        assert latgauss.minkowski._kink_error(square, np.linspace(-1.0, 1.0, 9)) == 0.0
+        diamond = lg.HPolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]], [1.0] * 4)
+        xs = np.linspace(-1.0, 1.0, 9)  # the side vertices (+-1, 0) lie at height 0
+        jump = 2.0 * 2.0 * math.exp(-0.5) / (2.0 * math.pi)  # two vertices, slopes -1 and +1
+        assert latgauss.minkowski._kink_error(diamond, xs) == pytest.approx(
+            jump * 0.25**2 / 3.0, rel=1e-12)
+        assert latgauss.minkowski._kink_error(lg.Ball(1.0, dim=2), xs) == 0.0
 
     def test_needs_dim_two(self):
         with pytest.raises(Exception):
@@ -525,14 +587,18 @@ class TestWProfile:
         assert prof.identity_residual() <= prof.identity_tol < 1e-7
 
     def test_polytope_profile_solves_two_lps(self, monkeypatch):
-        # the last-axis span decides every slice: no LP per slice
-        body = symmetric_polytope(3, 11)
+        # the last-axis span decides every slice: no LP per slice; a polygon
+        # reads its span off its edges and its slices off their facet ratios
         calls = []
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: calls.append(1) or linprog(*a, **k))
-        lg.w_profile(body, grid_size=81, samples=4096, seed=2)
+        lg.w_profile(symmetric_polytope(3, 11), grid_size=81, samples=4096, seed=2)
         assert len(calls) <= 2
+        calls.clear()
+        for body in (symmetric_polytope(2, 11), OFF_ORIGIN_TRIANGLE, THIN_POLYTOPE):
+            lg.w_profile(body, grid_size=81, samples=4096, seed=2)
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("body", [symmetric_polytope(3, 11), OFF_ORIGIN_TRIANGLE,
                                       OFF_ORIGIN_SIMPLEX, TILTED_CUP],
@@ -582,13 +648,16 @@ class TestWProfile:
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_thin_polytope_slices_take_the_lp(self, monkeypatch):
-        body = lg.HPolytope(THIN_POLYTOPE.normals, THIN_POLYTOPE.offsets)
+        body = lg.HPolytope(THIN_POLYTOPE_3D.normals, THIN_POLYTOPE_3D.offsets)
         calls = []
         center = latgauss.convex._chebyshev_center
         monkeypatch.setattr(latgauss.convex, "_chebyshev_center",
                             lambda *a: calls.append(1) or center(*a))
         family = body.slices(np.linspace(-0.9, 0.9, 19))
         assert np.all(family.present) and len(calls) == 19
+        calls.clear()  # a polygon's slices are intervals, decided with no LP
+        assert np.all(THIN_POLYTOPE.slices(np.linspace(-0.9, 0.9, 19)).present)
+        assert len(calls) == 0
 
     def test_oracle_profile_is_unsupported(self):
         body = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0,
