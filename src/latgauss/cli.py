@@ -361,6 +361,8 @@ def _cmd_beta(args, out: _Emitter) -> None:
 
 
 def _cmd_alpha_search(args, out: _Emitter) -> None:
+    if args.n < 1:  # before the bodies, which would name their own dim
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     u = convex.Ball(1.0, dim=args.n)
     v = convex.AxisBox(np.full(args.n, 0.5))
     ratio, lattice = balancing.alpha_lower_bound_search(

@@ -30,9 +30,6 @@ from .errors import (
 BOUNDARY_ATOL = 1e-12
 # Gaussian mass a truncation radius may leave outside (see bounding_radius).
 TAIL_EPS = 1e-9
-# Margin of an H-polytope slice decision made without an LP, relative to
-# the reach from the interior point to the last-axis extreme (at least 1).
-SPAN_RTOL = 1e-6
 # An H-polytope (or slice) has an interior when its Chebyshev radius, half
 # the width of a 1-d slice, exceeds this.
 MIN_CHEBYSHEV_RADIUS = 1e-10
@@ -50,6 +47,13 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")
     return v
+
+
+def _dimension(n, field: str) -> int:
+    """A body's dimension n, read from ``field``: an integer >= 1, never a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidBodyError(f"dimension must be an integer >= 1, got {n!r} from {field}")
+    return int(n)
 
 
 class ConvexBody:
@@ -155,7 +159,7 @@ class Halfspace(ConvexBody):
             raise InvalidBodyError("halfspace offset must be finite")
         object.__setattr__(self, "normal", v)
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "dim", v.shape[0])
+        object.__setattr__(self, "dim", _dimension(v.shape[0], "normal"))
 
     @property
     def symmetric(self) -> bool:
@@ -220,7 +224,7 @@ class AxisBox(ConvexBody):
         if np.any(np.isnan(w)) or np.any(w <= 0):
             raise InvalidBodyError("box semiwidths must be positive (inf allowed)")
         object.__setattr__(self, "semiwidths", w)
-        object.__setattr__(self, "dim", w.shape[0])
+        object.__setattr__(self, "dim", _dimension(w.shape[0], "semiwidths"))
 
     @property
     def symmetric(self) -> bool:
@@ -283,12 +287,12 @@ class Ball(ConvexBody):
         if self.center is None:
             if self.dim is None:
                 raise InvalidBodyError("ball needs a center or an explicit dim")
-            c = np.zeros(self.dim)
+            c = np.zeros(_dimension(self.dim, "dim"))
         else:
             c = _as_vector(self.center)
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "dim", c.shape[0])
+        object.__setattr__(self, "dim", _dimension(c.shape[0], "center"))
 
     @property
     def symmetric(self) -> bool:
@@ -352,7 +356,7 @@ class Ellipsoid(ConvexBody):
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise InvalidBodyError("ellipsoid semiaxes must be finite and positive")
         object.__setattr__(self, "semiaxes", a)
-        object.__setattr__(self, "dim", a.shape[0])
+        object.__setattr__(self, "dim", _dimension(a.shape[0], "semiaxes"))
 
     @property
     def symmetric(self) -> bool:
@@ -416,7 +420,7 @@ class HPolytope(ConvexBody):
             raise InvalidBodyError("hpolytope normals must be nonzero")
         object.__setattr__(self, "normals", N)
         object.__setattr__(self, "offsets", c)
-        object.__setattr__(self, "dim", N.shape[1])
+        object.__setattr__(self, "dim", _dimension(N.shape[1], "normals"))
         if self.interior_point is not None:
             p = _as_vector(self.interior_point, self.dim)
             if not np.all(np.isfinite(p)) or np.any(N @ p >= c - BOUNDARY_ATOL):
@@ -451,44 +455,22 @@ class HPolytope(ConvexBody):
         ratios /= self.offsets[:, None]  # in place: one (m, k) array at a time
         return np.maximum(np.maximum.reduce(ratios, axis=0), 0.0)
 
-    @cached_property
-    def last_axis_vertices(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Vertices of the body with the least and the greatest last coordinate.
-
-        A polygon reads them off its edges (``polygon_edges``), with no LP;
-        a side where an edge runs off to infinity, or where no vertex lies,
-        is None. Otherwise two LPs, solved once per body; a side where the
-        body is unbounded (or its LP fails) is None.
-        """
-        if self.dim == 2:
-            return _polygon_extremes(self.normals, self.offsets)
-        return (_last_axis_vertex(self.normals, self.offsets, 1.0),
-                _last_axis_vertex(self.normals, self.offsets, -1.0))
-
     def slices(self, xs):
-        """Cross-sections at last coordinates xs, decided from the last-axis span.
+        """Cross-sections at last coordinates xs, decided with no LP.
 
         Every slice keeps the facets whose normal has a head (first n-1
-        coordinates) longer than BOUNDARY_ATOL; its offsets are one row of
-        ``offsets - normals[:, -1] * x``. A 1-d slice is the interval its
-        facet ratios leave: present when its half width exceeds
-        MIN_CHEBYSHEV_RADIUS, with its midpoint as interior point (a point 1
-        inside its finite end on a half-line). In higher dimension, let e be
-        the extreme last coordinate on x's side of the interior point p, and
-        tol = SPAN_RTOL * max(1, |e - p_n|). A slice more than tol beyond e
-        is empty. Otherwise the point where the segment from p to e's vertex
-        reaches last coordinate x becomes the slice's interior point,
-        provided every slice facet clears it by tol times max(1, facet
-        normal length). Where neither holds (x within tol of e, an unbounded
-        side, a thin slice) the slice's Chebyshev-center LP decides; these
-        are the only slices that cost an LP.
+        coordinates) longer than BOUNDARY_ATOL, with offsets one row of
+        ``offsets - normals[:, -1] * x``; it is absent where a head-less
+        facet excludes x. A 1-d slice, the interval its facet ratios leave,
+        is present when its half width exceeds MIN_CHEBYSHEV_RADIUS. A slice
+        of higher dimension may be present yet empty or a null set: it
+        measures 0 all the same, and ``slice(i)`` returns None for it.
         """
         self._require_sliceable()
         xs = np.asarray(xs, dtype=float)
         heads = self.normals[:, :-1]
         cs = self.offsets - self.normals[:, -1] * xs[:, None]
-        hnorm = np.linalg.norm(heads, axis=1)
-        keep = hnorm > BOUNDARY_ATOL
+        keep = np.linalg.norm(heads, axis=1) > BOUNDARY_ATOL
         present = ~np.any(cs[:, ~keep] < -BOUNDARY_ATOL, axis=1)
         if not np.any(keep):
             return SpaceSlices(self.dim - 1, present)
@@ -498,38 +480,7 @@ class HPolytope(ConvexBody):
             lo = np.max(ratios[:, N[:, 0] < 0.0], axis=1, initial=-math.inf)
             hi = np.min(ratios[:, N[:, 0] > 0.0], axis=1, initial=math.inf)
             present &= (hi - lo) / 2.0 > MIN_CHEBYSHEV_RADIUS
-            lo = np.where(np.isinf(lo), hi - 2.0, lo)  # a half-line has one finite end
-            hi = np.where(np.isinf(hi), lo + 2.0, hi)
-            return PolytopeSlices(1, present, N, C, ((lo + hi) / 2.0)[:, None])
-        interior = np.zeros((len(xs), self.dim - 1))
-        undecided = present.copy()
-        if np.any(present):
-            p = self.interior_point
-            step = np.abs(xs - p[-1])
-            clearance = np.maximum(hnorm[keep], 1.0)
-            for side, vertex in zip((xs <= p[-1], xs > p[-1]), self.last_axis_vertices):
-                if vertex is None:
-                    continue
-                reach = abs(vertex[-1] - p[-1])
-                tol = SPAN_RTOL * max(1.0, reach)
-                beyond = side & (step > reach + tol)
-                present &= ~beyond
-                undecided &= ~beyond
-                if reach > 0.0:
-                    q = p[:-1] + (step / reach)[:, None] * (vertex[:-1] - p[:-1])
-                    nq = q[:, :1] * N[:, 0]  # q @ N.T, one pass per axis
-                    for j in range(1, self.dim - 1):
-                        nq += q[:, j:j + 1] * N[:, j]
-                    spanned = undecided & side & np.all(C - nq > tol * clearance, axis=1)
-                    interior[spanned] = q[spanned]
-                    undecided &= ~spanned
-        for i in np.flatnonzero(undecided):
-            q = _chebyshev_center(N, C[i])
-            if q is None:
-                present[i] = False
-            else:
-                interior[i] = q
-        return PolytopeSlices(self.dim - 1, present, N, C, interior)
+        return PolytopeSlices(self.dim - 1, present, N, C)
 
     slice_at = ConvexBody.slice_at
 
@@ -541,8 +492,7 @@ class HPolytope(ConvexBody):
                          interior_point=s * self.interior_point)
 
     def as_family(self, s=1.0):
-        return PolytopeSlices(self.dim, _ONE_ROW, self.normals, s * self.offsets[None, :],
-                              s * self.interior_point[None, :])
+        return PolytopeSlices(self.dim, _ONE_ROW, self.normals, s * self.offsets[None, :])
 
     def anchor(self):
         return self.interior_point.copy()
@@ -553,13 +503,20 @@ class HPolytope(ConvexBody):
                             / np.linalg.norm(self.normals, axis=1)))
 
     def last_axis_extent(self):
-        """A polygon's vertex span (infinite on a side with no vertex);
-        (-inf, inf) in higher dimension, refined by truncation in callers."""
+        """A polygon's span from its lowest to its highest vertex, off its
+        edges: infinite on a side where an edge runs off to infinity or no
+        vertex lies (a strip). (-inf, inf) in higher dimension; callers truncate."""
         if self.dim != 2:
             return (-math.inf, math.inf)
-        lo, hi = self.last_axis_vertices
-        return (-math.inf if lo is None else float(lo[-1]),
-                math.inf if hi is None else float(hi[-1]))
+        unit, (d,), (start,), (stop,), (live,), _ = polygon_edges(self.normals,
+                                                                  self.offsets[None, :])
+        _, vertices = polygon_vertices(unit, d, stop, live)
+        rise = unit[:, 0]  # the last coordinate grows with t along an edge where this is > 0
+        away = np.concatenate([rise[live & np.isinf(stop)], -rise[live & np.isinf(start)]])
+        if not vertices.size:
+            return (-math.inf, math.inf)
+        return (-math.inf if np.any(away < 0.0) else float(vertices[:, 1].min()),
+                math.inf if np.any(away > 0.0) else float(vertices[:, 1].max()))
 
     def to_document(self):
         return {"kind": "hpolytope", "dim": self.dim,
@@ -575,8 +532,7 @@ class FullSpace(ConvexBody):
     kind: str = field(default="space", init=False)
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise InvalidBodyError("dimension must be nonnegative")
+        _dimension(self.dim, "dim")
 
     @property
     def symmetric(self) -> bool:
@@ -628,6 +584,7 @@ class OracleBody(ConvexBody):
     kind: str = field(default="oracle", init=False)
 
     def __post_init__(self):
+        _dimension(self.dim, "dim")
         if not (math.isfinite(self.bounding_radius_hint) and self.bounding_radius_hint > 0):
             raise InvalidBodyError("oracle bodies need a finite positive bounding radius")
 
@@ -697,10 +654,12 @@ class OracleBody(ConvexBody):
 class SliceFamily:
     """Cross-sections {y : (y, x_i) in body} of one body at every x_i of a grid.
 
-    ``present[i]`` is False where slice i is empty or a null set. Each kind
-    holds its slices' parameters as arrays over the grid, read only where
-    ``present``; ``slice(i)`` builds slice i as a body of dimension ``dim``,
-    of the family's ``kind``. A body's ``as_family`` is a one-row family.
+    ``present[i]`` is False where slice i is empty or a null set, except
+    that a present H-polytope slice of dimension >= 2 may be empty too (it
+    measures 0). Each kind holds its slices' parameters as arrays over the
+    grid, read only where ``present``; ``slice(i)`` builds slice i as a body
+    of dimension ``dim``, of the family's ``kind``, or None when it is empty
+    or a null set. A body's ``as_family`` is a one-row family.
     """
 
     dim: int
@@ -709,7 +668,7 @@ class SliceFamily:
     def slice(self, i: int) -> Optional[ConvexBody]:
         return self._build(i) if self.present[i] else None
 
-    def _build(self, i: int) -> ConvexBody:
+    def _build(self, i: int) -> Optional[ConvexBody]:
         raise NotImplementedError
 
     def scorer(self, draw: np.ndarray) -> Callable[[int], np.ndarray]:
@@ -768,14 +727,19 @@ class PolytopeSlices(SliceFamily):
     kind = "hpolytope"
     normals: np.ndarray  # shared by every slice
     offsets: np.ndarray  # one row per slice
-    interior: np.ndarray
 
     def _build(self, i):
-        return HPolytope(self.normals, self.offsets[i], interior_point=self.interior[i])
+        p = _chebyshev_center(self.normals, self.offsets[i])
+        return None if p is None else HPolytope(self.normals, self.offsets[i], interior_point=p)
 
     def scorer(self, draw):
         products = self.normals @ draw.T  # only the offsets move from slice to slice
-        return lambda i: _facets_hold(products, self.offsets[i])
+        # a slice whose offset lies below all of one facet's products holds no
+        # point, as an empty slice past the body's extent mostly does
+        lows = products.min(axis=1)
+        none = np.zeros(len(draw), dtype=bool)
+        return lambda i: (none if np.any(self.offsets[i] + BOUNDARY_ATOL < lows)
+                          else _facets_hold(products, self.offsets[i]))
 
 
 def _ellipsoid_q(points: np.ndarray, semiaxes: np.ndarray) -> np.ndarray:
@@ -860,37 +824,12 @@ def polygon_edges(normals: np.ndarray, offsets: np.ndarray):
     return unit, d, start, stop, live, stopper
 
 
-def _polygon_extremes(normals: np.ndarray,
-                      offsets: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Vertices of a polygon with the least and the greatest second
-    coordinate, read off its edges; None on a side where an edge runs off
-    to infinity, or where no vertex lies (a strip)."""
-    unit, (d,), (start,), (stop,), (live,), _ = polygon_edges(normals, offsets[None, :])
-    ends = live & np.isfinite(stop)  # every vertex ends one edge
-    vertices = d[ends, None] * unit[ends] + stop[ends, None] * np.stack(
-        [-unit[ends, 1], unit[ends, 0]], axis=1)
-    rise = unit[:, 0]  # the last coordinate grows with t along an edge where this is > 0
-    out = []
-    for sign in (-1.0, 1.0):  # an edge running off to infinity on this side leaves no extreme
-        if not vertices.size or np.any(live & ((np.isinf(stop) & (sign * rise > 0.0))
-                                               | (np.isinf(start) & (sign * rise < 0.0)))):
-            out.append(None)
-        else:
-            out.append(vertices[np.argmax(sign * vertices[:, 1])])
-    return out[0], out[1]
-
-
-def _last_axis_vertex(normals: np.ndarray, offsets: np.ndarray,
-                      sign: float) -> np.ndarray | None:
-    """Vertex of {x : N x <= c} minimizing sign * x_n; None if unbounded or failed."""
-    from scipy import optimize
-
-    n = normals.shape[1]
-    cost = np.zeros(n)
-    cost[-1] = sign
-    res = optimize.linprog(c=cost, A_ub=normals, b_ub=offsets,
-                           bounds=[(None, None)] * n, method="highs")
-    return res.x if res.status == 0 else None
+def polygon_vertices(unit: np.ndarray, d: np.ndarray, stop: np.ndarray,
+                     live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, vertices) of one polygon from its ``polygon_edges`` row: the
+    vertex d_j * u_j + stop_j * w_j ending each live edge j with a finite stop."""
+    j = np.flatnonzero(live & np.isfinite(stop))
+    return j, d[j, None] * unit[j] + stop[j, None] * np.stack([-unit[j, 1], unit[j, 0]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +898,8 @@ def body_from_document(doc: dict) -> ConvexBody:
     kind = doc["kind"]
     if kind not in _DOCUMENT_KINDS:
         raise InvalidBodyError(f"unknown body kind {kind!r}")
+    if "dim" in doc:
+        _dimension(doc["dim"], f"the {kind} body document's dim")
     try:
         if kind == "halfspace":
             body = Halfspace(doc["normal"], doc["offset"])

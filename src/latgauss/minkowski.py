@@ -25,7 +25,8 @@ import numpy as np
 
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
-                     bounding_radius, minkowski_combination, polygon_edges)
+                     bounding_radius, minkowski_combination, polygon_edges,
+                     polygon_vertices)
 from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
                      UnsupportedBodyError)
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
@@ -404,9 +405,11 @@ def _slice_measures(body: ConvexBody, xs: np.ndarray, terms: np.ndarray, samples
     h = np.zeros(samples)
     for i in rows:
         hits = score(i)
-        h += terms[i] * hits
-        est = gaussian.hit_estimate(int(np.count_nonzero(hits)), samples)
-        measures[i], hws[i] = est.value, est.half_width
+        count = int(np.count_nonzero(hits))
+        if count:  # an empty slice keeps measure 0, half-width 0 and adds nothing to h
+            h += terms[i] * hits
+            est = gaussian.hit_estimate(count, samples)
+            measures[i], hws[i] = est.value, est.half_width
     return measures, hws, h
 
 
@@ -433,11 +436,10 @@ def _kink_error(body: ConvexBody, xs: np.ndarray) -> float:
         return 0.0
     unit, (d,), _, (stop,), (live,), (stopper,) = polygon_edges(body.normals,
                                                                 body.offsets[None, :])
-    j = np.flatnonzero(live & np.isfinite(stop))  # each vertex ends one edge
-    k = stopper[j]
+    j, vertex = polygon_vertices(unit, d, stop, live)
+    k = stopper[j]  # edge j ends at its vertex, where edge k starts
     one_side = unit[j, 0] * unit[k, 0] > 0.0
-    j, k = j[one_side], k[one_side]
-    vertex = d[j, None] * unit[j] + stop[j, None] * np.stack([-unit[j, 1], unit[j, 0]], axis=1)
+    j, k, vertex = j[one_side], k[one_side], vertex[one_side]
     inside = (vertex[:, 1] > xs[0]) & (vertex[:, 1] < xs[-1])
     jumps = (np.exp(-0.5 * np.sum(vertex * vertex, axis=1)) / (2.0 * math.pi)
              * np.abs(unit[j, 1] / unit[j, 0] - unit[k, 1] / unit[k, 0]))
@@ -460,14 +462,15 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     S_4h of that identity each run over an odd number of points.
 
     The body's ``slices`` gives every slice of the grid as one family of
-    arrays, with no body built per slice. Families with a closed form
+    arrays, with no body built per slice and, for an H-polytope, no LP.
+    Families with a closed form
     (``gaussian.measure_slices``: every box, ball and halfspace slice, every
     slice of an ellipsoid whose series converges within
     ``gaussian.SERIES_TERM_CAP`` terms, every bounded polygon slice of a 3-d
     H-polytope, by Owen's T, and every slice of a 2-d body) are measured
     exactly in one array pass. The rest are all scored on one
     seeded (samples, n-1) draw, sub-draw ``grid_size`` of ``seed``, made
-    only when some slice is nonempty; an H-polytope's facet products with
+    only when some slice is present; an H-polytope's facet products with
     that draw are computed once for all its slices. The body itself is
     measured exactly where it has a closed form, and otherwise on sub-draw
     ``grid_size + 1`` with 4 * samples points. Slice estimates from one

@@ -80,6 +80,23 @@ STREAM_DIGESTS = {
                                            [-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                            [-0.6, 0, -0.8]]}),),
         "b7037a8b0477261745013d25271ce5463e9effa2cb7f31126cd398172b4e94dd"),
+    # pinned while H-polytope slices still carried interior points: the 4-d
+    # profile scores its 3-d slices by Monte Carlo, and every nonempty slice
+    # of the thin slab took a Chebyshev-center LP
+    "w-profile-hpolytope-4d": (
+        PROFILE + (json.dumps({"kind": "hpolytope", "dim": 4, "offsets": [1.2] * 10,
+                               "normals": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                           [0, 0, 0, 1], [0.6, 0, 0, 0.8],
+                                           [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+                                           [0, 0, 0, -1], [-0.6, 0, 0, -0.8]]}),),
+        "6431cfd6dc73e6a2f38bca25cd82e31e6217950f510a518b66bc6d1c2f5e161d"),
+    "w-profile-hpolytope-thin-3d": (
+        PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3,
+                               "offsets": [1e-7, 1e-7, 1.0, 1.0, 1.0, 1.0],
+                               "normals": [[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0],
+                                           [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                                           [0.0, 0.0, -1.0]]}),),
+        "e883f6742609ef064c01d085156ba2763fef293b100456494b30e2c906461fa0"),
     # lattice and balancing commands, pinned before their preconditions moved
     # into the bodies' gauge_many and Lattice
     "minima-3d": (("minima", "--lattice", R3),
@@ -158,6 +175,22 @@ class TestExitCodes:
         code, out = run_cli("measure", "--body", json.dumps(doc))
         assert code == 1 and out == ""
         assert f"{doc['kind']} body document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, source", [
+        ({"kind": "axis_box", "semiwidths": []}, "got 0 from semiwidths"),
+        ({"kind": "ball", "radius": 1, "center": []}, "got 0 from center"),
+        ({"kind": "space", "dim": 2.5}, "got 2.5 from the space body document's dim"),
+        ({"kind": "space", "dim": True}, "got True from the space body document's dim"),
+        ({"kind": "ball", "radius": 1, "dim": True}, "got True from the ball body document's dim"),
+        ({"kind": "ball", "radius": 1, "center": [0.0], "dim": True},
+         "got True from the ball body document's dim"),
+    ], ids=["box-no-semiwidths", "ball-empty-center", "space-float-dim", "space-bool-dim",
+            "ball-bool-dim", "ball-centre-and-bool-dim"])
+    def test_body_without_a_positive_integer_dimension_is_exit_one(self, doc, source, capsys):
+        code, out = run_cli("measure", "--body", json.dumps(doc))
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.endswith(f"dimension must be an integer >= 1, {source}\n")
 
     @pytest.mark.parametrize("bad", [
         {"normals": [[1.0, math.nan], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import latgauss as lg
@@ -13,7 +14,7 @@ from latgauss.errors import (DimensionMismatchError, InvalidBodyError,
 
 
 def lp_slice_reference(body, x):
-    """H-polytope slice with one Chebyshev-center LP per slice, no span."""
+    """H-polytope slice with one Chebyshev-center LP per slice."""
     heads = body.normals[:, :-1]
     cs = body.offsets - body.normals[:, -1] * x
     keep = np.linalg.norm(heads, axis=1) > convex.BOUNDARY_ATOL
@@ -27,9 +28,22 @@ def lp_slice_reference(body, x):
     return lg.HPolytope(heads[keep], cs[keep], interior_point=p)
 
 
+def lp_last_axis_ends(body):
+    """Least and greatest last coordinate of an H-polytope, each by an LP;
+    None on a side where it is unbounded."""
+    ends = []
+    for sign in (1.0, -1.0):
+        res = scipy.optimize.linprog(c=sign * np.eye(body.dim)[-1], A_ub=body.normals,
+                                     b_ub=body.offsets, bounds=[(None, None)] * body.dim,
+                                     method="highs")
+        ends.append(res.x[-1] if res.status == 0 else None)
+    return ends
+
+
 def scalar_slice_reference(body, x):
     """The slice at x computed one slice at a time, in scalar arithmetic,
-    as each body kind computed it before slices were batched."""
+    as each body kind computed it before slices were batched; a present
+    H-polytope slice is built by ``lp_slice_reference``."""
     if isinstance(body, lg.AxisBox):
         return None if abs(x) > body.semiwidths[-1] + convex.BOUNDARY_ATOL \
             else lg.AxisBox(body.semiwidths[:-1])
@@ -46,35 +60,26 @@ def scalar_slice_reference(body, x):
         return lg.Halfspace(head, c)
     if isinstance(body, lg.FullSpace):
         return lg.FullSpace(body.dim - 1)
+    return None if scalar_polytope_row(body, x) is None else lp_slice_reference(body, x)
+
+
+def scalar_polytope_row(body, x):
+    """Facets (N, c) of the H-polytope slice at x, with no LP, or None where
+    the slice is absent: a head-less facet excludes x, or a 1-d slice's facet
+    ratios leave no interval of half width > MIN_CHEBYSHEV_RADIUS."""
     heads = body.normals[:, :-1]
     cs = body.offsets - body.normals[:, -1] * x
-    hnorm = np.linalg.norm(heads, axis=1)
-    keep = hnorm > convex.BOUNDARY_ATOL
+    keep = np.linalg.norm(heads, axis=1) > convex.BOUNDARY_ATOL
     if np.any(cs[~keep] < -convex.BOUNDARY_ATOL):
         return None
-    if not np.any(keep):
-        return lg.FullSpace(body.dim - 1)
     N, c = heads[keep], cs[keep]
-    if body.dim == 2:  # the interval of the facet ratios, with its midpoint inside
+    if body.dim == 2:
         ratios = [ci / ni for ni, ci in zip(N[:, 0], c)]
         lo = max((r for ni, r in zip(N[:, 0], ratios) if ni < 0.0), default=-math.inf)
         hi = min((r for ni, r in zip(N[:, 0], ratios) if ni > 0.0), default=math.inf)
         if not (hi - lo) / 2.0 > convex.MIN_CHEBYSHEV_RADIUS:
             return None
-        mid = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2.0
-        return lg.HPolytope(N, c, interior_point=[mid])
-    p = body.interior_point
-    vertex = body.last_axis_vertices[0 if x <= p[-1] else 1]
-    if vertex is not None:
-        reach, step = abs(vertex[-1] - p[-1]), abs(x - p[-1])
-        tol = convex.SPAN_RTOL * max(1.0, reach)
-        if step > reach + tol:
-            return None
-        if reach > 0.0:
-            q = p[:-1] + (step / reach) * (vertex[:-1] - p[:-1])
-            if np.all(c - N @ q > tol * np.maximum(hnorm[keep], 1.0)):
-                return lg.HPolytope(N, c, interior_point=q)
-    return lp_slice_reference(body, x)
+    return N, c
 
 
 def symmetric_polytope(n, seed):
@@ -94,6 +99,11 @@ TILTED_CUP = lg.HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0.3, 0
 # simplex that excludes the origin, so its interior point is a Chebyshev center
 OFF_ORIGIN_SIMPLEX = lg.HPolytope([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
                                   [-0.1, 0.3, 0.1, 1.5])
+# a slab of width 2e-7 across a 3-d box: every nonempty slice is a strip
+# with Chebyshev radius 1e-7
+THIN_POLYTOPE_3D = lg.HPolytope([[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0],
+                                 [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                                [1e-7, 1e-7, 1.0, 1.0, 1.0, 1.0])
 
 
 class TestContains:
@@ -174,11 +184,11 @@ class TestSlice:
 
     @pytest.mark.parametrize("body", [
         *(symmetric_polytope(n, seed) for n in (2, 3, 4) for seed in range(3)),
-        OFF_ORIGIN_TRIANGLE, OFF_ORIGIN_SIMPLEX, TILTED_CUP,
+        OFF_ORIGIN_TRIANGLE, OFF_ORIGIN_SIMPLEX, TILTED_CUP, THIN_POLYTOPE_3D,
     ], ids=[*(f"symmetric-{n}d-{seed}" for n in (2, 3, 4) for seed in range(3)),
-            "triangle", "simplex", "unbounded"])
+            "triangle", "simplex", "unbounded", "thin"])
     def test_polytope_slices_match_lp_reference(self, body):
-        ends = [v[-1] for v in body.last_axis_vertices if v is not None]
+        ends = [e for e in lp_last_axis_ends(body) if e is not None]
         assert len(ends) == (1 if body is TILTED_CUP else 2)
         xs = np.concatenate([np.linspace(-3.0, 3.0, 61), ends,
                              [e + d for e in ends for d in (-1e-9, 1e-9)]])
@@ -210,6 +220,21 @@ class TestSlice:
         except lg.UnsupportedBodyError:
             measures = None
         for i, x in enumerate(xs):
+            if isinstance(body, lg.HPolytope) and i >= 200:
+                # building a slice costs a Chebyshev-center LP on each side, so
+                # past the first rows a polytope row is checked with no LP: its
+                # offsets, and its measure against its own one-row family
+                row = scalar_polytope_row(body, float(x))
+                assert family.present[i] == (row is not None), x
+                if row is None:
+                    assert measures[i] == 0.0, x
+                    continue
+                assert np.array_equal(family.normals, row[0])
+                assert np.array_equal(family.offsets[i], row[1]), x
+                one_row = convex.PolytopeSlices(family.dim, np.ones(1, dtype=bool), row[0],
+                                                row[1][None, :])
+                assert measures[i] == gaussian.measure_slices(one_row)[0], x
+                continue
             sl, ref = family.slice(i), scalar_slice_reference(body, float(x))
             assert (sl is None) == (ref is None), x
             assert sl is None or sl.to_document() == ref.to_document(), x
@@ -217,11 +242,10 @@ class TestSlice:
                 assert measures[i] == (0.0 if ref is None else lg.measure_exact(ref).value), x
 
     def test_polytope_span_vertices(self):
-        lo, hi = OFF_ORIGIN_TRIANGLE.last_axis_vertices
-        assert lo[-1] == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(hi, [0.0, 1.0], atol=1e-12)
-        lo, hi = TILTED_CUP.last_axis_vertices
-        assert np.allclose(lo, [-1.0, -1.0, -1.0], atol=1e-12) and hi is None
+        assert OFF_ORIGIN_TRIANGLE.last_axis_extent() == pytest.approx((0.0, 1.0), abs=1e-12)
+        # higher dimension has no span: callers truncate
+        assert TILTED_CUP.last_axis_extent() == (-math.inf, math.inf)
+        assert lp_last_axis_ends(TILTED_CUP) == [pytest.approx(-1.0, abs=1e-12), None]
 
     @pytest.mark.parametrize("body", [
         *(symmetric_polytope(2, seed) for seed in range(6)), OFF_ORIGIN_TRIANGLE,
@@ -230,20 +254,16 @@ class TestSlice:
     ], ids=[*(f"symmetric-{seed}" for seed in range(6)), "triangle", "wedge", "cup"])
     def test_polygon_span_needs_no_lp(self, body, monkeypatch):
         # a polygon reads its last-axis extremes off its edges; the LPs agree
-        lp = [convex._last_axis_vertex(body.normals, body.offsets, s) for s in (1.0, -1.0)]
-        monkeypatch.setattr(convex, "_last_axis_vertex", None)
-        fresh = lg.HPolytope(body.normals, body.offsets, body.interior_point)
-        for vertex, ref, end in zip(fresh.last_axis_vertices, lp, fresh.last_axis_extent()):
-            assert (vertex is None) == (ref is None) == math.isinf(end)
-            if vertex is not None:
-                assert vertex[-1] == pytest.approx(ref[-1], abs=1e-12)
-                assert vertex[-1] == end
-                assert np.all(body.normals @ vertex <= body.offsets + 1e-12)
+        lp = lp_last_axis_ends(body)
+        monkeypatch.setattr(scipy.optimize, "linprog", None)
+        for end, ref in zip(body.last_axis_extent(), lp):
+            assert math.isinf(end) == (ref is None)
+            if ref is not None:
+                assert end == pytest.approx(ref, abs=1e-12)
 
     def test_strip_has_no_span_vertex(self):
         # its edges are whole lines: the profile grid falls back to truncation
         strip = lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
-        assert strip.last_axis_vertices == (None, None)
         assert strip.last_axis_extent() == (-math.inf, math.inf)
 
 
@@ -526,6 +546,17 @@ class TestValidation:
     def test_non_finite_polytope(self, normals, offsets, interior):
         with pytest.raises(InvalidBodyError):
             lg.HPolytope(normals, offsets, interior_point=interior)
+
+    @pytest.mark.parametrize("make", [
+        lambda: lg.AxisBox([]), lambda: lg.Ellipsoid([]), lambda: lg.Ball(1.0, center=[]),
+        lambda: lg.Ball(1.0, dim=0), lambda: lg.Ball(1.0, dim=True), lambda: lg.FullSpace(0),
+        lambda: lg.FullSpace(2.5), lambda: lg.FullSpace(True),
+        lambda: lg.OracleBody(np.int64(0), lambda pts: np.ones(len(pts), dtype=bool), 1.0),
+    ], ids=["box", "ellipsoid", "ball-center", "ball-dim-0", "ball-dim-bool", "space-0",
+            "space-float", "space-bool", "oracle-0"])
+    def test_dimension_is_a_positive_integer(self, make):
+        with pytest.raises(InvalidBodyError, match="dimension must be an integer >= 1"):
+            make()
 
 
 class TestDocuments:

@@ -586,7 +586,7 @@ _HEXAGON = [[1.0, 0.0], [0.5, math.sqrt(0.75)], [-0.5, math.sqrt(0.75)],
 def _polygon(normals, offsets):
     """The polygon as a one-row family, which may be empty (an HPolytope may not)."""
     return latgauss.convex.PolytopeSlices(2, np.ones(1, dtype=bool), np.asarray(normals, float),
-                                          np.asarray(offsets, float)[None, :], np.zeros((1, 2)))
+                                          np.asarray(offsets, float)[None, :])
 
 
 @st.composite
@@ -632,8 +632,7 @@ class TestPolygonMeasure:
         normals = rng.standard_normal((4, 2))
         normals = np.vstack([normals, -normals])
         offsets = rng.uniform(-0.3, 2.0, (300, 8))
-        family = latgauss.convex.PolytopeSlices(2, rng.random(300) < 0.9, normals, offsets,
-                                                np.zeros((300, 1)))
+        family = latgauss.convex.PolytopeSlices(2, rng.random(300) < 0.9, normals, offsets)
         values = measure_slices(family)
         assert np.count_nonzero(values) > 150
         for i, value in enumerate(values):

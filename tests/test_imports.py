@@ -3,6 +3,7 @@ module-level private name goes unreferenced in the package, and scipy's
 slow submodules load only where they are needed."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -133,13 +134,28 @@ def test_cold_import_defers_scipy_optimize_and_integrate():
     assert proc.stdout.split() == ["[]", "[]"]
 
 
-def test_polygon_profile_never_imports_scipy_optimize():
-    # a 2-d H-polytope reads its span off its edges and is measured by
-    # Owen's T, so its w-profile solves no LP and brackets no root
+# symmetric H-polytopes pinned in the CLI stream digests
+POLYTOPES = {
+    "2d": {"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
+           "normals": [[1, 0], [0, 1], [0.6, 0.8], [-1, 0], [0, -1], [-0.6, -0.8]]},
+    "3d": {"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
+           "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
+                       [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-0.6, 0, -0.8]]},
+    "4d": {"kind": "hpolytope", "dim": 4, "offsets": [1.2] * 10,
+           "normals": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0.6, 0, 0, 0.8],
+                       [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1],
+                       [-0.6, 0, 0, -0.8]]},
+}
+
+
+@pytest.mark.parametrize("dim", POLYTOPES)
+def test_polytope_profile_never_imports_scipy_optimize(dim):
+    # an H-polytope's slices are decided by their facets and a polygon's
+    # span is read off its edges, so a w-profile solves no LP; a 2-d one
+    # is measured by Owen's T and brackets no root either
     src = str(Path(latgauss.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    body = ('{"kind": "hpolytope", "dim": 2, "offsets": [1.2, 1.2, 1.2, 1.2, 1.2, 1.2], '
-            '"normals": [[1, 0], [0, 1], [0.6, 0.8], [-1, 0], [0, -1], [-0.6, -0.8]]}')
+    body = json.dumps(POLYTOPES[dim])
     code = ("import sys, latgauss.cli; "
             f"code = latgauss.cli.main(['w-profile', '--body', {body!r}]); "
             "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)")
@@ -147,6 +163,42 @@ def test_polygon_profile_never_imports_scipy_optimize():
                           text=True, timeout=120, check=True)
     assert '"verdict": "holds"' in proc.stdout
     assert proc.stderr.split() == ["0", "False"]
+
+
+def _references(sources: dict[str, str], name: str) -> list[str]:
+    """Where each module reads ``name`` (as a name or an attribute): one
+    'module.Class.function' entry per read, from its innermost enclosing
+    definitions, or just 'module' at top level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif ((isinstance(node, ast.Name) and node.id == name)
+              or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_chebyshev_center_solves_an_lp():
+    # slices, spans and measures need no LP; only a polytope built with no
+    # interior point given, and slice_at, look for one
+    assert _references({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE},
+                       "linprog") == ["convex._chebyshev_center"]
+
+
+def test_detects_an_lp_call():
+    sources = {
+        "a": "from scipy.optimize import linprog\n\nsolve = linprog\n",
+        "b": "class Body:\n    def cut(self):\n        def inner():\n"
+             "            return optimize.linprog(c=[1])\n        return inner()\n",
+    }
+    assert _references(sources, "linprog") == ["a", "b.Body.cut.inner"]
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -15,7 +15,7 @@ import latgauss.lattice
 import latgauss.minkowski
 from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target, _simpson,
                                  _slice_measures, generate_theorem_instance)
-from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, TILTED_CUP,
+from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, THIN_POLYTOPE_3D, TILTED_CUP,
                          lp_slice_reference, scalar_slice_reference, symmetric_polytope)
 
 
@@ -41,14 +41,9 @@ def reference_slice_measures(body, xs, terms, samples, seed, slice_at=scalar_sli
     return measures, hws, h
 
 
-# a slab of width 2e-7 across the plane, and across a 3-d box: no slice of
-# the 3-d one clears the span test's 1e-6 margin, so every nonempty slice
-# is decided by its Chebyshev-center LP
+# a slab of width 2e-7 across the plane (THIN_POLYTOPE_3D crosses a 3-d box)
 THIN_POLYTOPE = lg.HPolytope([[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0]],
                              [1e-7, 1e-7, 1.0, 1.0])
-THIN_POLYTOPE_3D = lg.HPolytope([[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0],
-                                 [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
-                                [1e-7, 1e-7, 1.0, 1.0, 1.0, 1.0])
 # pinned 3-d profile bodies of the CLI stream digests
 PINNED_POLYTOPE_3D = lg.HPolytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
                                    [-1, 0, 0], [0, -1, 0], [0, 0, -1], [-0.6, 0, -0.8]],
@@ -586,23 +581,21 @@ class TestWProfile:
         prof = lg.w_profile(body, grid_size=51, seed=3)
         assert prof.identity_residual() <= prof.identity_tol < 1e-7
 
-    def test_polytope_profile_solves_two_lps(self, monkeypatch):
-        # the last-axis span decides every slice: no LP per slice; a polygon
-        # reads its span off its edges and its slices off their facet ratios
+    def test_polytope_profile_solves_no_lp(self, monkeypatch):
+        # slices are decided by their facets alone, and a polygon reads its
+        # span off its edges; only building a slice (slice_at) takes an LP
         calls = []
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: calls.append(1) or linprog(*a, **k))
-        lg.w_profile(symmetric_polytope(3, 11), grid_size=81, samples=4096, seed=2)
-        assert len(calls) <= 2
-        calls.clear()
-        for body in (symmetric_polytope(2, 11), OFF_ORIGIN_TRIANGLE, THIN_POLYTOPE):
+        for body in (symmetric_polytope(2, 11), OFF_ORIGIN_TRIANGLE, THIN_POLYTOPE,
+                     symmetric_polytope(3, 11), THIN_POLYTOPE_3D, symmetric_polytope(4, 11)):
             lg.w_profile(body, grid_size=81, samples=4096, seed=2)
         assert len(calls) == 0
 
     @pytest.mark.parametrize("body", [symmetric_polytope(3, 11), OFF_ORIGIN_TRIANGLE,
-                                      OFF_ORIGIN_SIMPLEX, TILTED_CUP],
-                             ids=["symmetric", "triangle", "simplex", "unbounded"])
+                                      OFF_ORIGIN_SIMPLEX, TILTED_CUP, THIN_POLYTOPE_3D],
+                             ids=["symmetric", "triangle", "simplex", "unbounded", "thin"])
     def test_polytope_profile_matches_lp_reference(self, body, monkeypatch):
         fast = lg.w_profile(body, grid_size=81, samples=4096, seed=3)
         monkeypatch.setattr(latgauss.minkowski, "_slice_measures",
@@ -646,18 +639,6 @@ class TestWProfile:
             ref = reference_slice_measures(body, xs, terms, 4096, 17, slice_at)
             for a, b in zip(fast, ref):
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
-
-    def test_thin_polytope_slices_take_the_lp(self, monkeypatch):
-        body = lg.HPolytope(THIN_POLYTOPE_3D.normals, THIN_POLYTOPE_3D.offsets)
-        calls = []
-        center = latgauss.convex._chebyshev_center
-        monkeypatch.setattr(latgauss.convex, "_chebyshev_center",
-                            lambda *a: calls.append(1) or center(*a))
-        family = body.slices(np.linspace(-0.9, 0.9, 19))
-        assert np.all(family.present) and len(calls) == 19
-        calls.clear()  # a polygon's slices are intervals, decided with no LP
-        assert np.all(THIN_POLYTOPE.slices(np.linspace(-0.9, 0.9, 19)).present)
-        assert len(calls) == 0
 
     def test_oracle_profile_is_unsupported(self):
         body = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0,
