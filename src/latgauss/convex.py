@@ -294,7 +294,7 @@ class Ball(ConvexBody):
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "dim", _dimension(c.shape[0], "center"))
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
         return bool(np.all(np.abs(self.center) <= BOUNDARY_ATOL))
 

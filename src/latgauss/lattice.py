@@ -130,25 +130,40 @@ def coset_from_document(doc: dict) -> Coset:
 # Gram-Schmidt and LLL
 # ---------------------------------------------------------------------------
 
+def _gs_row(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, i: int) -> None:
+    """Write row i of the Gram-Schmidt of b in place: bstar[i] and mu[i, :i].
+
+    Reads only b[i] and bstar[:i], so once rows 0..i-1 are current a changed
+    b[i] needs this one row and nothing else.
+    """
+    bstar[i] = b[i]
+    for j in range(i):
+        mu[i, j] = (b[i] @ bstar[j]) / (bstar[j] @ bstar[j])
+        bstar[i] -= mu[i, j] * bstar[j]
+
+
 def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized Gram-Schmidt of the rows of b: (orthogonal rows, mu).
 
     mu is lower triangular with unit diagonal; mu[i, j] is the projection
     coefficient of row i on orthogonal row j.
     """
-    n = b.shape[0]
-    bstar = b.astype(float).copy()
-    mu = np.eye(n)
-    for i in range(n):
-        for j in range(i):
-            mu[i, j] = (b[i] @ bstar[j]) / (bstar[j] @ bstar[j])
-            bstar[i] -= mu[i, j] * bstar[j]
+    bstar = np.empty_like(b, dtype=float)
+    mu = np.eye(b.shape[0])
+    for i in range(b.shape[0]):
+        _gs_row(b, bstar, mu, i)
     return bstar, mu
 
 
 def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(reduced, T): the LLL-reduced basis and the unimodular T with
-    reduced = T @ basis. The basis is taken as valid (``Lattice`` checks it)."""
+    reduced = T @ basis. The basis is taken as valid (``Lattice`` checks it).
+
+    Gram-Schmidt is kept row by row: a size reduction at k changes row k, a
+    swap rows k-1 and k, and rows past k are not read until k reaches them,
+    so each step redoes only those rows, with the same float operations as a
+    full recompute; the result is bitwise that of redoing it all each step.
+    """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
@@ -160,13 +175,16 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if q != 0:
                 b[k] -= q * b[j]
                 t[k] -= q * t[j]
-                bstar, mu = _gs(b)
+                _gs_row(b, bstar, mu, k)
         if bstar[k] @ bstar[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * (bstar[k - 1] @ bstar[k - 1]):
             k += 1
+            if k < n:
+                _gs_row(b, bstar, mu, k)
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
             t[[k - 1, k]] = t[[k, k - 1]]
-            bstar, mu = _gs(b)
+            _gs_row(b, bstar, mu, k - 1)
+            _gs_row(b, bstar, mu, k)
             k = max(k - 1, 1)
     return b, t
 
@@ -245,17 +263,34 @@ def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) 
         vals = np.repeat(lo[keep], counts[keep]) + within
         new_dist2 = dist2[idx] + (vals * r[i, i] - resid[idx]) ** 2
         ok = new_dist2 <= r2
-        partial = np.hstack([partial[idx][ok], vals[ok, None]])
+        partial = np.hstack([partial[idx[ok]], vals[ok, None]])
         dist2 = new_dist2[ok]
     return partial[:, ::-1]
 
 
 def _spiral_keys(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """lexsort keys for the per-coordinate (|c|, sign) order, least significant first."""
-    keys = []
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        keys += (coeffs[:, j] < 0, np.abs(coeffs[:, j]))
-    return tuple(keys)
+    """lexsort keys for the spiral order of coefficient rows, least significant first.
+
+    The spiral order (README, "Numerical conventions") ranks rows coordinate
+    by coordinate, the first most significant, and within one coordinate by
+    |c| first, then c >= 0 before c < 0. Within one coordinate that is the
+    order of the zigzag code z = 2|c| + (c < 0), which maps 0, 1, -1, 2, -2
+    to 0, 2, 3, 4, 5. Consecutive coordinates' codes are packed into one int64
+    in mixed radix, each column's base max(z) + 1; a further key starts where
+    the product of the bases in the current one would pass 2**63. A single
+    column always fits, because ``_frame_target`` keeps |c| < 2**53.
+    """
+    z = 2 * np.abs(coeffs) + (coeffs < 0)
+    keys, span = [], 0
+    for col in z.T:  # column by column: an axis-0 max over int64 rows is slow
+        base = int(col.max(initial=0)) + 1
+        if keys and span * base <= 2**63:
+            keys[-1] = keys[-1] * base + col
+            span *= base
+        else:
+            keys.append(col)
+            span = base
+    return tuple(keys[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +380,9 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
                             return_coefficients: bool = False):
     """All points of offset+L within closed euclidean ``radius`` of ``center``.
 
-    Output rows are ordered by the spiral key (|c|, sign) of the coefficient
-    vectors in the coset's own basis, which makes the order invariant under
-    translating offset and center together.
+    Output rows are in the spiral order (README, "Numerical conventions") of
+    their coefficient vectors in the coset's own basis, which makes the order
+    invariant under translating offset and center together.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (coset.dim,):

@@ -44,6 +44,12 @@ THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
 R3 = json.dumps({"basis": [[1.1, 0.2, -0.3], [0.1, 0.9, 0.4], [-0.2, 0.3, 1.2]]})
+R6 = json.dumps({"basis": [[-1.119, -3.796, -3.488, 3.981, 0.346, -1.287],
+                           [-1.105, 0.545, -2.164, 1.17, 1.358, 0.223],
+                           [0.902, 4.573, 0.241, 0.034, -0.766, 0.473],
+                           [-0.326, -4.037, -1.592, 2.585, -0.292, -0.995],
+                           [1.032, 5.947, 0.718, -0.623, -0.534, 0.622],
+                           [-1.106, 1.436, 0.673, 1.752, -0.482, 0.137]]})
 STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
                    "e6e5c304d51e55afd1f0b1aafe727716251fe92440bcc383bf88727afa0e5f14"),
@@ -107,6 +113,13 @@ STREAM_DIGESTS = {
         "b4cfa797006df15b2c6ab762cbc723cecdb32e5700f396b3f8d165c0a218cb08"),
     "cvp-3d": (("cvp", "--lattice", R3, "--target", "0.3,-0.4,2.2"),
                "97b1b8ddc76acaca44a0447f8612940f5621c75577e9d04bff36e4269a69ebf3"),
+    # a unimodular scramble of a Gaussian 6-d basis, which LLL swaps and
+    # size-reduces many times; pinned while every LLL step redid the whole
+    # Gram-Schmidt and the spiral order sorted on two keys per coordinate
+    "minima-6d": (("minima", "--lattice", R6),
+                  "83002148ecc58e64faf7d5f19c82450c5cce2a318f03348eccf02af71c15cb62"),
+    "cvp-6d": (("cvp", "--lattice", R6, "--target", "2.7,-1.3,0.4,3.1,-0.8,1.9"),
+               "031ad251e9516863221f8fb433e9b66a66f1b0403563349543e2a14ae095ebbe"),
     "covering-ball": (("covering", "--lattice", R2, "--body", BALL),
                       "228073189fad82c025c6bba69e5240aaeaa06cafa9dc3c88781211ac4edc6dc2"),
     "alpha-search": (("alpha-search", "--n", "2", "--restarts", "2", "--resolution", "6",

@@ -1,15 +1,18 @@
 """Lattice reduction, enumeration, minima, CVP, covering brackets."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import latgauss as lg
 import latgauss.lattice
 from latgauss.errors import InvalidLatticeError, ResolutionTooCoarseError
-from latgauss.lattice import _gs
+from latgauss.lattice import _gs, _spiral_keys
+from latgauss.minkowski import random_theta_lattice
 
 
 def _det(lattice):
@@ -127,6 +130,75 @@ class TestLLL:
             lat = _random_lattice_2d(rng)
             red, _ = lg.lll_reduce(lat.basis)
             assert _det(lg.Lattice(red)) == pytest.approx(_det(lat), rel=1e-9)
+
+
+def _lll_full_recompute(basis):
+    """LLL that redoes the whole Gram-Schmidt after every size reduction and
+    swap: the reference the row-incremental ``lll_reduce`` must match bitwise.
+    Returns (reduced, T, number of exact .5 coefficients rounded)."""
+    def gs(b):
+        bstar = b.copy()
+        mu = np.eye(len(b))
+        for i in range(len(b)):
+            for j in range(i):
+                mu[i, j] = (b[i] @ bstar[j]) / (bstar[j] @ bstar[j])
+                bstar[i] -= mu[i, j] * bstar[j]
+        return bstar, mu
+
+    b = np.array(basis, dtype=float)
+    n = b.shape[0]
+    t = np.eye(n, dtype=np.int64)
+    bstar, mu = gs(b)
+    ties = 0
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            ties += abs(mu[k, j]) % 1.0 == 0.5
+            q = round(mu[k, j])
+            if q != 0:
+                b[k] -= q * b[j]
+                t[k] -= q * t[j]
+                bstar, mu = gs(b)
+        if bstar[k] @ bstar[k] >= (0.99 - mu[k, k - 1] ** 2) * (bstar[k - 1] @ bstar[k - 1]):
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            t[[k - 1, k]] = t[[k, k - 1]]
+            bstar, mu = gs(b)
+            k = max(k - 1, 1)
+    return b, t, ties
+
+
+def _reference_bases(n, count):
+    """Seeded n-d bases of four kinds: Gaussian, integer entries in [-9, 9]
+    (whose Gram-Schmidt coefficients hit exact .5 ties), theta-scaled, and
+    unimodular scrambles of Gaussian bases."""
+    rng = np.random.default_rng(100 + n)
+    for i in range(count):
+        yield rng.normal(size=(n, n))
+        while True:
+            m = rng.integers(-9, 10, size=(n, n)).astype(float)
+            if abs(np.linalg.det(m)) > 0.5:
+                yield m
+                break
+        yield random_theta_lattice(n, seed=1000 * n + i).basis
+        u = np.eye(n, dtype=np.int64)
+        for _ in range(2 * n if n > 1 else 0):
+            a, c = rng.choice(n, 2, replace=False)
+            u[a] += rng.integers(-2, 3) * u[c]
+        yield u @ rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lll_matches_the_full_recompute_bitwise(n):
+    ties = 0
+    for basis in _reference_bases(n, 25):
+        red, t = lg.lll_reduce(basis)
+        want_red, want_t, basis_ties = _lll_full_recompute(basis)
+        assert np.array_equal(t, want_t)
+        assert red.tobytes() == want_red.tobytes()
+        ties += basis_ties
+    assert n == 1 or ties > 0  # the integer bases reach exact .5 ties
 
 
 class TestSuccessiveMinima:
@@ -281,6 +353,21 @@ class TestCosetEnumeration:
             lg.enumerate_coset_in_ball(lg.Coset(lg.Lattice(np.eye(2)), np.zeros(2)),
                                        np.zeros(2), 0.0)
 
+    def test_5d_coset_stream_pinned(self):
+        # pinned while every LLL step redid the whole Gram-Schmidt and the
+        # spiral order sorted on two keys per coordinate
+        basis = [[1.237, -7.581, -0.472, 3.321, -2.954], [0.053, 1.5, -1.168, 0.811, 1.899],
+                 [0.842, -2.976, -0.305, 1.45, -1.244], [-2.447, 6.735, 0.027, -3.817, 2.042],
+                 [-0.165, 2.649, -0.323, -1.074, -0.334]]
+        cs = lg.Coset(lg.Lattice(basis), [0.31, -0.27, 0.18, 0.44, -0.12])
+        pts, coeffs = lg.enumerate_coset_in_ball(cs, [0.5, -0.2, 0.1, 0.3, 0.0], 5.3,
+                                                 return_coefficients=True)
+        assert len(pts) == 5076
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+            "602df22d1fcaf8e90825f0bd02263ab89873e70f096b16efa1e51b187cf30289")
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == (
+            "33ca285116425f61f856b549d78dc95e131f083289b5ec40faf0a8152d0ea918")
+
     def test_node_cap_reports_progress(self, monkeypatch):
         from latgauss.errors import EnumerationCapExceededError
         monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 100)
@@ -288,6 +375,41 @@ class TestCosetEnumeration:
         with pytest.raises(EnumerationCapExceededError) as exc:
             lg.enumerate_coset_in_ball(cs, np.zeros(2), 50.0)
         assert exc.value.cap == 100 and exc.value.partial > 100
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """int64 coefficient rows of 1..6 columns, some repeated, with entries
+    up to +-2**52 so that the packed spiral order needs several keys."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([1, 3, 1000, 2**52]))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                         max_size=30))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+class TestSpiralKeys:
+    @staticmethod
+    def _per_coordinate_order(c):
+        keys = []
+        for j in range(c.shape[1] - 1, -1, -1):
+            keys += (c[:, j] < 0, np.abs(c[:, j]))
+        return np.lexsort(keys)
+
+    @given(_coefficient_rows())
+    @example(np.zeros((0, 4), dtype=np.int64))
+    @example(np.array([[2**52, -2**52, 1], [-2**52, 2**52, -1], [2**52, -2**52, 1],
+                       [0, -2**52, 0]], dtype=np.int64))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_packed_keys_keep_the_per_coordinate_order(self, c):
+        assert np.array_equal(np.lexsort(_spiral_keys(c)), self._per_coordinate_order(c))
+
+    def test_wide_entries_take_several_keys(self):
+        c = np.array([[2**52, -2**52, 1], [-3, 2, -2**52]], dtype=np.int64)
+        assert len(_spiral_keys(c)) == 3
+        assert len(_spiral_keys(np.array([[0, -1, 2], [1, 2, -3]], dtype=np.int64))) == 1
 
 
 class TestCoveringRadius:
