@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -103,12 +103,9 @@ class ConvexBody:
 
     # Every class binds slice_at itself (slice_at = ConvexBody.slice_at), so
     # that a profiler can wrap it class by class.
-    def slice_at(self, x: float) -> Optional["ConvexBody"]:
-        """Cross-section {y : (y, x) in body} at last coordinate x: slice 0
-        of ``slices([x])``, a body of dimension n-1, or None when the slice
-        is empty or a null set (single point).
-        """
-        return self.slices([x]).slice(0)
+    def slice_at(self, x: float) -> "SliceFamily":
+        """The cross-section at last coordinate x, as the one-row family ``slices([x])``."""
+        return self.slices([x])
 
     def _require_sliceable(self) -> None:
         if self.dim <= 1:
@@ -464,7 +461,7 @@ class HPolytope(ConvexBody):
         facet excludes x. A 1-d slice, the interval its facet ratios leave,
         is present when its half width exceeds MIN_CHEBYSHEV_RADIUS. A slice
         of higher dimension may be present yet empty or a null set: it
-        measures 0 all the same, and ``slice(i)`` returns None for it.
+        measures 0 all the same.
         """
         self._require_sliceable()
         xs = np.asarray(xs, dtype=float)
@@ -485,7 +482,21 @@ class HPolytope(ConvexBody):
     slice_at = ConvexBody.slice_at
 
     def circumradius(self):
-        return math.inf  # not computed for H-polytopes; use bounding_radius
+        return self._circumradius
+
+    @cached_property
+    def _circumradius(self) -> float:
+        """A polygon's farthest vertex, with its offsets moved out by
+        BOUNDARY_ATOL as membership moves them; inf where an edge runs off
+        to infinity, and in higher dimension (boundedness is not checked)."""
+        if self.dim != 2:
+            return math.inf
+        unit, (d,), _, (stop,), (live,), _ = polygon_edges(
+            self.normals, self.offsets[None, :] + BOUNDARY_ATOL)
+        j, vertices = polygon_vertices(unit, d, stop, live)
+        if j.size < np.count_nonzero(live):  # a live edge runs off to infinity
+            return math.inf
+        return float(np.linalg.norm(vertices, axis=1).max())
 
     def scale(self, s):
         return HPolytope(self.normals, s * self.offsets,
@@ -657,40 +668,25 @@ class SliceFamily:
     ``present[i]`` is False where slice i is empty or a null set, except
     that a present H-polytope slice of dimension >= 2 may be empty too (it
     measures 0). Each kind holds its slices' parameters as arrays over the
-    grid, read only where ``present``; ``slice(i)`` builds slice i as a body
-    of dimension ``dim``, of the family's ``kind``, or None when it is empty
-    or a null set. A body's ``as_family`` is a one-row family.
+    grid, read only where ``present``; no slice is ever built as a body. A
+    body's ``as_family`` is a one-row family. The kinds with no closed form
+    for every row, ellipsoids and H-polytopes, give a ``scorer``: for one
+    (k, dim) draw, the membership of its rows in present slice i.
     """
 
     dim: int
     present: np.ndarray
-
-    def slice(self, i: int) -> Optional[ConvexBody]:
-        return self._build(i) if self.present[i] else None
-
-    def _build(self, i: int) -> Optional[ConvexBody]:
-        raise NotImplementedError
-
-    def scorer(self, draw: np.ndarray) -> Callable[[int], np.ndarray]:
-        """Membership of the rows of one (k, dim) draw in present slice i."""
-        return lambda i: self._build(i).contains_many(draw)
 
 
 @dataclass(frozen=True, eq=False)
 class SpaceSlices(SliceFamily):
     kind = "space"
 
-    def _build(self, i):
-        return FullSpace(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
 class BoxSlices(SliceFamily):
     kind = "axis_box"
     semiwidths: np.ndarray  # the same box at every present slice
-
-    def _build(self, i):
-        return AxisBox(self.semiwidths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -699,9 +695,6 @@ class HalfspaceSlices(SliceFamily):
     normal: np.ndarray
     offsets: np.ndarray
 
-    def _build(self, i):
-        return Halfspace(self.normal, self.offsets[i])
-
 
 @dataclass(frozen=True, eq=False)
 class BallSlices(SliceFamily):
@@ -709,17 +702,14 @@ class BallSlices(SliceFamily):
     center: np.ndarray
     radii: np.ndarray
 
-    def _build(self, i):
-        return Ball(self.radii[i], self.center)
-
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidSlices(SliceFamily):
     kind = "ellipsoid"
     semiaxes: np.ndarray  # one row per slice
 
-    def _build(self, i):
-        return Ellipsoid(self.semiaxes[i])
+    def scorer(self, draw):
+        return lambda i: _ellipsoid_holds(draw, self.semiaxes[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -727,10 +717,6 @@ class PolytopeSlices(SliceFamily):
     kind = "hpolytope"
     normals: np.ndarray  # shared by every slice
     offsets: np.ndarray  # one row per slice
-
-    def _build(self, i):
-        p = _chebyshev_center(self.normals, self.offsets[i])
-        return None if p is None else HPolytope(self.normals, self.offsets[i], interior_point=p)
 
     def scorer(self, draw):
         products = self.normals @ draw.T  # only the offsets move from slice to slice
@@ -871,11 +857,12 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
 def bounding_radius(body: ConvexBody) -> float:
     """Radius R with gaussian_measure(body outside R*B_n) <= TAIL_EPS.
 
-    Bodies with a finite circumradius return it: bounded closed-form bodies
-    their exact one, oracle bodies their validated bounding-radius hint.
-    Unbounded bodies (and H-polytopes, whose boundedness is not checked)
-    fall back to the chi-square tail radius, which bounds the mass of
-    everything outside R*B_n regardless of the body.
+    Bodies with a finite circumradius return it: bounded closed-form bodies,
+    bounded polygons among them, their exact one, oracle bodies their
+    validated bounding-radius hint. Unbounded bodies (and H-polytopes of
+    dimension >= 3, whose boundedness is not checked) fall back to the
+    chi-square tail radius, which bounds the mass of everything outside
+    R*B_n regardless of the body.
     """
     r = body.circumradius()
     if math.isfinite(r):

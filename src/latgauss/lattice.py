@@ -302,6 +302,10 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
 
     lambda_k is the smallest r such that r*body holds k linearly independent
     lattice vectors. Requires a bounded body that its ``gauge_many`` accepts.
+    Ties of the gauge, quantized by COMPARE_ATOL, break by the spiral order
+    of coefficients in the cached LLL basis ``lattice.frame[0]``, not the
+    lattice's own basis, so of a pair +-v the witness may be the one whose
+    own-basis coefficients start negative.
     """
     if body.dim != lattice.dim:
         raise DimensionMismatchError("body and lattice dimensions differ")

@@ -30,7 +30,8 @@ from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, 
 from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
                      UnsupportedBodyError)
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
-from .lattice import Coset, Lattice, enumerate_coset_in_ball, nth_minimum, covering_radius
+from .lattice import (COMPARE_ATOL, Coset, Lattice, enumerate_coset_in_ball, nth_minimum,
+                      covering_radius)
 
 _EXACT_MARGIN_TOL = 1e-9      # equality tolerance for exact-arithmetic checks
 _PROFILE_TOP = 1.0 - 1e-7     # largest slice measure a w-profile maps through Phi^{-1}
@@ -158,12 +159,12 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
 
     The body is truncated at R = bounding_radius(body): its circumradius when
     that is finite, else the radius outside which at most ``TAIL_EPS`` of
-    Gaussian mass lies. Shells around the anchor double in radius up to R
-    for a bounded body and up to R * 2**_COSET_DOUBLINGS for an unbounded
-    one. Candidate points are visited in order of distance from the anchor
-    (ties by the coefficient spiral key), so the returned witness is
-    deterministic. For a bounded body an exhausted search is a certificate
-    of empty intersection, and its ``radius`` is the circumradius; for an
+    Gaussian mass lies. Shells around the body's anchor a double in radius
+    up to R + |a| for a bounded body, no point of which lies farther from a,
+    and up to R * 2**_COSET_DOUBLINGS for an unbounded one. The witness is the
+    in-body point nearest the anchor (ties by the coefficient spiral key),
+    so it is deterministic. For a bounded body an exhausted search is a
+    certificate of empty intersection, and its ``radius`` is R + |a|; for an
     unbounded body it is ``truncated``, since emptiness beyond the truncation
     is not decidable. A search whose enumeration passes the lattice module's
     ``DEFAULT_NODE_CAP`` is ``truncated`` too. ``radius`` is the largest
@@ -172,7 +173,8 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
     r_trunc = bounding_radius(body)
     anchor = body.anchor()
     bounded = math.isfinite(body.circumradius())
-    r_max = r_trunc if bounded else r_trunc * 2.0 ** _COSET_DOUBLINGS
+    r_max = (r_trunc + float(np.linalg.norm(anchor)) if bounded
+             else r_trunc * 2.0 ** _COSET_DOUBLINGS)
     # every point of space is within half a basis-cell diagonal of the lattice
     b = coset.lattice.frame[0]
     shell = min(0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9, r_max)
@@ -181,16 +183,13 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
             pts = enumerate_coset_in_ball(coset, anchor, shell)
         except EnumerationCapExceededError as e:
             return CosetSearch(None, "truncated", shell, note=f"enumeration cap hit: {e}")
-        if len(pts):
-            # stable sort on quantized distance keeps the spiral key as
-            # tie-break; any point nearer than a hit is already enumerated,
-            # so the first hit is the global nearest in-body point
-            dist = np.linalg.norm(pts - anchor, axis=1)
-            order = np.argsort(np.round(dist / 1e-9).astype(np.int64), kind="stable")
-            hits = body.contains_many(pts[order])
-            idx = np.flatnonzero(hits)
-            if idx.size:
-                return CosetSearch(pts[order][idx[0]], "found", shell)
+        hits = pts[body.contains_many(pts)] if len(pts) else pts
+        if len(hits):
+            # any point nearer than a hit is already enumerated, so the hit
+            # of least quantized distance, the first in spiral order on a
+            # tie, is the global nearest in-body point
+            dist = np.round(np.linalg.norm(hits - anchor, axis=1) / COMPARE_ATOL)
+            return CosetSearch(hits[np.argmin(dist)], "found", shell)
         if shell >= r_max:
             break
         shell = min(shell * 2.0, r_max)

@@ -128,6 +128,12 @@ STREAM_DIGESTS = {
     "beta-alphas": (("beta", "--n", "2", "--alphas", "0.7,1.6", "--restarts", "4",
                      "--seed", "7"),
                     "c56b664f4328bc2af0752fb5ae29815b87ae7cf68ca13378ae1473585e8a471a"),
+    # an ellipsoid past SERIES_TERM_CAP, whose slices are scored by Monte
+    # Carlo; pinned while each scored slice was still built as a body
+    "w-profile-ellipsoid-past-cap": (
+        ("w-profile", "--seed", "7", "--body",
+         json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.674, 67.4, 1.0]})),
+        "d3fd95d98f5f90844a37d3ab9b3500d6f7be3b5f81a0650e21fead9a62ef64bd"),
 }
 
 # one small invocation of every subcommand
@@ -603,6 +609,22 @@ class TestRecords:
         # shortest in this gauge is the long axis direction: gauge 1/3
         assert rec["lambdas"][0] == pytest.approx(1.0 / 3.0)
         assert rec["lambdas"][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("flag", ["minima", "covering"])
+    def test_bounded_polygon_gauge_body(self, flag):
+        # a polygon's circumradius is its farthest vertex, so both commands
+        # that need a bounded gauge body accept the square
+        square = json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 4,
+                             "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
+        lattice = json.dumps({"basis": [[1.0, 0.5], [0.0, 1.0]]})
+        code, out = run_cli(flag, "--lattice", lattice,
+                            "--gauge-body" if flag == "minima" else "--body", square)
+        rec = json.loads(out)
+        assert code == 0
+        if flag == "minima":
+            assert rec["lambdas"] == pytest.approx([1.0 / 1.2] * 2)
+        else:
+            assert 0.0 < rec["lower"] <= rec["upper"]
 
 
 class TestCachedParser:

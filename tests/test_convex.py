@@ -82,6 +82,40 @@ def scalar_polytope_row(body, x):
     return N, c
 
 
+def row_document(family, i):
+    """Row i of a slice family in the document form of its kind's body, read
+    off the family's arrays (an H-polytope row has no interior point), or
+    None where the row is absent."""
+    if not family.present[i]:
+        return None
+    doc = {"kind": family.kind, "dim": family.dim}
+    if isinstance(family, convex.BoxSlices):
+        doc["semiwidths"] = family.semiwidths.tolist()
+    elif isinstance(family, convex.HalfspaceSlices):
+        doc.update(normal=family.normal.tolist(), offset=float(family.offsets[i]))
+    elif isinstance(family, convex.BallSlices):
+        doc.update(radius=float(family.radii[i]), center=family.center.tolist())
+    elif isinstance(family, convex.EllipsoidSlices):
+        doc["semiaxes"] = family.semiaxes[i].tolist()
+    elif isinstance(family, convex.PolytopeSlices):
+        doc.update(normals=family.normals.tolist(), offsets=family.offsets[i].tolist())
+    return doc
+
+
+def reference_row_document(body, x):
+    """The slice of a body at x in document form, as the scalar references
+    compute it, or None where it is absent. An H-polytope slice is its
+    facets (``scalar_polytope_row``), with no LP, so it may be present yet
+    empty."""
+    if isinstance(body, lg.HPolytope):
+        row = scalar_polytope_row(body, x)
+        return None if row is None else {"kind": "hpolytope", "dim": body.dim - 1,
+                                         "normals": row[0].tolist(),
+                                         "offsets": row[1].tolist()}
+    ref = scalar_slice_reference(body, x)
+    return None if ref is None else ref.to_document()
+
+
 def symmetric_polytope(n, seed):
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((n + 1, n))
@@ -131,41 +165,41 @@ class TestContains:
 class TestSlice:
     def test_disk_slice_is_interval(self):
         r, x = 2.0, 1.2
-        sl = lg.Ball(r, dim=2).slice_at(x)
-        assert isinstance(sl, lg.AxisBox) or isinstance(sl, lg.Ball)
-        half = math.sqrt(r * r - x * x)
-        assert sl.contains([half]) and not sl.contains([half + 1e-6])
+        family = lg.Ball(r, dim=2).slice_at(x)
+        assert row_document(family, 0) == reference_row_document(lg.Ball(r, dim=2), x)
+        assert family.radii[0] == pytest.approx(math.sqrt(r * r - x * x))
 
     def test_box_slice(self):
-        sl = lg.AxisBox([1.5, 0.7]).slice_at(0.69)
-        assert isinstance(sl, lg.AxisBox)
-        assert np.allclose(sl.semiwidths, [1.5])
-        assert lg.AxisBox([1.5, 0.7]).slice_at(0.71) is None
+        family = lg.AxisBox([1.5, 0.7]).slice_at(0.69)
+        assert isinstance(family, convex.BoxSlices)
+        assert family.present[0] and np.array_equal(family.semiwidths, [1.5])
+        assert not lg.AxisBox([1.5, 0.7]).slice_at(0.71).present[0]
 
     def test_halfspace_slice_degenerate(self):
         hs = lg.Halfspace([0.0, 0.0, 1.0], 0.0)  # x3 <= 0
-        assert hs.slice_at(1.0) is None
-        assert isinstance(hs.slice_at(-1.0), lg.FullSpace)
+        assert not hs.slice_at(1.0).present[0]
+        family = hs.slice_at(-1.0)
+        assert isinstance(family, convex.SpaceSlices) and family.present[0]
 
     def test_halfspace_slice_generic(self):
         hs = lg.Halfspace([1.0, 1.0], 0.5)
-        sl = hs.slice_at(0.2)
-        assert isinstance(sl, lg.Halfspace)
-        assert sl.contains([0.3]) and not sl.contains([0.31])
+        family = hs.slice_at(0.2)
+        assert row_document(family, 0) == reference_row_document(hs, 0.2)
+        assert family.offsets[0] == pytest.approx(0.3)
 
     def test_ellipsoid_slice(self):
         e = lg.Ellipsoid([2.0, 1.0])
-        sl = e.slice_at(0.6)
+        family = e.slice_at(0.6)
+        assert row_document(family, 0) == reference_row_document(e, 0.6)
         width = 2.0 * math.sqrt(1 - 0.36)
-        assert sl.contains([width - 1e-9]) and not sl.contains([width + 1e-6])
+        hits = family.scorer(np.array([[width - 1e-9], [width + 1e-6]]))(0)
+        assert hits.tolist() == [True, False]
 
     def test_polytope_slice_empty_detected(self):
         # triangle with apex at x2 = 1: slicing above is empty
-        tri = lg.HPolytope([[0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], [0.0, 1.0, 1.0],
-                           interior_point=[0.0, 0.5])
-        assert tri.slice_at(1.5) is None
-        sl = tri.slice_at(0.5)
-        assert sl is not None and sl.contains([0.0])
+        assert not OFF_ORIGIN_TRIANGLE.slice_at(1.5).present[0]
+        family = OFF_ORIGIN_TRIANGLE.slice_at(0.5)
+        assert family.present[0] and family.scorer(np.zeros((1, 1)))(0)[0]
 
     def test_slice_membership_consistency(self):
         rng = np.random.default_rng(3)
@@ -173,14 +207,18 @@ class TestSlice:
                   lg.Ellipsoid([1.0, 2.0, 0.7]), lg.Halfspace([0.5, -1.0, 0.25], 0.3),
                   symmetric_polytope(3, 4), OFF_ORIGIN_SIMPLEX]
         for body in bodies:
-            for _ in range(200):
-                p = rng.normal(0, 1.2, size=3)
-                sl = body.slice_at(p[-1])
+            pts = rng.normal(0, 1.2, size=(200, 3))
+            family = body.slices(pts[:, -1])
+            for i, p in enumerate(pts):
+                doc = reference_row_document(body, p[-1])
+                assert row_document(family, i) == doc
                 inside = body.contains(p)
-                if sl is None:
+                if doc is None:
                     assert not inside or body.containment_margin(p) <= 1e-6
+                elif hasattr(family, "scorer"):  # an H-polytope row may be empty
+                    assert family.scorer(p[None, :-1])(i)[0] == inside
                 else:
-                    assert sl.contains(p[:-1]) == inside
+                    assert lg.body_from_document(doc).contains(p[:-1]) == inside
 
     @pytest.mark.parametrize("body", [
         *(symmetric_polytope(n, seed) for n in (2, 3, 4) for seed in range(3)),
@@ -192,14 +230,17 @@ class TestSlice:
         assert len(ends) == (1 if body is TILTED_CUP else 2)
         xs = np.concatenate([np.linspace(-3.0, 3.0, 61), ends,
                              [e + d for e in ends for d in (-1e-9, 1e-9)]])
-        for x in xs:
-            sl, ref = body.slice_at(float(x)), lp_slice_reference(body, float(x))
-            assert (sl is None) == (ref is None), x
-            if sl is None:
+        family = body.slices(xs)
+        score = family.scorer(gaussian.normal_draw(body.dim - 1, 1000, 0))
+        for i, x in enumerate(xs):
+            ref = lp_slice_reference(body, float(x))
+            if ref is None:  # absent, or present with facets that hold no point
+                assert not family.present[i] or not score(i).any(), x
                 continue
-            assert np.array_equal(sl.normals, ref.normals)
-            assert np.array_equal(sl.offsets, ref.offsets)
-            assert sl.containment_margin(sl.interior_point) > 0.0, x
+            assert family.present[i], x
+            assert np.array_equal(family.normals, ref.normals)
+            assert np.array_equal(family.offsets[i], ref.offsets)
+            assert family.scorer(ref.interior_point[None, :])(i)[0], x
 
     @pytest.mark.parametrize("body, count", [
         (lg.Ball(1.37, center=[0.2, -0.1, 0.3]), 20000), (lg.Ball(1.2, dim=2), 20000),
@@ -220,26 +261,19 @@ class TestSlice:
         except lg.UnsupportedBodyError:
             measures = None
         for i, x in enumerate(xs):
-            if isinstance(body, lg.HPolytope) and i >= 200:
-                # building a slice costs a Chebyshev-center LP on each side, so
-                # past the first rows a polytope row is checked with no LP: its
-                # offsets, and its measure against its own one-row family
-                row = scalar_polytope_row(body, float(x))
-                assert family.present[i] == (row is not None), x
-                if row is None:
-                    assert measures[i] == 0.0, x
-                    continue
-                assert np.array_equal(family.normals, row[0])
-                assert np.array_equal(family.offsets[i], row[1]), x
-                one_row = convex.PolytopeSlices(family.dim, np.ones(1, dtype=bool), row[0],
-                                                row[1][None, :])
-                assert measures[i] == gaussian.measure_slices(one_row)[0], x
+            doc = reference_row_document(body, float(x))
+            assert row_document(family, i) == doc, x
+            if measures is None:
                 continue
-            sl, ref = family.slice(i), scalar_slice_reference(body, float(x))
-            assert (sl is None) == (ref is None), x
-            assert sl is None or sl.to_document() == ref.to_document(), x
-            if measures is not None:
-                assert measures[i] == (0.0 if ref is None else lg.measure_exact(ref).value), x
+            if doc is None:
+                assert measures[i] == 0.0, x
+            elif isinstance(body, lg.HPolytope):
+                # a polytope row, which may be empty, against its own one-row family
+                one_row = convex.PolytopeSlices(family.dim, np.ones(1, dtype=bool),
+                                                family.normals, family.offsets[i][None, :])
+                assert measures[i] == gaussian.measure_slices(one_row)[0], x
+            else:
+                assert measures[i] == lg.measure_exact(lg.body_from_document(doc)).value, x
 
     def test_polytope_span_vertices(self):
         assert OFF_ORIGIN_TRIANGLE.last_axis_extent() == pytest.approx((0.0, 1.0), abs=1e-12)
@@ -447,6 +481,22 @@ class TestBoundingRadius:
         inside_r = np.linalg.norm(pts, axis=1) <= r
         assert np.array_equal(body.contains_many(pts[inside_r]),
                               body.contains_many(pts)[inside_r])
+
+    def test_bounded_polygon_is_its_farthest_vertex(self):
+        square = lg.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1.2] * 4)
+        # the closed set membership tests: offsets moved out by BOUNDARY_ATOL
+        assert lg.bounding_radius(square) == pytest.approx(
+            math.sqrt(2.0) * (1.2 + convex.BOUNDARY_ATOL), rel=1e-15)
+        assert OFF_ORIGIN_TRIANGLE.circumradius() == pytest.approx(1.0, abs=1e-11)
+        assert "_circumradius" in OFF_ORIGIN_TRIANGLE.__dict__  # computed once
+
+    @pytest.mark.parametrize("body", [
+        lg.HPolytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0]),  # a wedge
+        lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),  # a strip
+        symmetric_polytope(3, 0),  # bounded, but not checked in 3-d
+    ], ids=["wedge", "strip", "3d"])
+    def test_unbounded_or_unchecked_polytope_has_no_circumradius(self, body):
+        assert body.circumradius() == math.inf
 
     def test_oracle_body_returns_its_hint(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,

@@ -186,10 +186,11 @@ def _references(sources: dict[str, str], name: str) -> list[str]:
 
 
 def test_only_the_chebyshev_center_solves_an_lp():
-    # slices, spans and measures need no LP; only a polytope built with no
-    # interior point given, and slice_at, look for one
-    assert _references({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE},
-                       "linprog") == ["convex._chebyshev_center"]
+    # slices, spans and measures need no LP, and no slice is built as a body;
+    # only a polytope built with no interior point given looks for one
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert _references(sources, "linprog") == ["convex._chebyshev_center"]
+    assert _references(sources, "_chebyshev_center") == ["convex.HPolytope.__post_init__"]
 
 
 def test_detects_an_lp_call():

@@ -252,6 +252,14 @@ class TestSuccessiveMinima:
         lam = lg.nth_minimum(lg.Lattice(th * np.eye(3)), lg.Ball(1.0, dim=3))
         assert lam == pytest.approx(th, rel=1e-12)
 
+    def test_ties_break_in_the_lll_basis(self):
+        # +-v tie in the gauge; the spiral order of LLL coefficients picks
+        # (1, 0, 0), whose own-basis coefficients (-1, 1, 0) start negative
+        lat = lg.Lattice(np.random.default_rng(0).standard_normal((3, 3)))
+        _, wit = lg.successive_minima(lat, lg.Ball(1.0, dim=3))
+        assert np.array_equal(np.linalg.solve(lat.frame[0].T, wit[0]).round(), [1, 0, 0])
+        assert np.array_equal(np.linalg.solve(lat.basis.T, wit[0]).round(), [-1, 1, 0])
+
 
 class TestClosestVector:
     def test_basic(self):

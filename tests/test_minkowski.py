@@ -114,6 +114,16 @@ class TestFindCosetPoint:
         assert res.status == "empty"
         assert "complete enumeration" in res.note
 
+    def test_bounded_search_reaches_past_an_off_centre_anchor(self):
+        # the shells are centred on the anchor (9, 0.15), and the only coset
+        # point in the rectangle lies 14 from it, past the circumradius 10.002
+        body = lg.HPolytope([[0, 1], [0, -1], [1, 0], [-1, 0]], [0.2, -0.1, 10, 10],
+                            interior_point=[9, 0.15])
+        coset = lg.Coset(lg.Lattice([[30.0, 0.0], [0.0, 1.3]]), np.array([-5.0, 0.15]))
+        res = lg.find_coset_point_in_body(coset, body)
+        assert res.status == "found"
+        assert np.allclose(res.point, [-5.0, 0.15], atol=1e-12)
+
     def test_unbounded_miss_truncated_at_eight_times_truncation(self):
         # every coset point has |x| >= 1/2, outside the thin unbounded slab
         body = lg.AxisBox([0.01, math.inf])
@@ -583,7 +593,7 @@ class TestWProfile:
 
     def test_polytope_profile_solves_no_lp(self, monkeypatch):
         # slices are decided by their facets alone, and a polygon reads its
-        # span off its edges; only building a slice (slice_at) takes an LP
+        # span off its edges
         calls = []
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
@@ -635,10 +645,9 @@ class TestWProfile:
         xs = np.linspace(-3.5, 3.5, 81)
         terms = lg.std_normal_pdf(xs) * (xs[1] - xs[0])
         fast = _slice_measures(body, xs, terms, 4096, 17)
-        for slice_at in (scalar_slice_reference, lambda b, x: b.slice_at(x)):
-            ref = reference_slice_measures(body, xs, terms, 4096, 17, slice_at)
-            for a, b in zip(fast, ref):
-                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        ref = reference_slice_measures(body, xs, terms, 4096, 17)
+        for a, b in zip(fast, ref):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_oracle_profile_is_unsupported(self):
         body = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0,
