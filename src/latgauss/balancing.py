@@ -134,65 +134,135 @@ def balance_exhaustive(vectors, body: ConvexBody) -> BalanceResult:
     return BalanceResult(float(radii[0]), SignAssignment(signs), v)
 
 
+# Gauge rows that one block of lockstep restarts may stack, a scan's budget
+_BLOCK_ROWS = 1 << _LOW_BITS
+
+
+def _restart_blocks(restarts: int, rows: int):
+    """Consecutive ranges of restarts that stack at most _BLOCK_ROWS gauge
+    rows at ``rows`` per restart (one restart at least), so the memory of a
+    lockstep search does not grow with its restart count."""
+    size = max(1, _BLOCK_ROWS // rows)
+    for start in range(0, restarts, size):
+        yield range(start, min(start + size, restarts))
+
+
+def _per_restart(score, items: np.ndarray, used: np.ndarray, rows: int = 1) -> np.ndarray:
+    """``score`` of every item of a (b, m, ...) stack of b restarts' m items,
+    as a (b, m) array, in one call where that gives each restart's bits.
+
+    ``used`` marks the items of each restart that a search run one restart
+    at a time scores in one call, at ``rows`` gauge rows per item (a scan of
+    n vectors spends 2^(n-1)); the scores of the other items are not used.
+    An H-polytope gauge of one row forms ``normals @ points.T`` with one
+    column, which BLAS takes on its matrix-vector path; that can differ in
+    the last bit from a product of two or more columns, which gives each
+    column the same bits whatever their count. So a restart whose call is
+    one gauge row is scored in a call of its own.
+    """
+    b, m = used.shape
+    alone = np.flatnonzero(used.sum(axis=1) == 1) if rows == 1 else ()
+    if len(alone) < used.size:  # some item is not scored alone
+        out = score(items.reshape(b * m, *items.shape[2:])).reshape(b, m)
+    else:
+        out = np.empty((b, m))
+    for r in alone:
+        j = used[r].argmax()
+        out[r, j] = score(items[r, j:j + 1])[0]
+    return out
+
+
 def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
                       seed: int = 0) -> BalanceResult:
     """Greedy sign choice on a random order plus single-flip descent.
 
     Prefix gauges only steer the greedy pass; the objective is the final-sum
     gauge. The result is a feasible pattern, so its radius always dominates
-    the exhaustive minimum.
+    the exhaustive minimum; ties go to the first restart.
+
+    Restarts run in lockstep, in blocks of 2^16 // max(k, 2), so a block's
+    gauge calls stack at most 2^16 rows. Greedy step t scores both signs of
+    the t-th vector of every restart in one gauge call, and each descent
+    round scores the pending flips of every restart still descending in one
+    call.
+    Each restart keeps its own ``substream(seed, restart)`` order and its
+    one-row gauge calls (see ``_per_restart``), so the result is bitwise
+    that of running the restarts one after another, on every body whose
+    gauge scores each row on its own: all but ``OracleBody``, whose
+    bisection runs until every row of a call has converged.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     v = _check_inputs(vectors, body)
     k = v.shape[0]
     best: BalanceResult | None = None
-    for restart in range(restarts):
-        rng = substream(seed, restart)
-        order = rng.permutation(k)
-        signs = np.ones(k)
-        acc = np.zeros(body.dim)
-        for i in order:
-            plus, minus = body.gauge_many(np.stack((acc + v[i], acc - v[i])))
-            signs[i] = 1.0 if plus <= minus else -1.0
-            acc += signs[i] * v[i]
-        # local descent on the final sum, first improvement in index order:
-        # one gauge call scores the flip of every index from i on
-        improved = True
-        while improved:
-            improved = False
-            total = signs @ v
-            current = body.gauge(total)
-            i = 0
-            while i < k:
-                flipped = body.gauge_many(total - 2.0 * signs[i:, None] * v[i:])
-                better = np.flatnonzero(flipped < current - 1e-12)
-                if better.size == 0:
-                    break
-                i += int(better[0])
-                signs[i] = -signs[i]
-                current = float(flipped[better[0]])
-                improved = True
-                total = signs @ v
-                i += 1
-        # the last pass flipped nothing, so current is the gauge of signs @ v
-        radius = float(current)
-        if best is None or radius < best.radius:
-            best = BalanceResult(radius, SignAssignment(tuple(int(s) for s in signs)), v)
+    for block in _restart_blocks(restarts, max(2, k)):
+        orders = np.stack([substream(seed, restart).permutation(k) for restart in block])
+        signs = _greedy_signs(v, body, orders)
+        for radius, row in zip(_descend(v, body, signs), signs):
+            if best is None or radius < best.radius:
+                best = BalanceResult(float(radius), SignAssignment(tuple(int(s) for s in row)), v)
     return best
 
 
+def _greedy_signs(v: np.ndarray, body: ConvexBody, orders: np.ndarray) -> np.ndarray:
+    """Greedy signs of each restart along its row of ``orders``: each vector
+    takes the sign whose prefix sum has the smaller gauge, + on a tie."""
+    b = len(orders)
+    rows = np.arange(b)
+    signs = np.ones(orders.shape)
+    acc = np.zeros((b, body.dim))
+    for i in orders.T:
+        step = v[i]
+        g = body.gauge_many(np.concatenate((acc + step, acc - step)))
+        s = np.where(g[:b] <= g[b:], 1.0, -1.0)
+        signs[rows, i] = s
+        acc += s[:, None] * step
+    return signs
+
+
+def _descend(v: np.ndarray, body: ConvexBody, signs: np.ndarray) -> np.ndarray:
+    """Single-flip descent of each row of ``signs`` in place, first
+    improvement in index order; returns the gauge of each final sum.
+
+    A restart passes over its indices from 0 until a pass flips nothing.
+    Each round scores the flip of every index of every restart in a pass,
+    and a restart keeps the first flip at or past its position that lowers
+    its gauge by more than 1e-12.
+    """
+    b, k = signs.shape
+    index = np.arange(k)
+    totals = np.empty((b, v.shape[1]))
+    current = np.empty(b)
+    passing = np.arange(b)
+    while passing.size:
+        for r in passing:  # one sign row at a time, as a restart alone sums it
+            totals[r] = signs[r] @ v
+        current[passing] = _per_restart(body.gauge_many, totals[passing, None],
+                                        np.ones((passing.size, 1), dtype=bool))[:, 0]
+        pos = np.zeros(b, dtype=np.int64)
+        improved = np.zeros(b, dtype=bool)
+        live = passing
+        while live.size:
+            todo = index >= pos[live, None]
+            flips = totals[live, None] - 2.0 * signs[live, :, None] * v
+            flipped = _per_restart(body.gauge_many, flips, todo)
+            better = todo & (flipped < current[live, None] - 1e-12)
+            found = better.any(axis=1)
+            live, i = live[found], better.argmax(axis=1)[found]
+            signs[live, i] = -signs[live, i]
+            current[live] = flipped[found, i]
+            improved[live] = True
+            for r in live:
+                totals[r] = signs[r] @ v
+            pos[live] = i + 1
+            live = live[i < k - 1]
+        passing = passing[improved[passing]]
+    # each restart's last pass flipped nothing: current is the gauge of its sum
+    return current
+
+
 _UNBOUNDED_INPUT = "worst-case search needs a bounded input body"
-
-
-def _boundary_points(body: ConvexBody, directions: np.ndarray) -> np.ndarray:
-    """Rows of ``directions`` scaled onto the boundary of ``body``, up to the
-    first row along which the body is unbounded (gauge <= 0)."""
-    g = body.gauge_many(directions)
-    unbounded = np.flatnonzero(g <= 0)
-    m = int(unbounded[0]) if unbounded.size else len(g)
-    return directions[:m] / g[:m, None]
-
 
 # Perturbation schedule of the worst-case searches: passes of halving step
 # size, each trying this many random probes (per vector for beta).
@@ -207,54 +277,99 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     Maximizes the exact balancing radius over n-vector sequences on the
     boundary of U (the objective is positively homogeneous per input, so
     interior points never help) via random restarts and shrinking random
-    perturbations. Returns (radius, witness vectors).
+    perturbations. Returns (radius, witness vectors) of the first restart
+    with the largest radius. U must be bounded: a U known to be unbounded
+    (``ConvexBody.known_unbounded``) is refused before any draw, and any
+    other, such as an H-polytope of dimension 3 or more, whose boundedness
+    is not checked, once a probe direction has gauge 0.
 
     The probes of one vector are tried in order and the first that raises
     the radius is kept. Their noise does not depend on which is kept, so
     all of them are scored from the current vectors in one stacked scan;
-    after a probe is kept, only the probes after it are scored again. The
+    after a probe is kept, only the probes after it are scored again.
+    Restarts run in lockstep, in blocks of 2^16 // (6 * 2^(n-1)) (one at
+    least), so a block's scan stacks at most 2^16 gauge rows: the start
+    vectors of a block share one scan, and the pending probes of vector i
+    of every restart still probing it share one gauge call and one scan.
+    Each restart draws from its own ``substream(seed, restart)`` in its own
+    order and keeps its one-row gauge calls (see ``_per_restart``), so the
     radii, the witness and the error on an unbounded U are those of trying
-    the probes one at a time.
+    the probes one at a time, one restart after another, unless U or V is
+    an ``OracleBody``, whose gauge of a row depends on the other rows of
+    its call.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_EXHAUSTIVE:
+        raise ValueError(f"n must be at most {MAX_EXHAUSTIVE}, got {n}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if u_body.dim != v_body.dim:
         raise DimensionMismatchError("input and target bodies must share a dimension")
-    d = u_body.dim
+    if u_body.known_unbounded():
+        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
     best_r = -math.inf
     best_v: np.ndarray | None = None
-    for restart in range(restarts):
-        rng = substream(seed, restart)
-        vecs = _boundary_points(u_body, rng.standard_normal((n, d)))
-        if len(vecs) < n:
-            raise UnsupportedBodyError(_UNBOUNDED_INPUT)
-        radius = balance_exhaustive(vecs, v_body).radius
-        step = 0.5
-        for _ in range(_BETA_PASSES):
-            for i in range(n):
-                noise = step * rng.standard_normal((_BETA_PROBES, d))
-                p = 0
-                while p < _BETA_PROBES:
-                    points = _boundary_points(u_body, vecs[i] + noise[p:])
-                    cands = np.repeat(vecs[None], len(points), axis=0)
-                    cands[:, i] = points
-                    radii, _ = _exhaustive_scan(cands, v_body)
-                    up = np.flatnonzero(radii > radius)
-                    if up.size:
-                        t = int(up[0])
-                        radius, vecs = float(radii[t]), cands[t]
-                        p += t + 1
-                    elif p + len(points) < _BETA_PROBES:
-                        # the next probe's direction is unbounded in U
-                        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
-                    else:
-                        break
-            step *= 0.5
-        if radius > best_r:
-            best_r, best_v = radius, vecs
-    return float(best_r), best_v
+    for block in _restart_blocks(restarts, _BETA_PROBES << (n - 1)):
+        radii, vecs = _beta_block(n, u_body, v_body,
+                                  [substream(seed, restart) for restart in block])
+        for radius, witness in zip(radii, vecs):
+            if radius > best_r:
+                best_r, best_v = float(radius), witness.copy()
+    return best_r, best_v
+
+
+def _beta_block(n: int, u_body: ConvexBody, v_body: ConvexBody,
+                rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Final radii and vectors of the restarts drawing from ``rngs``."""
+    b, d = len(rngs), u_body.dim
+
+    def scan(stack):
+        return _exhaustive_scan(stack, v_body)[0]
+
+    scan_rows = 1 << (n - 1)
+    every = np.ones((b, n), dtype=bool)
+    starts = np.stack([rng.standard_normal((n, d)) for rng in rngs])
+    g = _per_restart(u_body.gauge_many, starts, every)
+    if np.any(g <= 0):
+        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
+    vecs = starts / g[..., None]
+    radius = _per_restart(scan, vecs[:, None], every[:, :1], scan_rows)[:, 0]
+    slots, last = np.arange(_BETA_PROBES), _BETA_PROBES - 1
+    step = 0.5
+    for _ in range(_BETA_PASSES):
+        for i in range(n):
+            noise = np.stack([step * rng.standard_normal((_BETA_PROBES, d)) for rng in rngs])
+            p = np.zeros(b, dtype=np.int64)
+            live = np.arange(b)
+            while live.size:
+                # every probe slot of a live restart is scored; it uses the
+                # pending ones (from p on) up to its first unbounded one
+                pending = slots >= p[live, None]
+                dirs = vecs[live, i, None] + noise[live]
+                g = _per_restart(u_body.gauge_many, dirs, pending)
+                cands = np.repeat(vecs[live, None], _BETA_PROBES, axis=1)
+                usable, cut = pending, None
+                if (g > 0).all():
+                    cands[:, :, i] = dirs / g[..., None]
+                else:
+                    # a restart uses no probe from its first unbounded pending one on
+                    blocked = np.logical_or.accumulate(pending & (g <= 0), axis=1)
+                    usable, cut = pending & ~blocked, blocked[:, -1]
+                    cands[:, :, i] = dirs / np.where(g <= 0, 1.0, g)[..., None]
+                radii = _per_restart(scan, cands, usable, scan_rows)
+                up = usable & (radii > radius[live, None])
+                found = up.any(axis=1)
+                if cut is not None and (cut & ~found).any():
+                    # a restart's next probe direction is unbounded in U
+                    raise UnsupportedBodyError(_UNBOUNDED_INPUT)
+                live, t = live[found], up.argmax(axis=1)[found]
+                radius[live] = radii[found, t]
+                vecs[live, i] = cands[found, t, i]
+                p[live] = t + 1
+                live = live[t < last]
+        step *= 0.5
+    return radius, vecs
 
 
 def _formula_alphas(alphas) -> np.ndarray:

@@ -320,6 +320,9 @@ def _cmd_sharpness(args, out: _Emitter) -> None:
 def _cmd_beta(args, out: _Emitter) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.n > balancing.MAX_EXHAUSTIVE:  # before the curve searches every smaller n
+        raise ValueError(f"--n must be at most {balancing.MAX_EXHAUSTIVE} (the exhaustive "
+                         f"balancing cap), got {args.n}")
     bodies = [flag for flag, value in (("--alphas", args.alphas), ("--u-body", args.u_body),
                                        ("--v-body", args.v_body)) if value]
     if args.curve and bodies:

@@ -115,6 +115,12 @@ class ConvexBody:
         """Radius of the smallest origin-centered ball containing the body (inf if unbounded)."""
         raise NotImplementedError
 
+    def known_unbounded(self) -> bool:
+        """True when the body is known to be unbounded: its circumradius is
+        exact and infinite. A kind whose circumradius may read inf on a
+        bounded body overrides this."""
+        return math.isinf(self.circumradius())
+
     def scale(self, s: float) -> "ConvexBody":
         """Dilate about the origin by s > 0."""
         raise NotImplementedError
@@ -497,6 +503,14 @@ class HPolytope(ConvexBody):
         if j.size < np.count_nonzero(live):  # a live edge runs off to infinity
             return math.inf
         return float(np.linalg.norm(vertices, axis=1).max())
+
+    def known_unbounded(self):
+        """An interval lacking a facet on one side or a polygon of infinite
+        circumradius; never in higher dimension, where boundedness is not
+        checked."""
+        if self.dim == 1:
+            return not (np.any(self.normals > 0.0) and np.any(self.normals < 0.0))
+        return self.dim == 2 and math.isinf(self._circumradius)
 
     def scale(self, s):
         return HPolytope(self.normals, s * self.offsets,

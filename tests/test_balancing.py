@@ -24,6 +24,17 @@ GAUGES = {
 }
 
 
+def _symmetric_polytope(n):
+    """Four random facet pairs {|a_j . x| <= c_j}; for n = 1 an interval."""
+    rng = np.random.default_rng(40 + n)
+    normals = rng.standard_normal((4, n))
+    return lg.HPolytope(np.vstack([normals, -normals]), np.tile(rng.uniform(0.8, 1.6, 4), 2))
+
+
+# GAUGES plus a polytope, whose multi-row gauge is a BLAS matrix product
+TARGETS = {**GAUGES, "hpolytope": _symmetric_polytope}
+
+
 def _first_minimum_by_codes(vecs, body):
     """Reference scan: pattern code c drives sign j+1 by bit (k-2-j), chunk
     by chunk, keeping the first strict minimum in ascending code order."""
@@ -102,6 +113,45 @@ def _beta_reference(n, u_body, v_body, restarts, seed):
     return float(best_r), best_v
 
 
+def _beta_restarts_in_turn(n, u_body, v_body, restarts, seed):
+    """The search one restart after another, scoring the pending probes of
+    one vector in one input-gauge call and one scan: the loop the lockstep
+    must match bitwise where one-row and multi-row gauge calls differ."""
+    def boundary_points(directions):
+        g = u_body.gauge_many(directions)
+        unbounded = np.flatnonzero(g <= 0)
+        m = int(unbounded[0]) if unbounded.size else len(g)
+        return directions[:m] / g[:m, None]
+
+    d = u_body.dim
+    best_r, best_v = -math.inf, None
+    for restart in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+        vecs = boundary_points(rng.standard_normal((n, d)))
+        assert len(vecs) == n
+        radius = lg.balance_exhaustive(vecs, v_body).radius
+        step = 0.5
+        for _ in range(4):
+            for i in range(n):
+                noise = step * rng.standard_normal((6, d))
+                p = 0
+                while p < 6:
+                    points = boundary_points(vecs[i] + noise[p:])
+                    assert p + len(points) == 6
+                    cands = np.repeat(vecs[None], len(points), axis=0)
+                    cands[:, i] = points
+                    radii, _ = balancing._exhaustive_scan(cands, v_body)
+                    up = np.flatnonzero(radii > radius)
+                    if not up.size:
+                        break
+                    t = int(up[0])
+                    radius, vecs, p = float(radii[t]), cands[t], p + t + 1
+            step *= 0.5
+        if radius > best_r:
+            best_r, best_v = float(radius), vecs
+    return best_r, best_v
+
+
 def _assert_beta_matches_reference(n, u_body, v_body, restarts, seed):
     radius, witness = lg.beta_lower_bound_search(n, u_body, v_body, restarts=restarts,
                                                  seed=seed)
@@ -111,10 +161,25 @@ def _assert_beta_matches_reference(n, u_body, v_body, restarts, seed):
 
 
 class _ZeroGaugeCap(lg.Ball):
-    """Unit ball whose gauge reads 0 where x_0 > 1.2, as if unbounded there."""
+    """Unit ball whose gauge reads 0 where x_0 > cap, as if unbounded there."""
+
+    cap = 1.2
 
     def gauge_many(self, points):
-        return np.where(points[:, 0] > 1.2, 0.0, super().gauge_many(points))
+        return np.where(points[:, 0] > self.cap, 0.0, super().gauge_many(points))
+
+
+class _FarZeroGaugeCap(_ZeroGaugeCap):
+    cap = 1.8
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBalanceExhaustive:
@@ -253,6 +318,36 @@ class TestBalanceExhaustive:
                 pytest.approx(base, abs=1e-12)
 
 
+class TestPerRestart:
+    @staticmethod
+    def counted(calls):
+        def score(items):
+            calls.append(len(items))
+            return items.sum(axis=1)
+        return score
+
+    def test_one_row_restarts_are_scored_alone(self):
+        calls = []
+        items = np.arange(24.0).reshape(4, 3, 2)
+        used = np.array([[1, 1, 1], [0, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=bool)
+        out = balancing._per_restart(self.counted(calls), items, used)
+        assert calls == [12, 1]  # the stack, then restart 1's one used row
+        assert np.array_equal(out, items.sum(axis=2))
+
+    def test_multi_row_items_share_the_call(self):
+        calls = []
+        used = np.array([[0, 1], [1, 1]], dtype=bool)
+        balancing._per_restart(self.counted(calls), np.ones((2, 2, 3)), used, rows=2)
+        assert calls == [4]
+
+    def test_single_items_skip_the_stacked_call(self):
+        calls = []
+        items = np.arange(8.0).reshape(4, 1, 2)
+        out = balancing._per_restart(self.counted(calls), items, np.ones((4, 1), dtype=bool))
+        assert calls == [1, 1, 1, 1]
+        assert np.array_equal(out, items.sum(axis=2))
+
+
 class TestBalanceHeuristic:
     def test_cancellation_found(self):
         r = lg.balance_heuristic([[1.0, 0.0], [1.0, 0.0]], _ball(2), restarts=1, seed=0)
@@ -286,6 +381,27 @@ class TestBalanceHeuristic:
             r = lg.balance_heuristic(vecs, body, restarts=4, seed=seed)
             assert (r.radius, r.signs.signs) == _heuristic_reference(
                 vecs, body, restarts=4, seed=seed)
+
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    def test_matches_reference_loop_at_bench_shape(self, kind):
+        # k = 20 and 16 restarts, the benchmark's heuristic calls
+        rng = np.random.default_rng(20)
+        for n in (2, 3, 4):
+            vecs = rng.standard_normal((20, n))
+            body = TARGETS[kind](n)
+            r = lg.balance_heuristic(vecs, body, restarts=16, seed=n)
+            assert (r.radius, r.signs.signs) == _heuristic_reference(
+                vecs, body, restarts=16, seed=n)
+
+    def test_memory_independent_of_restarts(self, monkeypatch):
+        # a 2^9-row budget makes a block of 2^9 // k = 32 restarts, so both
+        # runs hold one full block at a time; all 512 at once would hold 16
+        # times the rows
+        monkeypatch.setattr(balancing, "_BLOCK_ROWS", 1 << 9)
+        vecs = np.random.default_rng(7).standard_normal((16, 2))
+        peaks = [_peak_bytes(lambda: lg.balance_heuristic(vecs, _ball(2), restarts=r, seed=1))
+                 for r in (32, 512)]
+        assert peaks[1] < peaks[0] + 2**15
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -326,26 +442,79 @@ class TestBetaSearch:
         for n in (2, 3, 4):
             _assert_beta_matches_reference(n, _ball(2), v, restarts=2, seed=n)
 
+    def test_matches_restarts_in_turn_polygon_input(self):
+        # a polygon's input gauge of one probe is a one-row call, whose last
+        # bit can differ from the same probe's row in a multi-row call; at
+        # these seeds scoring such a probe in a stacked call moves the result
+        u, v = _symmetric_polytope(2), TARGETS["hpolytope"](2)
+        for n, seed in ((1, 4), (2, 5), (3, 3), (4, 11)):
+            radius, witness = lg.beta_lower_bound_search(n, u, v, restarts=8, seed=seed)
+            expected = _beta_restarts_in_turn(n, u, v, restarts=8, seed=seed)
+            assert radius == expected[0]
+            assert np.array_equal(witness, expected[1])
+
+    def test_matches_reference_loop_interval_input(self):
+        # an interval is bounded though its circumradius reads inf; its
+        # gauges are single products, so one-row and stacked calls agree
+        u = lg.HPolytope([[1.0], [-1.0], [2.0], [-2.0]], [1.0, 1.0, 1.5, 1.5])
+        for n in range(1, 5):
+            _assert_beta_matches_reference(n, u, _symmetric_polytope(1), restarts=8,
+                                           seed=20 + n)
+
     def test_matches_reference_loop_ellipsoid_input(self):
         u = lg.Ellipsoid([0.5, 1.0, 2.0])
         for n in (2, 3, 4):
             _assert_beta_matches_reference(n, u, GAUGES["axis_box"](3), restarts=2, seed=n)
 
     def test_unbounded_probe_error_parity(self):
-        # the reference raises while drawing the start at seeds 0 and 9 and at
-        # a probe at seeds 3, 5 and 10; at seed 7 a zero-gauge probe follows
-        # an improving one and is scored again, bounded, from the new vectors
-        u, v = _ZeroGaugeCap(1.0, dim=2), lg.AxisBox([0.5, 0.8])
-        for seed in range(12):
-            try:
-                expected = _beta_reference(2, u, v, restarts=1, seed=seed)
-            except lg.UnsupportedBodyError:
-                with pytest.raises(lg.UnsupportedBodyError, match="bounded input body"):
-                    lg.beta_lower_bound_search(2, u, v, restarts=1, seed=seed)
-                continue
-            radius, witness = lg.beta_lower_bound_search(2, u, v, restarts=1, seed=seed)
-            assert radius == expected[0]
-            assert np.array_equal(witness, expected[1])
+        # with one restart the reference raises while drawing the start at
+        # seeds 0 and 9 and at a probe at seeds 3, 5 and 10; at seed 7 a
+        # zero-gauge probe follows an improving one and is scored again,
+        # bounded, from the new vectors. With four restarts, seeds 1, 2, 4, 6,
+        # 7, 8 and 11 finish restart 0 and raise in a later one; past the
+        # farther cap seeds 1, 4, 6, 7, 8 and 9 raise only after restart 0
+        v = lg.AxisBox([0.5, 0.8])
+        for cap, restarts in ((_ZeroGaugeCap, 1), (_ZeroGaugeCap, 4), (_FarZeroGaugeCap, 4)):
+            u = cap(1.0, dim=2)
+            for seed in range(12):
+                try:
+                    expected = _beta_reference(2, u, v, restarts=restarts, seed=seed)
+                except lg.UnsupportedBodyError:
+                    with pytest.raises(lg.UnsupportedBodyError, match="bounded input body"):
+                        lg.beta_lower_bound_search(2, u, v, restarts=restarts, seed=seed)
+                    continue
+                radius, witness = lg.beta_lower_bound_search(2, u, v, restarts=restarts,
+                                                             seed=seed)
+                assert radius == expected[0]
+                assert np.array_equal(witness, expected[1])
+
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    def test_matches_reference_loop_at_bench_restarts(self, kind):
+        # eight restarts, as the benchmark's searches run; at n = 1 a scan of
+        # one probe is a one-row gauge call
+        for n in range(1, 5):
+            _assert_beta_matches_reference(n, _ball(n), TARGETS[kind](n), restarts=8,
+                                           seed=10 + n)
+
+    def test_memory_independent_of_restarts(self, monkeypatch):
+        # a 2^8-row budget makes a block of 2^8 // (6 * 2) = 21 restarts at
+        # n = 2, so both runs hold one full block at a time
+        monkeypatch.setattr(balancing, "_BLOCK_ROWS", 1 << 8)
+        v = lg.AxisBox([0.5, 0.8])
+        run = lambda r: lg.beta_lower_bound_search(2, _ball(2), v, restarts=r, seed=3)
+        run(1)  # builds the cached sign-row table
+        peaks = [_peak_bytes(lambda: run(r)) for r in (32, 512)]
+        assert peaks[1] < peaks[0] + 2**15
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "axis_box", "dim": 2, "semiwidths": [1.0, math.inf]},
+        {"kind": "hpolytope", "dim": 2, "normals": [[1.0, 0.0], [-1.0, 0.0]],
+         "offsets": [1.0, 1.0]}])
+    def test_unbounded_input_refused_before_any_draw(self, doc):
+        # no probe direction has gauge 0 here, so only the circumradius tells
+        u = lg.body_from_document(doc)
+        with pytest.raises(lg.UnsupportedBodyError, match="bounded input body"):
+            lg.beta_lower_bound_search(2, u, lg.AxisBox([0.5, 0.5]), restarts=2)
 
     def test_probes_share_gauge_calls(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import redirect_stdout
 
@@ -12,6 +13,7 @@ import pytest
 
 import latgauss.lattice
 import latgauss.minkowski
+from latgauss.balancing import MAX_EXHAUSTIVE
 from latgauss.cli import _COMMANDS, build_parser, main
 
 BALL = json.dumps({"kind": "ball", "dim": 2, "radius": 1.2, "center": [0.0, 0.0]})
@@ -128,6 +130,18 @@ STREAM_DIGESTS = {
     "beta-alphas": (("beta", "--n", "2", "--alphas", "0.7,1.6", "--restarts", "4",
                      "--seed", "7"),
                     "c56b664f4328bc2af0752fb5ae29815b87ae7cf68ca13378ae1473585e8a471a"),
+    # balancing searches of eight and two restarts, pinned while each restart
+    # ran on its own; the curve is digested without its wall-clock field
+    "beta-hpolytope-4d": (
+        ("beta", "--n", "4", "--restarts", "8", "--seed", "7", "--v-body",
+         json.dumps({"kind": "hpolytope", "dim": 4, "offsets": [0.5] * 12,
+                     "normals": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                 [0.6, 0, 0, 0.8], [0, 0.6, 0.8, 0],
+                                 [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1],
+                                 [-0.6, 0, 0, -0.8], [0, -0.6, -0.8, 0]]})),
+        "3844ceb66db8e9270db2000b292c94f15c707a037addd3b186ca5d39143251fa"),
+    "beta-curve": (("beta", "--curve", "--n", "6", "--restarts", "2", "--seed", "7"),
+                   "4cf650d0a2b33b58d33b92188807f74494c1001ef6211e00e69702795a23d7d8"),
     # an ellipsoid past SERIES_TERM_CAP, whose slices are scored by Monte
     # Carlo; pinned while each scored slice was still built as a body
     "w-profile-ellipsoid-past-cap": (
@@ -135,6 +149,8 @@ STREAM_DIGESTS = {
          json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.674, 67.4, 1.0]})),
         "d3fd95d98f5f90844a37d3ab9b3500d6f7be3b5f81a0650e21fead9a62ef64bd"),
 }
+
+WALL_CLOCK = re.compile(r', "elapsed": [^,}]*')
 
 # one small invocation of every subcommand
 CSV_ARGV = [
@@ -557,6 +573,31 @@ class TestRecords:
         assert code == 1 and out == ""
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [(), ("--curve",)])
+    def test_beta_past_exhaustive_cap_names_n_before_any_search(self, extra, capsys):
+        # the curve would otherwise search every n below the cap first
+        code, out = run_cli("beta", "--n", str(MAX_EXHAUSTIVE + 1), *extra)
+        assert code == 1 and out == ""
+        assert f"--n must be at most {MAX_EXHAUSTIVE}" in capsys.readouterr().err
+
+    def test_beta_unbounded_axis_box_input_is_exit_one(self, capsys):
+        # every probe direction has a positive gauge, so only the body's
+        # circumradius shows that it is unbounded
+        box = json.dumps({"kind": "axis_box", "dim": 2, "semiwidths": [1, "inf"]})
+        code, out = run_cli("beta", "--n", "2", "--restarts", "2", "--u-body", box)
+        assert code == 1 and out == ""
+        assert "bounded input body" in capsys.readouterr().err
+
+    def test_beta_interval_input_is_searched(self):
+        # a 1-d polytope's circumradius reads inf, but it is known bounded
+        interval = json.dumps({"kind": "hpolytope", "dim": 1, "normals": [[1], [-1]],
+                               "offsets": [1, 1]})
+        box = json.dumps({"kind": "axis_box", "dim": 1, "semiwidths": [0.5]})
+        code, out = run_cli("beta", "--n", "2", "--restarts", "3", "--seed", "7",
+                            "--u-body", interval, "--v-body", box)
+        assert code == 0
+        assert json.loads(out)["radius"] == 0.0
+
     def test_beta_unbounded_input_body_is_exit_one(self, capsys):
         space = json.dumps({"kind": "space", "dim": 2})
         code, out = run_cli("beta", "--n", "2", "--u-body", space)
@@ -576,6 +617,7 @@ class TestRecords:
     def test_record_stream_digest(self, name):
         argv, digest = STREAM_DIGESTS[name]
         _, out = run_cli(*argv)
+        out = WALL_CLOCK.sub("", out)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_beta_curve_csv_schema(self):

@@ -404,6 +404,19 @@ class TestKernelReference:
                 assert np.array_equal(body.gauge_many(pts),
                                       np.maximum(rows.max(axis=1), 0.0))
 
+    def test_multi_row_polytope_gauge_does_not_depend_on_row_count(self):
+        # the lockstep balancing searches stack the rows of many restarts
+        # into one gauge call and rely on this; a one-row product may take
+        # BLAS's matrix-vector path, so they keep one-row calls apart
+        for _, normals, offsets, pts in self.draws():
+            body = lg.HPolytope(normals, offsets)
+            if body.symmetric:
+                pts = pts[:600]  # no size below 34 leaves a one-row remainder
+                whole = body.gauge_many(pts)
+                for size in range(2, 34):
+                    parts = [body.gauge_many(pts[s:s + size]) for s in range(0, 600, size)]
+                    assert np.array_equal(np.concatenate(parts), whole)
+
     def test_closed_form_bodies_match_row_major(self):
         for rng, _, offsets, pts in self.draws():
             n = pts.shape[1]
@@ -497,6 +510,20 @@ class TestBoundingRadius:
     ], ids=["wedge", "strip", "3d"])
     def test_unbounded_or_unchecked_polytope_has_no_circumradius(self, body):
         assert body.circumradius() == math.inf
+
+    @pytest.mark.parametrize("body, unbounded", [
+        (lg.HPolytope([[1.0], [-2.0]], [1.0, 1.0]), False),
+        (lg.HPolytope([[1.0], [2.0]], [1.0, 1.0]), True),
+        (lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]), True),
+        (lg.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1.2] * 4), False),
+        (symmetric_polytope(3, 0), False),
+        (lg.AxisBox([1.0, math.inf]), True),
+        (lg.Ball(1.0, dim=3), False),
+    ], ids=["interval", "half-line", "strip", "square", "3d", "box", "ball"])
+    def test_known_unbounded(self, body, unbounded):
+        # an interval's circumradius reads inf, bounded or not, and a 3-d
+        # polytope's boundedness is not checked: neither is known unbounded
+        assert body.known_unbounded() == unbounded
 
     def test_oracle_body_returns_its_hint(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
