@@ -147,31 +147,6 @@ def _restart_blocks(restarts: int, rows: int):
         yield range(start, min(start + size, restarts))
 
 
-def _per_restart(score, items: np.ndarray, used: np.ndarray, rows: int = 1) -> np.ndarray:
-    """``score`` of every item of a (b, m, ...) stack of b restarts' m items,
-    as a (b, m) array, in one call where that gives each restart's bits.
-
-    ``used`` marks the items of each restart that a search run one restart
-    at a time scores in one call, at ``rows`` gauge rows per item (a scan of
-    n vectors spends 2^(n-1)); the scores of the other items are not used.
-    An H-polytope gauge of one row forms ``normals @ points.T`` with one
-    column, which BLAS takes on its matrix-vector path; that can differ in
-    the last bit from a product of two or more columns, which gives each
-    column the same bits whatever their count. So a restart whose call is
-    one gauge row is scored in a call of its own.
-    """
-    b, m = used.shape
-    alone = np.flatnonzero(used.sum(axis=1) == 1) if rows == 1 else ()
-    if len(alone) < used.size:  # some item is not scored alone
-        out = score(items.reshape(b * m, *items.shape[2:])).reshape(b, m)
-    else:
-        out = np.empty((b, m))
-    for r in alone:
-        j = used[r].argmax()
-        out[r, j] = score(items[r, j:j + 1])[0]
-    return out
-
-
 def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
                       seed: int = 0) -> BalanceResult:
     """Greedy sign choice on a random order plus single-flip descent.
@@ -183,13 +158,12 @@ def balance_heuristic(vectors, body: ConvexBody, restarts: int = 16,
     Restarts run in lockstep, in blocks of 2^16 // max(k, 2), so a block's
     gauge calls stack at most 2^16 rows. Greedy step t scores both signs of
     the t-th vector of every restart in one gauge call, and each descent
-    round scores the pending flips of every restart still descending in one
-    call.
-    Each restart keeps its own ``substream(seed, restart)`` order and its
-    one-row gauge calls (see ``_per_restart``), so the result is bitwise
-    that of running the restarts one after another, on every body whose
-    gauge scores each row on its own: all but ``OracleBody``, whose
-    bisection runs until every row of a call has converged.
+    round scores the flips of every restart still descending in one call.
+    Each restart keeps its own ``substream(seed, restart)`` order, so the
+    result is bitwise that of running the restarts one after another, on
+    every body whose gauge gives a row the same bits in any call: all but
+    ``OracleBody``, whose bisection runs until every row of a call has
+    converged.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -231,23 +205,22 @@ def _descend(v: np.ndarray, body: ConvexBody, signs: np.ndarray) -> np.ndarray:
     its gauge by more than 1e-12.
     """
     b, k = signs.shape
+    d = v.shape[1]
     index = np.arange(k)
-    totals = np.empty((b, v.shape[1]))
+    totals = np.empty((b, d))
     current = np.empty(b)
     passing = np.arange(b)
     while passing.size:
         for r in passing:  # one sign row at a time, as a restart alone sums it
             totals[r] = signs[r] @ v
-        current[passing] = _per_restart(body.gauge_many, totals[passing, None],
-                                        np.ones((passing.size, 1), dtype=bool))[:, 0]
+        current[passing] = body.gauge_many(totals[passing])
         pos = np.zeros(b, dtype=np.int64)
         improved = np.zeros(b, dtype=bool)
         live = passing
         while live.size:
-            todo = index >= pos[live, None]
             flips = totals[live, None] - 2.0 * signs[live, :, None] * v
-            flipped = _per_restart(body.gauge_many, flips, todo)
-            better = todo & (flipped < current[live, None] - 1e-12)
+            flipped = body.gauge_many(flips.reshape(-1, d)).reshape(len(live), k)
+            better = (index >= pos[live, None]) & (flipped < current[live, None] - 1e-12)
             found = better.any(axis=1)
             live, i = live[found], better.argmax(axis=1)[found]
             signs[live, i] = -signs[live, i]
@@ -261,8 +234,6 @@ def _descend(v: np.ndarray, body: ConvexBody, signs: np.ndarray) -> np.ndarray:
     # each restart's last pass flipped nothing: current is the gauge of its sum
     return current
 
-
-_UNBOUNDED_INPUT = "worst-case search needs a bounded input body"
 
 # Perturbation schedule of the worst-case searches: passes of halving step
 # size, each trying this many random probes (per vector for beta).
@@ -278,10 +249,9 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     boundary of U (the objective is positively homogeneous per input, so
     interior points never help) via random restarts and shrinking random
     perturbations. Returns (radius, witness vectors) of the first restart
-    with the largest radius. U must be bounded: a U known to be unbounded
-    (``ConvexBody.known_unbounded``) is refused before any draw, and any
-    other, such as an H-polytope of dimension 3 or more, whose boundedness
-    is not checked, once a probe direction has gauge 0.
+    with the largest radius. An unbounded U (``ConvexBody.known_unbounded``,
+    exact for every kind) is refused before any draw, so every probe
+    direction has a positive gauge.
 
     The probes of one vector are tried in order and the first that raises
     the radius is kept. Their noise does not depend on which is kept, so
@@ -289,14 +259,13 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     after a probe is kept, only the probes after it are scored again.
     Restarts run in lockstep, in blocks of 2^16 // (6 * 2^(n-1)) (one at
     least), so a block's scan stacks at most 2^16 gauge rows: the start
-    vectors of a block share one scan, and the pending probes of vector i
-    of every restart still probing it share one gauge call and one scan.
-    Each restart draws from its own ``substream(seed, restart)`` in its own
-    order and keeps its one-row gauge calls (see ``_per_restart``), so the
-    radii, the witness and the error on an unbounded U are those of trying
-    the probes one at a time, one restart after another, unless U or V is
-    an ``OracleBody``, whose gauge of a row depends on the other rows of
-    its call.
+    vectors of a block share one scan, and the probes of vector i of every
+    restart still probing it share one gauge call and one scan. Each
+    restart draws from its own ``substream(seed, restart)`` in its own
+    order, so the radii and the witness are those of trying the probes one
+    at a time, one restart after another, unless U or V is an
+    ``OracleBody``, whose gauge of a row depends on the other rows of its
+    call.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -307,7 +276,7 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     if u_body.dim != v_body.dim:
         raise DimensionMismatchError("input and target bodies must share a dimension")
     if u_body.known_unbounded():
-        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
+        raise UnsupportedBodyError("worst-case search needs a bounded input body")
     best_r = -math.inf
     best_v: np.ndarray | None = None
     for block in _restart_blocks(restarts, _BETA_PROBES << (n - 1)):
@@ -324,17 +293,14 @@ def _beta_block(n: int, u_body: ConvexBody, v_body: ConvexBody,
     """Final radii and vectors of the restarts drawing from ``rngs``."""
     b, d = len(rngs), u_body.dim
 
-    def scan(stack):
-        return _exhaustive_scan(stack, v_body)[0]
+    def boundary(dirs):  # each direction of a (c, m, d) stack scaled onto U's boundary
+        return dirs / u_body.gauge_many(dirs.reshape(-1, d)).reshape(*dirs.shape[:2], 1)
 
-    scan_rows = 1 << (n - 1)
-    every = np.ones((b, n), dtype=bool)
-    starts = np.stack([rng.standard_normal((n, d)) for rng in rngs])
-    g = _per_restart(u_body.gauge_many, starts, every)
-    if np.any(g <= 0):
-        raise UnsupportedBodyError(_UNBOUNDED_INPUT)
-    vecs = starts / g[..., None]
-    radius = _per_restart(scan, vecs[:, None], every[:, :1], scan_rows)[:, 0]
+    def scan(stack):  # the balancing radius of each sequence of a (c, m, n, d) stack
+        return _exhaustive_scan(stack.reshape(-1, n, d), v_body)[0].reshape(stack.shape[:2])
+
+    vecs = boundary(np.stack([rng.standard_normal((n, d)) for rng in rngs]))
+    radius = scan(vecs[:, None])[:, 0]
     slots, last = np.arange(_BETA_PROBES), _BETA_PROBES - 1
     step = 0.5
     for _ in range(_BETA_PASSES):
@@ -343,26 +309,13 @@ def _beta_block(n: int, u_body: ConvexBody, v_body: ConvexBody,
             p = np.zeros(b, dtype=np.int64)
             live = np.arange(b)
             while live.size:
-                # every probe slot of a live restart is scored; it uses the
-                # pending ones (from p on) up to its first unbounded one
-                pending = slots >= p[live, None]
-                dirs = vecs[live, i, None] + noise[live]
-                g = _per_restart(u_body.gauge_many, dirs, pending)
+                # every probe slot of a live restart is scored; the pending
+                # ones (from p on) are used
                 cands = np.repeat(vecs[live, None], _BETA_PROBES, axis=1)
-                usable, cut = pending, None
-                if (g > 0).all():
-                    cands[:, :, i] = dirs / g[..., None]
-                else:
-                    # a restart uses no probe from its first unbounded pending one on
-                    blocked = np.logical_or.accumulate(pending & (g <= 0), axis=1)
-                    usable, cut = pending & ~blocked, blocked[:, -1]
-                    cands[:, :, i] = dirs / np.where(g <= 0, 1.0, g)[..., None]
-                radii = _per_restart(scan, cands, usable, scan_rows)
-                up = usable & (radii > radius[live, None])
+                cands[:, :, i] = boundary(vecs[live, i, None] + noise[live])
+                radii = scan(cands)
+                up = (slots >= p[live, None]) & (radii > radius[live, None])
                 found = up.any(axis=1)
-                if cut is not None and (cut & ~found).any():
-                    # a restart's next probe direction is unbounded in U
-                    raise UnsupportedBodyError(_UNBOUNDED_INPUT)
                 live, t = live[found], up.argmax(axis=1)[found]
                 radius[live] = radii[found, t]
                 vecs[live, i] = cands[found, t, i]

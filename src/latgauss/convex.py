@@ -33,6 +33,9 @@ TAIL_EPS = 1e-9
 # An H-polytope (or slice) has an interior when its Chebyshev radius, half
 # the width of a 1-d slice, exceeds this.
 MIN_CHEBYSHEV_RADIUS = 1e-10
+# Unit normals of full rank positively span R^n when the residual of
+# HPolytope.known_unbounded's nonnegative least squares is at most this.
+_SPAN_RESIDUAL = 1e-9
 # Two facets of a polygon are parallel when the cross product of their unit
 # normals is at most this.
 _PARALLEL_SIN = 1e-12
@@ -116,9 +119,9 @@ class ConvexBody:
         raise NotImplementedError
 
     def known_unbounded(self) -> bool:
-        """True when the body is known to be unbounded: its circumradius is
-        exact and infinite. A kind whose circumradius may read inf on a
-        bounded body overrides this."""
+        """True when the body is unbounded, exactly for every kind (an
+        OracleBody is bounded by its hint); HPolytope decides it from its
+        normals, as its circumradius may read inf on a bounded body."""
         return math.isinf(self.circumradius())
 
     def scale(self, s: float) -> "ConvexBody":
@@ -454,9 +457,12 @@ class HPolytope(ConvexBody):
         self._require_symmetric()
         if np.any(self.offsets <= 0):
             raise InvalidBodyError("gauge needs the origin strictly inside")
-        ratios = self.normals @ points.T
+        # one row goes in as two: BLAS's one-column (matrix-vector) path can
+        # differ in the last bit, so a row gets the same bits in any call
+        k = len(points)
+        ratios = self.normals @ (np.repeat(points, 2, axis=0) if k == 1 else points).T
         ratios /= self.offsets[:, None]  # in place: one (m, k) array at a time
-        return np.maximum(np.maximum.reduce(ratios, axis=0), 0.0)
+        return np.maximum(np.maximum.reduce(ratios, axis=0)[:k], 0.0)
 
     def slices(self, xs):
         """Cross-sections at last coordinates xs, decided with no LP.
@@ -494,7 +500,7 @@ class HPolytope(ConvexBody):
     def _circumradius(self) -> float:
         """A polygon's farthest vertex, with its offsets moved out by
         BOUNDARY_ATOL as membership moves them; inf where an edge runs off
-        to infinity, and in higher dimension (boundedness is not checked)."""
+        to infinity, and in any other dimension (see known_unbounded)."""
         if self.dim != 2:
             return math.inf
         unit, (d,), _, (stop,), (live,), _ = polygon_edges(
@@ -505,12 +511,16 @@ class HPolytope(ConvexBody):
         return float(np.linalg.norm(vertices, axis=1).max())
 
     def known_unbounded(self):
-        """An interval lacking a facet on one side or a polygon of infinite
-        circumradius; never in higher dimension, where boundedness is not
-        checked."""
-        if self.dim == 1:
-            return not (np.any(self.normals > 0.0) and np.any(self.normals < 0.0))
-        return self.dim == 2 and math.isinf(self._circumradius)
+        """Exact in every dimension, with no LP: the body is bounded when its
+        unit normals u_j positively span R^n, i.e. have rank n and some
+        lambda >= 0 solves sum lambda_j u_j = -sum u_j, so that every weight
+        of sum (lambda_j + 1) u_j = 0 is positive."""
+        from scipy.optimize import nnls  # deferred: its import takes longer than most commands
+
+        unit = self.normals / np.linalg.norm(self.normals, axis=1)[:, None]
+        if np.linalg.matrix_rank(unit) < self.dim:
+            return True
+        return nnls(unit.T, -unit.sum(axis=0))[1] > _SPAN_RESIDUAL
 
     def scale(self, s):
         return HPolytope(self.normals, s * self.offsets,
@@ -874,7 +884,7 @@ def bounding_radius(body: ConvexBody) -> float:
     Bodies with a finite circumradius return it: bounded closed-form bodies,
     bounded polygons among them, their exact one, oracle bodies their
     validated bounding-radius hint. Unbounded bodies (and H-polytopes of
-    dimension >= 3, whose boundedness is not checked) fall back to the
+    dimension >= 3, whose circumradius is not computed) fall back to the
     chi-square tail radius, which bounds the mass of everything outside
     R*B_n regardless of the body.
     """

@@ -52,6 +52,13 @@ R6 = json.dumps({"basis": [[-1.119, -3.796, -3.488, 3.981, 0.346, -1.287],
                            [-0.326, -4.037, -1.592, 2.585, -0.292, -0.995],
                            [1.032, 5.947, 0.718, -0.623, -0.534, 0.622],
                            [-1.106, 1.436, 0.673, 1.752, -0.482, 0.137]]})
+# symmetric H-polytope input bodies of the balancing digests
+HEXAGON = json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 6,
+                      "normals": [[1, 0], [0, 1], [0.6, 0.8], [-1, 0], [0, -1], [-0.6, -0.8]]})
+OBLIQUE_3D = json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.1, 0.9, 1.3, 1.2] * 2,
+                         "normals": [[1, 0.3, -0.2], [0.2, 1, 0.5], [-0.4, 0.1, 1],
+                                     [0.7, 0.7, 0.1], [-1, -0.3, 0.2], [-0.2, -1, -0.5],
+                                     [0.4, -0.1, -1], [-0.7, -0.7, -0.1]]})
 STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
                    "e6e5c304d51e55afd1f0b1aafe727716251fe92440bcc383bf88727afa0e5f14"),
@@ -142,6 +149,14 @@ STREAM_DIGESTS = {
         "3844ceb66db8e9270db2000b292c94f15c707a037addd3b186ca5d39143251fa"),
     "beta-curve": (("beta", "--curve", "--n", "6", "--restarts", "2", "--seed", "7"),
                    "4cf650d0a2b33b58d33b92188807f74494c1001ef6211e00e69702795a23d7d8"),
+    # polytope input bodies, pinned when a polytope's one-row gauge came to
+    # be computed as two equal rows: both streams moved in the last bits then
+    "beta-hpolytope-input-n1": (("beta", "--n", "1", "--restarts", "8", "--seed", "5",
+                                 "--u-body", HEXAGON, "--v-body", HEXAGON),
+                                "93bce474407c90c6adeee0edda6b2ee1a2a225f9a88adfb53c1eeaef365648b0"),
+    "beta-hpolytope-input-n3": (("beta", "--n", "3", "--restarts", "8", "--seed", "19",
+                                 "--u-body", OBLIQUE_3D),
+                                "951f22a67ea15427028cf3bb5ccbec7a54ef700caab00518d7f7d8d509ec4c44"),
     # an ellipsoid past SERIES_TERM_CAP, whose slices are scored by Monte
     # Carlo; pinned while each scored slice was still built as a body
     "w-profile-ellipsoid-past-cap": (
@@ -585,6 +600,16 @@ class TestRecords:
         # circumradius shows that it is unbounded
         box = json.dumps({"kind": "axis_box", "dim": 2, "semiwidths": [1, "inf"]})
         code, out = run_cli("beta", "--n", "2", "--restarts", "2", "--u-body", box)
+        assert code == 1 and out == ""
+        assert "bounded input body" in capsys.readouterr().err
+
+    def test_beta_unbounded_3d_polytope_input_is_exit_one(self, capsys):
+        # a strip in 3-d: no probe direction has gauge 0 and its
+        # circumradius reads inf bounded or not, so only its normals tell
+        strip = json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1, 1, 1, 1],
+                            "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]})
+        code, out = run_cli("beta", "--n", "3", "--restarts", "2", "--seed", "7",
+                            "--u-body", strip)
         assert code == 1 and out == ""
         assert "bounded input body" in capsys.readouterr().err
 

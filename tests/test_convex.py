@@ -404,16 +404,16 @@ class TestKernelReference:
                 assert np.array_equal(body.gauge_many(pts),
                                       np.maximum(rows.max(axis=1), 0.0))
 
-    def test_multi_row_polytope_gauge_does_not_depend_on_row_count(self):
+    def test_polytope_gauge_does_not_depend_on_row_count(self):
         # the lockstep balancing searches stack the rows of many restarts
-        # into one gauge call and rely on this; a one-row product may take
-        # BLAS's matrix-vector path, so they keep one-row calls apart
+        # into one gauge call and rely on this; a one-row product would take
+        # BLAS's matrix-vector path, so gauge_many scores one row as two
         for _, normals, offsets, pts in self.draws():
             body = lg.HPolytope(normals, offsets)
             if body.symmetric:
-                pts = pts[:600]  # no size below 34 leaves a one-row remainder
+                pts = pts[:600]
                 whole = body.gauge_many(pts)
-                for size in range(2, 34):
+                for size in range(1, 34):
                     parts = [body.gauge_many(pts[s:s + size]) for s in range(0, 600, size)]
                     assert np.array_equal(np.concatenate(parts), whole)
 
@@ -506,7 +506,7 @@ class TestBoundingRadius:
     @pytest.mark.parametrize("body", [
         lg.HPolytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0]),  # a wedge
         lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),  # a strip
-        symmetric_polytope(3, 0),  # bounded, but not checked in 3-d
+        symmetric_polytope(3, 0),  # bounded, but not computed in 3-d
     ], ids=["wedge", "strip", "3d"])
     def test_unbounded_or_unchecked_polytope_has_no_circumradius(self, body):
         assert body.circumradius() == math.inf
@@ -517,13 +517,42 @@ class TestBoundingRadius:
         (lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]), True),
         (lg.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1.2] * 4), False),
         (symmetric_polytope(3, 0), False),
+        (lg.HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], [1.0] * 4), True),
+        (lg.HPolytope(np.eye(3), [1.0] * 3), True),
+        (lg.HPolytope(np.vstack([np.eye(3), -np.ones(3)]), [1.0] * 4), False),
+        (lg.HPolytope(np.vstack([np.eye(4), -np.ones(4)]), [1.0] * 5), False),
+        (TILTED_CUP, True),
         (lg.AxisBox([1.0, math.inf]), True),
         (lg.Ball(1.0, dim=3), False),
-    ], ids=["interval", "half-line", "strip", "square", "3d", "box", "ball"])
+    ], ids=["interval", "half-line", "strip", "square", "3d", "3d-strip", "3d-orthant",
+            "3d-simplex", "4d-simplex", "3d-cup", "box", "ball"])
     def test_known_unbounded(self, body, unbounded):
-        # an interval's circumradius reads inf, bounded or not, and a 3-d
-        # polytope's boundedness is not checked: neither is known unbounded
+        # an interval's circumradius, and a polytope's from dimension 3 on,
+        # reads inf bounded or not: boundedness is decided from the normals
         assert body.known_unbounded() == unbounded
+
+    def test_known_unbounded_agrees_with_edge_rule(self):
+        # the rule this replaced in 1-d and 2-d: an interval needs a facet on
+        # each side, and a polygon is unbounded where an edge runs off to
+        # infinity (an infinite circumradius); small integer normals give
+        # exactly parallel and opposite facets, Gaussian ones general position
+        rng = np.random.default_rng(55)
+        counts = {False: 0, True: 0}
+        for trial in range(1000):
+            dim, m = 1 + trial % 2, int(rng.integers(1, 7))
+            if trial % 4 < 2:
+                normals = rng.standard_normal((m, dim))
+            else:
+                normals = rng.integers(-2, 3, (m, dim)).astype(float)
+                normals[~normals.any(axis=1), 0] = 1.0
+            body = lg.HPolytope(normals, rng.uniform(0.5, 2.0, m))
+            if dim == 1:
+                edge = not (np.any(normals > 0.0) and np.any(normals < 0.0))
+            else:
+                edge = math.isinf(body.circumradius())
+            assert body.known_unbounded() == edge, (normals, body.offsets)
+            counts[edge] += 1
+        assert min(counts.values()) > 200
 
     def test_oracle_body_returns_its_hint(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
