@@ -9,8 +9,8 @@ tolerances or confidence half-widths.
 """
 
 from .convex import (AxisBox, Ball, ConvexBody, Ellipsoid, FullSpace, Halfspace,
-                     HPolytope, OracleBody, body_from_document, bounding_radius,
-                     minkowski_combination)
+                     HPolytope, OracleBody, body_from_document, minkowski_combination,
+                     tail_radius)
 from .errors import (CalibrationError, DimensionMismatchError,
                      EnumerationCapExceededError, InvalidBodyError,
                      InvalidLatticeError, LatgaussError,

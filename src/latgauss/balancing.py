@@ -249,9 +249,9 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
     boundary of U (the objective is positively homogeneous per input, so
     interior points never help) via random restarts and shrinking random
     perturbations. Returns (radius, witness vectors) of the first restart
-    with the largest radius. An unbounded U (``ConvexBody.known_unbounded``,
-    exact for every kind) is refused before any draw, so every probe
-    direction has a positive gauge.
+    with the largest radius. An unbounded U, one of infinite circumradius
+    (exact for every kind, H-polytopes of any dimension among them), is
+    refused before any draw, so every probe direction has a positive gauge.
 
     The probes of one vector are tried in order and the first that raises
     the radius is kept. Their noise does not depend on which is kept, so
@@ -275,7 +275,7 @@ def beta_lower_bound_search(n: int, u_body: ConvexBody, v_body: ConvexBody,
         raise ValueError("restarts must be at least 1")
     if u_body.dim != v_body.dim:
         raise DimensionMismatchError("input and target bodies must share a dimension")
-    if u_body.known_unbounded():
+    if math.isinf(u_body.circumradius()):
         raise UnsupportedBodyError("worst-case search needs a bounded input body")
     best_r = -math.inf
     best_v: np.ndarray | None = None

@@ -28,14 +28,15 @@ from .errors import (
 
 # Closed-set membership tolerance (absolute).
 BOUNDARY_ATOL = 1e-12
-# Gaussian mass a truncation radius may leave outside (see bounding_radius).
+# Gaussian mass a truncation radius may leave outside (see tail_radius).
 TAIL_EPS = 1e-9
 # An H-polytope (or slice) has an interior when its Chebyshev radius, half
 # the width of a 1-d slice, exceeds this.
 MIN_CHEBYSHEV_RADIUS = 1e-10
-# Unit normals of full rank positively span R^n when the residual of
-# HPolytope.known_unbounded's nonnegative least squares is at most this.
-_SPAN_RESIDUAL = 1e-9
+# An H-polytope is unbounded when a facet of its dual hull passes within this
+# fraction of the largest dual point's norm of the origin: a vertex 1e9 times
+# farther from the interior point than the nearest facet counts as at infinity.
+_HULL_MARGIN = 1e-9
 # Two facets of a polygon are parallel when the cross product of their unit
 # normals is at most this.
 _PARALLEL_SIN = 1e-12
@@ -115,14 +116,10 @@ class ConvexBody:
             raise InvalidBodyError("cannot slice a 1-d body")
 
     def circumradius(self) -> float:
-        """Radius of the smallest origin-centered ball containing the body (inf if unbounded)."""
+        """Radius of the smallest origin-centered ball containing the body, inf
+        exactly when it is unbounded, for every kind and dimension (an
+        OracleBody is bounded by its hint): the one boundedness test."""
         raise NotImplementedError
-
-    def known_unbounded(self) -> bool:
-        """True when the body is unbounded, exactly for every kind (an
-        OracleBody is bounded by its hint); HPolytope decides it from its
-        normals, as its circumradius may read inf on a bounded body."""
-        return math.isinf(self.circumradius())
 
     def scale(self, s: float) -> "ConvexBody":
         """Dilate about the origin by s > 0."""
@@ -498,29 +495,28 @@ class HPolytope(ConvexBody):
 
     @cached_property
     def _circumradius(self) -> float:
-        """A polygon's farthest vertex, with its offsets moved out by
-        BOUNDARY_ATOL as membership moves them; inf where an edge runs off
-        to infinity, and in any other dimension (see known_unbounded)."""
-        if self.dim != 2:
-            return math.inf
-        unit, (d,), _, (stop,), (live,), _ = polygon_edges(
-            self.normals, self.offsets[None, :] + BOUNDARY_ATOL)
-        j, vertices = polygon_vertices(unit, d, stop, live)
-        if j.size < np.count_nonzero(live):  # a live edge runs off to infinity
-            return math.inf
-        return float(np.linalg.norm(vertices, axis=1).max())
+        """The farthest vertex, offsets moved out by BOUNDARY_ATOL as membership
+        moves them; inf exactly when the body is unbounded. About the interior
+        point p, facet j is {y : u_j . y <= g_j}, with u_j its unit normal and
+        g_j > 0, so the body is the polar of the hull of the dual points
+        q_j = u_j / g_j: bounded when p lies strictly inside that hull, with the
+        vertex p - a / b for each hull facet a . q + b = 0. Qhull gives the hull
+        for n >= 2 (Barber, Dobkin & Huhdanpaa 1996), with no LP; an interval's
+        is the span of its dual points."""
+        q = self.normals / (self.offsets + BOUNDARY_ATOL
+                            - self.normals @ self.interior_point)[:, None]
+        if self.dim == 1:
+            equations = np.array([[1.0, -q.max()], [-1.0, q.min()]])
+        elif np.linalg.matrix_rank(q[1:] - q[0]) < self.dim:
+            return math.inf  # the dual points lie in a hyperplane
+        else:
+            from scipy import spatial  # deferred: its import takes longer than most commands
 
-    def known_unbounded(self):
-        """Exact in every dimension, with no LP: the body is bounded when its
-        unit normals u_j positively span R^n, i.e. have rank n and some
-        lambda >= 0 solves sum lambda_j u_j = -sum u_j, so that every weight
-        of sum (lambda_j + 1) u_j = 0 is positive."""
-        from scipy.optimize import nnls  # deferred: its import takes longer than most commands
-
-        unit = self.normals / np.linalg.norm(self.normals, axis=1)[:, None]
-        if np.linalg.matrix_rank(unit) < self.dim:
-            return True
-        return nnls(unit.T, -unit.sum(axis=0))[1] > _SPAN_RESIDUAL
+            equations = spatial.ConvexHull(q).equations
+        a, b = equations[:, :-1], equations[:, -1]
+        if np.any(b >= -_HULL_MARGIN * np.linalg.norm(q, axis=1).max()):
+            return math.inf
+        return float(np.linalg.norm(self.interior_point - a / b[:, None], axis=1).max())
 
     def scale(self, s):
         return HPolytope(self.normals, s * self.offsets,
@@ -543,15 +539,24 @@ class HPolytope(ConvexBody):
         vertex lies (a strip). (-inf, inf) in higher dimension; callers truncate."""
         if self.dim != 2:
             return (-math.inf, math.inf)
-        unit, (d,), (start,), (stop,), (live,), _ = polygon_edges(self.normals,
-                                                                  self.offsets[None, :])
-        _, vertices = polygon_vertices(unit, d, stop, live)
+        unit, start, stop, live, _, _, vertices = self._polygon
         rise = unit[:, 0]  # the last coordinate grows with t along an edge where this is > 0
         away = np.concatenate([rise[live & np.isinf(stop)], -rise[live & np.isinf(start)]])
         if not vertices.size:
             return (-math.inf, math.inf)
         return (-math.inf if np.any(away < 0.0) else float(vertices[:, 1].min()),
                 math.inf if np.any(away > 0.0) else float(vertices[:, 1].max()))
+
+    @cached_property
+    def _polygon(self) -> tuple:
+        """A 2-d body's ``polygon_edges`` row at its own offsets, built once, as
+        (unit, start, stop, live, stopper, j, vertices): j are the live edges of
+        finite stop, each ending at its vertex d_j * u_j + stop_j * w_j."""
+        unit, (d,), (start,), (stop,), (live,), (stopper,) = polygon_edges(
+            self.normals, self.offsets[None, :])
+        j = np.flatnonzero(live & np.isfinite(stop))
+        w = np.stack([-unit[j, 1], unit[j, 0]], axis=1)
+        return unit, start, stop, live, stopper, j, d[j, None] * unit[j] + stop[j, None] * w
 
     def to_document(self):
         return {"kind": "hpolytope", "dim": self.dim,
@@ -834,14 +839,6 @@ def polygon_edges(normals: np.ndarray, offsets: np.ndarray):
     return unit, d, start, stop, live, stopper
 
 
-def polygon_vertices(unit: np.ndarray, d: np.ndarray, stop: np.ndarray,
-                     live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(j, vertices) of one polygon from its ``polygon_edges`` row: the
-    vertex d_j * u_j + stop_j * w_j ending each live edge j with a finite stop."""
-    j = np.flatnonzero(live & np.isfinite(stop))
-    return j, d[j, None] * unit[j] + stop[j, None] * np.stack([-unit[j, 1], unit[j, 0]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Module-level operation surface
 # ---------------------------------------------------------------------------
@@ -878,21 +875,10 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
         f"combination not closed-form for ({a.kind}, {b.kind})")
 
 
-def bounding_radius(body: ConvexBody) -> float:
-    """Radius R with gaussian_measure(body outside R*B_n) <= TAIL_EPS.
-
-    Bodies with a finite circumradius return it: bounded closed-form bodies,
-    bounded polygons among them, their exact one, oracle bodies their
-    validated bounding-radius hint. Unbounded bodies (and H-polytopes of
-    dimension >= 3, whose circumradius is not computed) fall back to the
-    chi-square tail radius, which bounds the mass of everything outside
-    R*B_n regardless of the body.
-    """
-    r = body.circumradius()
-    if math.isfinite(r):
-        return r
-    # P(chi2_n > R^2) = TAIL_EPS
-    return math.sqrt(2.0 * special.gammaincinv(body.dim / 2.0, 1.0 - TAIL_EPS))
+def tail_radius(dim: int) -> float:
+    """Radius R outside which the standard Gaussian of R^dim has mass TAIL_EPS,
+    P(chi2_dim > R^2) = TAIL_EPS: it bounds the mass of any body outside R*B_n."""
+    return math.sqrt(2.0 * special.gammaincinv(dim / 2.0, 1.0 - TAIL_EPS))
 
 
 # ---------------------------------------------------------------------------

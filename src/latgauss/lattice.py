@@ -301,7 +301,8 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
     """(lambda_1 <= ... <= lambda_n, witness rows) in the gauge of ``body``.
 
     lambda_k is the smallest r such that r*body holds k linearly independent
-    lattice vectors. Requires a bounded body that its ``gauge_many`` accepts.
+    lattice vectors. Requires a body of finite circumradius (every bounded
+    H-polytope among them, in any dimension) that its ``gauge_many`` accepts.
     Ties of the gauge, quantized by COMPARE_ATOL, break by the spiral order
     of coefficients in the cached LLL basis ``lattice.frame[0]``, not the
     lattice's own basis, so of a pair +-v the witness may be the one whose
@@ -409,8 +410,9 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tupl
     A diagonal basis paired with an axis box admits the exact product answer
     (degenerate bracket); otherwise the fundamental cell is scanned on a
     resolution^n grid of at most ``COVERING_GRID_CAP`` cell centers and
-    widened by the exact gauge reach of half a cell. The body's ``gauge_many``
-    rejects a body without a gauge.
+    widened by the exact gauge reach of half a cell; that scan needs a body
+    of finite circumradius (every bounded H-polytope among them, in any
+    dimension). The body's ``gauge_many`` rejects a body without a gauge.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import gaussian
 from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
-                     bounding_radius, minkowski_combination, polygon_edges,
-                     polygon_vertices)
+                     minkowski_combination, tail_radius)
 from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
                      UnsupportedBodyError)
 from .gaussian import MeasureEstimate, measure_auto, measure_exact
@@ -157,24 +156,24 @@ _COSET_DOUBLINGS = 3  # unbounded bodies: search out to 2**3 times the truncatio
 def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
     """First coset point inside the body, searching outward from its anchor.
 
-    The body is truncated at R = bounding_radius(body): its circumradius when
-    that is finite, else the radius outside which at most ``TAIL_EPS`` of
-    Gaussian mass lies. Shells around the body's anchor a double in radius
-    up to R + |a| for a bounded body, no point of which lies farther from a,
-    and up to R * 2**_COSET_DOUBLINGS for an unbounded one. The witness is the
-    in-body point nearest the anchor (ties by the coefficient spiral key),
-    so it is deterministic. For a bounded body an exhausted search is a
-    certificate of empty intersection, and its ``radius`` is R + |a|; for an
-    unbounded body it is ``truncated``, since emptiness beyond the truncation
-    is not decidable. A search whose enumeration passes the lattice module's
-    ``DEFAULT_NODE_CAP`` is ``truncated`` too. ``radius`` is the largest
-    radius enumerated.
+    A bounded body, one of finite circumradius R (every bounded H-polytope
+    among them, in any dimension), is searched whole: shells around its
+    anchor a double in radius up to R + |a|, and no point of the body lies
+    farther from a. An unbounded body is truncated at R = ``tail_radius(n)``,
+    outside which at most ``TAIL_EPS`` of Gaussian mass lies, and searched
+    up to R * 2**_COSET_DOUBLINGS. The witness is the in-body point nearest
+    the anchor (ties by the coefficient spiral key), so it is deterministic.
+    For a bounded body an exhausted search is a certificate of empty
+    intersection, and its ``radius`` is R + |a|; for an unbounded body it is
+    ``truncated``, since emptiness beyond the truncation is not decidable. A
+    search whose enumeration passes the lattice module's ``DEFAULT_NODE_CAP``
+    is ``truncated`` too. ``radius`` is the largest radius enumerated.
     """
-    r_trunc = bounding_radius(body)
+    circ = body.circumradius()
     anchor = body.anchor()
-    bounded = math.isfinite(body.circumradius())
-    r_max = (r_trunc + float(np.linalg.norm(anchor)) if bounded
-             else r_trunc * 2.0 ** _COSET_DOUBLINGS)
+    bounded = math.isfinite(circ)
+    r_max = (circ + float(np.linalg.norm(anchor)) if bounded
+             else tail_radius(body.dim) * 2.0 ** _COSET_DOUBLINGS)
     # every point of space is within half a basis-cell diagonal of the lattice
     b = coset.lattice.frame[0]
     shell = min(0.6 * float(np.sum(np.linalg.norm(b, axis=1))) + 1e-9, r_max)
@@ -433,9 +432,7 @@ def _kink_error(body: ConvexBody, xs: np.ndarray) -> float:
     """
     if not (isinstance(body, HPolytope) and body.dim == 2):
         return 0.0
-    unit, (d,), _, (stop,), (live,), (stopper,) = polygon_edges(body.normals,
-                                                                body.offsets[None, :])
-    j, vertex = polygon_vertices(unit, d, stop, live)
+    unit, _, _, _, stopper, j, vertex = body._polygon
     k = stopper[j]  # edge j ends at its vertex, where edge k starts
     one_side = unit[j, 0] * unit[k, 0] > 0.0
     j, k, vertex = j[one_side], k[one_side], vertex[one_side]
@@ -450,9 +447,10 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     """Profile of last-coordinate slice measures mapped through the quantile.
 
     Samples the slice measure on a uniform grid over the body's last-axis
-    extent (truncated for unbounded bodies; a 2-d H-polytope's extent runs
-    between its lowest and highest vertex, from its edges, while higher
-    dimensions take the truncation), forms g = Phi^{-1}(measure)
+    extent, cut to [-R, R] with R = ``tail_radius(n)`` when an end of it is
+    infinite (a 2-d H-polytope's extent runs between its lowest and highest
+    vertex, from its edges; a higher-dimensional one's is infinite, so the
+    profile builds no hull), forms g = Phi^{-1}(measure)
     where the measure is nondegenerate, and reports (i) the worst discrete
     second difference of g against its statistical slack and (ii) the
     quadrature identity: integrating the slice measures against the 1-d
@@ -498,9 +496,10 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
                          + (f", which rounds up to {points}" if points > grid_size else ""))
     _at_most("samples", samples, PROFILE_SAMPLES_CAP)
     grid_size = points
-    r_trunc = bounding_radius(body)
     lo, hi = body.last_axis_extent()
-    lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
+    if math.isinf(lo) or math.isinf(hi):
+        r_trunc = tail_radius(body.dim)
+        lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
     if not lo < hi:
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
     # the body's own draw is made and freed before the slice draw is made

@@ -412,8 +412,8 @@ class TestBetaSearch:
             assert np.array_equal(witness, expected[1])
 
     def test_matches_reference_loop_interval_input(self):
-        # an interval is bounded though its circumradius reads inf; its
-        # gauges are single products, so one-row and stacked calls agree
+        # an interval's gauges are single products, so one-row and stacked
+        # calls agree
         u = lg.HPolytope([[1.0], [-1.0], [2.0], [-2.0]], [1.0, 1.0, 1.5, 1.5])
         for n in range(1, 5):
             _assert_beta_matches_reference(n, u, _symmetric_polytope(1), restarts=8,

@@ -9,6 +9,7 @@ import re
 import warnings
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 import latgauss.lattice
@@ -604,8 +605,8 @@ class TestRecords:
         assert "bounded input body" in capsys.readouterr().err
 
     def test_beta_unbounded_3d_polytope_input_is_exit_one(self, capsys):
-        # a strip in 3-d: no probe direction has gauge 0 and its
-        # circumradius reads inf bounded or not, so only its normals tell
+        # a strip in 3-d: no probe direction has gauge 0, so only its
+        # circumradius, inf from its flat dual hull, shows that it is unbounded
         strip = json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1, 1, 1, 1],
                             "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]})
         code, out = run_cli("beta", "--n", "3", "--restarts", "2", "--seed", "7",
@@ -614,7 +615,7 @@ class TestRecords:
         assert "bounded input body" in capsys.readouterr().err
 
     def test_beta_interval_input_is_searched(self):
-        # a 1-d polytope's circumradius reads inf, but it is known bounded
+        # an interval's circumradius is its farther end, so it is searched
         interval = json.dumps({"kind": "hpolytope", "dim": 1, "normals": [[1], [-1]],
                                "offsets": [1, 1]})
         box = json.dumps({"kind": "axis_box", "dim": 1, "semiwidths": [0.5]})
@@ -677,19 +678,23 @@ class TestRecords:
         assert rec["lambdas"][0] == pytest.approx(1.0 / 3.0)
         assert rec["lambdas"][1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("flag", ["minima", "covering"])
-    def test_bounded_polygon_gauge_body(self, flag):
-        # a polygon's circumradius is its farthest vertex, so both commands
-        # that need a bounded gauge body accept the square
-        square = json.dumps({"kind": "hpolytope", "dim": 2, "offsets": [1.2] * 4,
-                             "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
-        lattice = json.dumps({"basis": [[1.0, 0.5], [0.0, 1.0]]})
+    @pytest.mark.parametrize("flag, dim", [("minima", 2), ("covering", 2),
+                                           ("minima", 3), ("covering", 3)],
+                             ids=["minima", "covering", "minima-3d", "covering-3d"])
+    def test_bounded_polygon_gauge_body(self, flag, dim):
+        # a polytope's circumradius is its farthest vertex in every
+        # dimension, so both commands that need a bounded gauge body accept
+        # the square and the cube
+        eye = np.eye(dim)
+        cube = json.dumps({"kind": "hpolytope", "dim": dim, "offsets": [1.2] * (2 * dim),
+                           "normals": np.vstack([eye, -eye]).tolist()})
+        lattice = json.dumps({"basis": (eye + 0.5 * np.eye(dim, k=1)).tolist()})
         code, out = run_cli(flag, "--lattice", lattice,
-                            "--gauge-body" if flag == "minima" else "--body", square)
+                            "--gauge-body" if flag == "minima" else "--body", cube)
         rec = json.loads(out)
         assert code == 0
         if flag == "minima":
-            assert rec["lambdas"] == pytest.approx([1.0 / 1.2] * 2)
+            assert rec["lambdas"] == pytest.approx([1.0 / 1.2] * dim)
         else:
             assert 0.0 < rec["lower"] <= rec["upper"]
 

@@ -1,5 +1,6 @@
 """Bodies: membership, slices, gauges, combinations, truncation radii."""
 
+import itertools
 import math
 
 import numpy as np
@@ -474,21 +475,60 @@ class TestMinkowskiCombination:
         assert c.semiwidths[0] == pytest.approx(0.75) and math.isinf(c.semiwidths[1])
 
 
+def positive_span_unbounded(body):
+    """The rule the hull replaced: the body is bounded when its unit normals
+    u_j positively span R^n, i.e. have rank n and some lambda >= 0 solves
+    sum lambda_j u_j = -sum u_j (one nonnegative least squares)."""
+    unit = body.normals / np.linalg.norm(body.normals, axis=1)[:, None]
+    if np.linalg.matrix_rank(unit) < body.dim:
+        return True
+    return scipy.optimize.nnls(unit.T, -unit.sum(axis=0))[1] > 1e-9
+
+
+def polygon_radius(body):
+    """A polygon's farthest vertex off its edges, offsets moved out by
+    BOUNDARY_ATOL; inf where a live edge runs off to infinity."""
+    unit, (d,), _, (stop,), (live,), _ = convex.polygon_edges(
+        body.normals, body.offsets[None, :] + convex.BOUNDARY_ATOL)
+    j = np.flatnonzero(live & np.isfinite(stop))
+    if j.size < np.count_nonzero(live):
+        return math.inf
+    vertices = d[j, None] * unit[j] + stop[j, None] * np.stack([-unit[j, 1], unit[j, 0]], axis=1)
+    return float(np.linalg.norm(vertices, axis=1).max())
+
+
+def vertex_enumeration_radius(body):
+    """Farthest vertex of a bounded body, offsets moved out by BOUNDARY_ATOL:
+    every n-subset of facets solved directly, kept where the point is feasible."""
+    normals, offsets = body.normals, body.offsets + convex.BOUNDARY_ATOL
+    best = 0.0
+    for rows in itertools.combinations(range(len(normals)), body.dim):
+        a = normals[list(rows)]
+        if abs(np.linalg.det(a)) <= 1e-12 * np.prod(np.linalg.norm(a, axis=1)):
+            continue
+        v = np.linalg.solve(a, offsets[list(rows)])
+        if np.all(normals @ v <= offsets + 1e-9 * (1.0 + np.abs(offsets))):
+            best = max(best, float(np.linalg.norm(v)))
+    return best
+
+
 class TestBoundingRadius:
+    """Circumradii, inf exactly on unbounded bodies, and the Gaussian tail radius."""
+
     def test_box_circumradius(self):
-        assert lg.bounding_radius(lg.AxisBox([1.0, 2.0])) == pytest.approx(math.sqrt(5))
+        assert lg.AxisBox([1.0, 2.0]).circumradius() == pytest.approx(math.sqrt(5))
 
     def test_ball(self):
-        assert lg.bounding_radius(lg.Ball(3.0, dim=2)) == pytest.approx(3.0)
+        assert lg.Ball(3.0, dim=2).circumradius() == pytest.approx(3.0)
 
     def test_halfspace_tail_radius(self):
+        assert math.isinf(lg.Halfspace([1.0, 0.0], 0.1).circumradius())
         # chi-square with 2 dof is exponential: independent closed form
-        r = lg.bounding_radius(lg.Halfspace([1.0, 0.0], 0.1))
-        assert r == pytest.approx(math.sqrt(-2.0 * math.log(1e-9)), rel=1e-9)
+        assert lg.tail_radius(2) == pytest.approx(math.sqrt(-2.0 * math.log(1e-9)), rel=1e-9)
 
     def test_truncation_preserves_membership_inside(self):
         body = lg.Halfspace([0.0, 1.0], 0.2)
-        r = lg.bounding_radius(body)
+        r = lg.tail_radius(body.dim)
         rng = np.random.default_rng(5)
         pts = rng.normal(0, 1, size=(500, 2))
         inside_r = np.linalg.norm(pts, axis=1) <= r
@@ -498,7 +538,7 @@ class TestBoundingRadius:
     def test_bounded_polygon_is_its_farthest_vertex(self):
         square = lg.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1.2] * 4)
         # the closed set membership tests: offsets moved out by BOUNDARY_ATOL
-        assert lg.bounding_radius(square) == pytest.approx(
+        assert square.circumradius() == pytest.approx(
             math.sqrt(2.0) * (1.2 + convex.BOUNDARY_ATOL), rel=1e-15)
         assert OFF_ORIGIN_TRIANGLE.circumradius() == pytest.approx(1.0, abs=1e-11)
         assert "_circumradius" in OFF_ORIGIN_TRIANGLE.__dict__  # computed once
@@ -506,10 +546,25 @@ class TestBoundingRadius:
     @pytest.mark.parametrize("body", [
         lg.HPolytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0]),  # a wedge
         lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),  # a strip
-        symmetric_polytope(3, 0),  # bounded, but not computed in 3-d
-    ], ids=["wedge", "strip", "3d"])
+    ], ids=["wedge", "strip"])
     def test_unbounded_or_unchecked_polytope_has_no_circumradius(self, body):
         assert body.circumradius() == math.inf
+
+    @pytest.mark.parametrize("body", [
+        lg.HPolytope([[1.0], [-2.0], [4.0]], [1.0, 3.0, 2.0]),
+        symmetric_polytope(3, 0), symmetric_polytope(4, 1), OFF_ORIGIN_SIMPLEX, THIN_POLYTOPE_3D,
+        lg.HPolytope(np.vstack([np.eye(4), -np.ones(4)]), [1.0] * 5),
+        lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [1.0] * 6),
+        lg.HPolytope([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0],
+                      [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0],
+                      [-1.0, -1.0, -1.0]], [1.0] * 8),
+    ], ids=["interval", "3d", "4d", "3d-off-origin-simplex", "3d-thin", "4d-simplex", "cube",
+            "octahedron"])
+    def test_bounded_polytope_is_its_farthest_vertex(self, body):
+        # an interval's two ends, and one dual hull from dimension 2 on, against
+        # every n-subset of facets; each vertex of the octahedron lies on four
+        # facets, so its dual facet is a square that Qhull triangulates
+        assert body.circumradius() == pytest.approx(vertex_enumeration_radius(body), rel=1e-12)
 
     @pytest.mark.parametrize("body, unbounded", [
         (lg.HPolytope([[1.0], [-2.0]], [1.0, 1.0]), False),
@@ -527,37 +582,40 @@ class TestBoundingRadius:
     ], ids=["interval", "half-line", "strip", "square", "3d", "3d-strip", "3d-orthant",
             "3d-simplex", "4d-simplex", "3d-cup", "box", "ball"])
     def test_known_unbounded(self, body, unbounded):
-        # an interval's circumradius, and a polytope's from dimension 3 on,
-        # reads inf bounded or not: boundedness is decided from the normals
-        assert body.known_unbounded() == unbounded
+        # an infinite circumradius is the one boundedness test, in every dimension
+        assert math.isinf(body.circumradius()) == unbounded
 
-    def test_known_unbounded_agrees_with_edge_rule(self):
-        # the rule this replaced in 1-d and 2-d: an interval needs a facet on
-        # each side, and a polygon is unbounded where an edge runs off to
-        # infinity (an infinite circumradius); small integer normals give
-        # exactly parallel and opposite facets, Gaussian ones general position
+    def test_known_unbounded_agrees_with_positive_span(self):
+        # small integer normals give exactly parallel and opposite facets,
+        # Gaussian ones general position; a non-positive offset moves the
+        # interior point off the origin. Bounded radii match the interval's
+        # ends, the polygon's edges or every n-subset of facets
         rng = np.random.default_rng(55)
         counts = {False: 0, True: 0}
-        for trial in range(1000):
-            dim, m = 1 + trial % 2, int(rng.integers(1, 7))
-            if trial % 4 < 2:
+        for trial in range(1200):
+            dim, m = 1 + trial % 4, int(rng.integers(1, 9))
+            if trial % 8 < 4:
                 normals = rng.standard_normal((m, dim))
             else:
                 normals = rng.integers(-2, 3, (m, dim)).astype(float)
                 normals[~normals.any(axis=1), 0] = 1.0
-            body = lg.HPolytope(normals, rng.uniform(0.5, 2.0, m))
-            if dim == 1:
-                edge = not (np.any(normals > 0.0) and np.any(normals < 0.0))
-            else:
-                edge = math.isinf(body.circumradius())
-            assert body.known_unbounded() == edge, (normals, body.offsets)
-            counts[edge] += 1
-        assert min(counts.values()) > 200
+            try:
+                body = lg.HPolytope(normals, rng.uniform(-0.3 if trial % 3 == 0 else 0.5, 2.0, m))
+            except InvalidBodyError:  # an empty interior
+                continue
+            unbounded = positive_span_unbounded(body)
+            radius = body.circumradius()
+            assert math.isinf(radius) == unbounded, (normals, body.offsets)
+            counts[unbounded] += 1
+            if not unbounded:
+                ref = polygon_radius(body) if dim == 2 else vertex_enumeration_radius(body)
+                assert radius == pytest.approx(ref, rel=1e-12), (normals, body.offsets)
+        assert min(counts.values()) > 300
 
     def test_oracle_body_returns_its_hint(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,
                              bounding_radius_hint=1.25, symmetric_flag=True)
-        assert lg.bounding_radius(disk) == 1.25
+        assert disk.circumradius() == 1.25
 
 
 class TestSymmetryFlag:

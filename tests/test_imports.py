@@ -120,12 +120,13 @@ def test_detects_a_symmetry_guarded_raise():
 
 
 def test_cold_import_defers_scipy_optimize_and_integrate():
-    # every command pays for the package import; only LPs, root brackets and
-    # the theta quadrature need these two modules, and a w-profile neither
-    # of them on a body with no LP
+    # every command pays for the package import; only LPs, root brackets,
+    # the theta quadrature and polytope circumradii (a convex hull) need
+    # these three modules, and a w-profile none of them on a body with no LP
     src = str(Path(latgauss.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    loaded = ("print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') "
+              "if m in sys.modules))")
     code = (f"import sys, latgauss, latgauss.cli; latgauss.theta(); {loaded}; "
             "latgauss.w_profile(latgauss.Ellipsoid([0.8, 1.9, 1.3]), grid_size=17, "
             f"samples=2000); {loaded}")
@@ -151,18 +152,19 @@ POLYTOPES = {
 @pytest.mark.parametrize("dim", POLYTOPES)
 def test_polytope_profile_never_imports_scipy_optimize(dim):
     # an H-polytope's slices are decided by their facets and a polygon's
-    # span is read off its edges, so a w-profile solves no LP; a 2-d one
-    # is measured by Owen's T and brackets no root either
+    # span is read off its edges, so a w-profile solves no LP and builds no
+    # hull; a 2-d one is measured by Owen's T and brackets no root either
     src = str(Path(latgauss.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     body = json.dumps(POLYTOPES[dim])
     code = ("import sys, latgauss.cli; "
             f"code = latgauss.cli.main(['w-profile', '--body', {body!r}]); "
-            "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)")
+            "print(code, 'scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules, "
+            "file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert '"verdict": "holds"' in proc.stdout
-    assert proc.stderr.split() == ["0", "False"]
+    assert proc.stderr.split() == ["0", "False", "False"]
 
 
 def _references(sources: dict[str, str], name: str) -> list[str]:

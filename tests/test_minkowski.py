@@ -114,6 +114,15 @@ class TestFindCosetPoint:
         assert res.status == "empty"
         assert "complete enumeration" in res.note
 
+    def test_empty_certificate_for_bounded_3d_polytope(self):
+        # a polytope's circumradius is its farthest vertex in every dimension,
+        # so a cube that misses the deep-hole coset is searched whole
+        cube = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.3] * 6)
+        coset = lg.Coset(lg.Lattice(np.eye(3)), np.full(3, 0.5))
+        res = lg.find_coset_point_in_body(coset, cube)
+        assert res.status == "empty" and res.point is None
+        assert res.radius == pytest.approx(0.3 * math.sqrt(3.0))
+
     def test_bounded_search_reaches_past_an_off_centre_anchor(self):
         # the shells are centred on the anchor (9, 0.15), and the only coset
         # point in the rectangle lies 14 from it, past the circumradius 10.002
@@ -130,7 +139,8 @@ class TestFindCosetPoint:
         coset = lg.Coset(lg.Lattice(np.eye(2)), np.array([0.5, 0.0]))
         res = lg.find_coset_point_in_body(coset, body)
         assert res.status == "truncated" and res.point is None
-        assert res.radius == pytest.approx(8.0 * lg.bounding_radius(body))
+        assert math.isinf(body.circumradius())
+        assert res.radius == pytest.approx(8.0 * lg.tail_radius(2))
 
     def test_node_cap_hit_is_truncated(self, monkeypatch):
         monkeypatch.setattr(latgauss.lattice, "DEFAULT_NODE_CAP", 1)
@@ -539,6 +549,18 @@ class TestWProfile:
                                 lambda self: (-math.inf, math.inf))
             prof = lg.w_profile(lg.HPolytope(body.normals, body.offsets), seed=seed)
             assert prof.identity_residual() <= prof.identity_tol
+
+    def test_polygon_profile_builds_its_edges_twice(self, monkeypatch):
+        # the pinned hexagon's edges are built once for its extent and vertex
+        # term, once more for its exact measure, and never for a circumradius
+        builds, edges = [], latgauss.convex.polygon_edges
+        for module in (latgauss.convex, latgauss.gaussian, latgauss.minkowski):
+            monkeypatch.setattr(module, "polygon_edges",
+                                lambda *args: builds.append(args) or edges(*args), raising=False)
+        hexagon = lg.HPolytope([[1, 0], [0, 1], [0.6, 0.8], [-1, 0], [0, -1], [-0.6, -0.8]],
+                               [1.2] * 6)
+        assert lg.w_profile(hexagon, seed=3).concavity_excess <= 0.0
+        assert len(builds) == 2
 
     def test_polygon_profile_spans_its_vertices(self):
         # the grid runs from the lowest to the highest vertex, so only its two
