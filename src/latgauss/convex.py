@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DimensionMismatchError,
@@ -496,13 +495,14 @@ class HPolytope(ConvexBody):
     @cached_property
     def _circumradius(self) -> float:
         """The farthest vertex, offsets moved out by BOUNDARY_ATOL as membership
-        moves them; inf exactly when the body is unbounded. About the interior
-        point p, facet j is {y : u_j . y <= g_j}, with u_j its unit normal and
-        g_j > 0, so the body is the polar of the hull of the dual points
-        q_j = u_j / g_j: bounded when p lies strictly inside that hull, with the
-        vertex p - a / b for each hull facet a . q + b = 0. Qhull gives the hull
-        for n >= 2 (Barber, Dobkin & Huhdanpaa 1996), with no LP; an interval's
-        is the span of its dual points."""
+        moves them; inf when the body is unbounded, or so long that its dual
+        hull is nearly flat (past _HULL_MARGIN, or rejected by Qhull). About
+        the interior point p, facet j is {y : u_j . y <= g_j}, with u_j its
+        unit normal and g_j > 0, so the body is the polar of the hull of the
+        dual points q_j = u_j / g_j: bounded when p lies strictly inside that
+        hull, with the vertex p - a / b for each hull facet a . q + b = 0.
+        Qhull gives the hull for n >= 2 (Barber, Dobkin & Huhdanpaa 1996), with
+        no LP; an interval's is the span of its dual points."""
         q = self.normals / (self.offsets + BOUNDARY_ATOL
                             - self.normals @ self.interior_point)[:, None]
         if self.dim == 1:
@@ -512,7 +512,10 @@ class HPolytope(ConvexBody):
         else:
             from scipy import spatial  # deferred: its import takes longer than most commands
 
-            equations = spatial.ConvexHull(q).equations
+            try:
+                equations = spatial.ConvexHull(q).equations
+            except spatial.QhullError:
+                return math.inf
         a, b = equations[:, :-1], equations[:, -1]
         if np.any(b >= -_HULL_MARGIN * np.linalg.norm(q, axis=1).max()):
             return math.inf
@@ -878,6 +881,8 @@ def minkowski_combination(a: ConvexBody, b: ConvexBody, lam: float) -> ConvexBod
 def tail_radius(dim: int) -> float:
     """Radius R outside which the standard Gaussian of R^dim has mass TAIL_EPS,
     P(chi2_dim > R^2) = TAIL_EPS: it bounds the mass of any body outside R*B_n."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     return math.sqrt(2.0 * special.gammaincinv(dim / 2.0, 1.0 - TAIL_EPS))
 
 

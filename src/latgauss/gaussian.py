@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .convex import (BOUNDARY_ATOL, BallSlices, BoxSlices, ConvexBody, EllipsoidSlices,
                      HalfspaceSlices, PolytopeSlices, SliceFamily, SpaceSlices, polygon_edges)
@@ -89,6 +88,8 @@ class MeasureEstimate:
 
 def std_normal_cdf(x):
     """Phi(x); accepts scalars or arrays, absolute error well below 1e-12."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise ValueError("cdf input must not be NaN")
@@ -106,6 +107,8 @@ def std_normal_pdf(x):
 
 def std_normal_quantile(p):
     """Phi^{-1}(p) for p in (0, 1); scalars or arrays, via scipy's ndtri."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     arr = np.asarray(p, dtype=float)
     if np.any(~((arr > 0.0) & (arr < 1.0))):
         raise ValueError("quantile input must lie strictly in (0, 1)")
@@ -114,7 +117,7 @@ def std_normal_quantile(p):
 
 
 # Width of the origin-centered interval carrying standard normal mass 1/2.
-_THETA = 2.0 * std_normal_quantile(0.75)
+_THETA = 1.3489795003921634  # bitwise 2.0 * ndtri(0.75), and correctly rounded
 
 
 def theta() -> float:
@@ -132,6 +135,8 @@ def measure_interval(lo, hi):
     the mirror image of a lower-tail interval, so neither side subtracts two
     values near 1. The tail is chosen element by element.
     """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if np.any(np.isnan(a) | np.isnan(b) | (a > b)):
         raise ValueError(f"interval endpoints must be ordered and not NaN: {lo}, {hi}")
@@ -168,6 +173,8 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
     unbounded row, and for ellipsoids whose series needs more than
     SERIES_TERM_CAP terms.
     """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     rows = family.present
     values = np.zeros(len(rows))
     if isinstance(family, SpaceSlices):
@@ -232,6 +239,8 @@ def _polygon_measures(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | 
     LP, and an empty polygon has no live edge and measures 0. Every sum
     runs along one row, so a row's value is bitwise the one it gets alone.
     """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     _, d, start, stop, live, _ = polygon_edges(normals, offsets)
     if np.any(live & (np.isinf(start) | np.isinf(stop))):
         return None
@@ -264,6 +273,8 @@ def _ellipsoid_series(semiaxes: np.ndarray) -> np.ndarray | None:
     sum runs along one row, so a row's value is bitwise the one it gets
     alone.
     """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
     rows, n = semiaxes.shape
     top = semiaxes.max(axis=1)
     ratio = semiaxes / top[:, None]  # sqrt(beta / lambda_i)

@@ -614,6 +614,29 @@ class TestRecords:
         assert code == 1 and out == ""
         assert "bounded input body" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["minima", "covering", "beta", "check-theorem"])
+    def test_nearly_flat_dual_hull_is_read_unbounded(self, command, capsys):
+        # bounded but about 1e14 long: Qhull rejects its nearly flat dual hull,
+        # which reads as unbounded, as the hull margin reads its neighbours
+        rows = np.random.default_rng(0).standard_normal((4, 3)) * [1.0, 1.0, 1e-14]
+        body = {"kind": "hpolytope", "dim": 3, "normals": np.vstack([rows, -rows]).tolist(),
+                "offsets": [1.0] * 8}
+        z3 = {"basis": np.eye(3).tolist()}
+        code, out = run_cli(*{
+            "minima": ("minima", "--lattice", json.dumps(z3), "--gauge-body", json.dumps(body)),
+            "covering": ("covering", "--lattice", json.dumps(z3), "--body", json.dumps(body)),
+            "beta": ("beta", "--n", "3", "--restarts", "2", "--u-body", json.dumps(body)),
+            "check-theorem": ("check-theorem", "--body", json.dumps({**body, "offsets": [3.0] * 8}),
+                              "--coset", json.dumps({**z3, "offset": [0.5, 0.5, 0.5]})),
+        }[command])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "check-theorem":
+            assert code == 0 and json.loads(out)["verdict"] == "holds"
+        else:
+            assert code == 1 and out == ""
+            assert f"latgauss {command}:" in err
+
     def test_beta_interval_input_is_searched(self):
         # an interval's circumradius is its farther end, so it is searched
         interval = json.dumps({"kind": "hpolytope", "dim": 1, "normals": [[1], [-1]],

@@ -102,8 +102,15 @@ class TestTheta:
                                   epsabs=1e-13)
         assert val == pytest.approx(math.sqrt(2.0 * math.pi) / 4.0, abs=1e-9)
 
-    def test_cached(self):
-        assert lg.theta() is lg.theta() or lg.theta() == lg.theta()
+    def test_literal_is_the_quantile_bitwise(self):
+        # theta is a literal so the import needs no special function; it must
+        # be the very float the quantile gives, or record bits would move
+        assert lg.theta() == 2.0 * lg.std_normal_quantile(0.75)
+
+    def test_literal_is_correctly_rounded(self):
+        with mp.workdps(40):
+            exact = 2 * mp.sqrt(2) * mp.erfinv(mp.mpf(1) / 2)
+            assert abs(mp.mpf(lg.theta()) - exact) <= math.ulp(lg.theta())
 
 
 class TestMeasureInterval:

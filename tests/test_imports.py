@@ -119,20 +119,48 @@ def test_detects_a_symmetry_guarded_raise():
     assert _symmetry_guarded_raises(source) == [3, 8]
 
 
-def test_cold_import_defers_scipy_optimize_and_integrate():
-    # every command pays for the package import; only LPs, root brackets,
-    # the theta quadrature and polytope circumradii (a convex hull) need
-    # these three modules, and a w-profile none of them on a body with no LP
+COLD_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert latgauss.cli.main(list(argv)) == 0, argv
+
+import latgauss, latgauss.cli
+latgauss.theta()
+print(loaded())
+r3 = '{"basis": [[1.1, 0.2, -0.3], [0.1, 0.9, 0.4], [-0.2, 0.3, 1.2]]}'
+run('minima', '--lattice', r3)
+run('cvp', '--lattice', r3, '--target', '0.3,-0.4,2.2')
+for body in ('{"kind": "ball", "dim": 3, "radius": 1.2}',
+             '{"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}',
+             '{"kind": "axis_box", "dim": 3, "semiwidths": [0.5, 0.7, 0.9]}'):
+    run('minima', '--lattice', r3, '--gauge-body', body)
+    run('covering', '--lattice', r3, '--body', body, '--resolution', '4')
+run('beta', '--n', '3', '--alphas', '0.7,1.1,1.6', '--restarts', '2')
+run('beta', '--curve', '--n', '3', '--restarts', '2')
+print(loaded())
+latgauss.w_profile(latgauss.Ellipsoid([0.8, 1.9, 1.3]), grid_size=17, samples=2000)
+print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') if m in sys.modules])
+run('check-theorem', '--n', '2', '--trials', '2')
+print('scipy.special' in sys.modules)
+"""
+
+
+def test_cold_import_and_lattice_commands_load_no_scipy():
+    # every command pays for the package import, which loads numpy alone;
+    # lattice oracles and ellipsoid balancing need no special function, an
+    # ellipsoid w-profile solves no LP, brackets no root and builds no hull,
+    # and a theorem check (the control) measures bodies with scipy.special
     src = str(Path(latgauss.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = ("print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') "
-              "if m in sys.modules))")
-    code = (f"import sys, latgauss, latgauss.cli; latgauss.theta(); {loaded}; "
-            "latgauss.w_profile(latgauss.Ellipsoid([0.8, 1.9, 1.3]), grid_size=17, "
-            f"samples=2000); {loaded}")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["[]", "[]"]
+    assert proc.stdout.split() == ["[]", "[]", "[]", "True"]
 
 
 # symmetric H-polytopes pinned in the CLI stream digests
