@@ -99,20 +99,30 @@ class ConvexBody:
         if not self.symmetric:
             raise InvalidBodyError(f"gauge needs a centrally symmetric body, got {self.kind}")
 
+    def sections(self, origins, frame) -> "SliceFamily":
+        """The family of sections {y in R^m : origin_i + y @ frame in body}, for
+        a (k, n) array of origins or one point (0 for the origin) and an (m, n)
+        frame of orthonormal rows; UnsupportedBodyError where a kind has none."""
+        origins = np.asarray(origins, dtype=float)
+        return self._sections(np.broadcast_to(origins, (1, self.dim)) if origins.ndim < 2
+                              else origins, np.asarray(frame, dtype=float))
+
+    def _sections(self, origins: np.ndarray, frame: np.ndarray) -> "SliceFamily":
+        raise UnsupportedBodyError(f"{self.kind} bodies do not support slicing")
+
     def slices(self, xs) -> "SliceFamily":
-        """Cross-sections {y : (y, x) in body} at every last coordinate in xs,
-        as one family of arrays over the grid (see SliceFamily)."""
-        raise NotImplementedError
+        """Cross-sections {y : (y, x) in body} at every last coordinate in xs:
+        the sections at origins x * e_n over the frame e_1..e_{n-1}."""
+        if self.dim <= 1:
+            raise InvalidBodyError("cannot slice a 1-d body")
+        axes = np.eye(self.dim)
+        return self.sections(np.outer(np.asarray(xs, dtype=float), axes[-1]), axes[:-1])
 
     # Every class binds slice_at itself (slice_at = ConvexBody.slice_at), so
     # that a profiler can wrap it class by class.
     def slice_at(self, x: float) -> "SliceFamily":
         """The cross-section at last coordinate x, as the one-row family ``slices([x])``."""
         return self.slices([x])
-
-    def _require_sliceable(self) -> None:
-        if self.dim <= 1:
-            raise InvalidBodyError("cannot slice a 1-d body")
 
     def circumradius(self) -> float:
         """Radius of the smallest origin-centered ball containing the body, inf
@@ -173,13 +183,12 @@ class Halfspace(ConvexBody):
     def gauge_many(self, points):
         self._require_symmetric()  # always raises: halfspaces are never symmetric
 
-    def slices(self, xs):
-        self._require_sliceable()
-        head, vn = self.normal[:-1], self.normal[-1]
-        cs = self.offset - vn * np.asarray(xs, dtype=float)
+    def _sections(self, origins, frame):
+        head = frame @ self.normal
+        cs = self.offset - origins @ self.normal
         if np.linalg.norm(head) <= BOUNDARY_ATOL:
-            return SpaceSlices(self.dim - 1, cs >= -BOUNDARY_ATOL)
-        return HalfspaceSlices(self.dim - 1, np.ones(len(cs), dtype=bool), head, cs)
+            return SpaceSlices(len(frame), cs >= -BOUNDARY_ATOL)
+        return HalfspaceSlices(len(frame), np.ones(len(cs), dtype=bool), head, cs)
 
     slice_at = ConvexBody.slice_at
 
@@ -244,10 +253,19 @@ class AxisBox(ConvexBody):
                 np.fmax(g, np.abs(col) / w, out=g)
         return g
 
-    def slices(self, xs):
-        self._require_sliceable()
-        present = np.abs(np.asarray(xs, dtype=float)) <= self.semiwidths[-1] + BOUNDARY_ATOL
-        return BoxSlices(self.dim - 1, present, self.semiwidths[:-1])
+    def _sections(self, origins, frame):
+        # a coordinate frame (orthonormal rows of one nonzero are +-e_j) through the
+        # centre keeps the box, infinite widths too; any other cuts its finite facets
+        rows, cols = np.nonzero(frame)
+        if len(rows) == len(frame) and not np.any(origins[:, cols]):
+            rest = np.setdiff1d(np.arange(self.dim), cols)
+            present = np.all(np.abs(origins[:, rest]) <= self.semiwidths[rest] + BOUNDARY_ATOL,
+                             axis=1)
+            return BoxSlices(len(cols), present, self.semiwidths[cols])
+        finite = np.flatnonzero(self.semiwidths < math.inf)
+        facets, w = np.eye(self.dim)[finite], self.semiwidths[finite]
+        return _polytope_sections(np.vstack([facets, -facets]), np.concatenate([w, w]),
+                                  origins, frame)
 
     slice_at = ConvexBody.slice_at
 
@@ -311,13 +329,13 @@ class Ball(ConvexBody):
             q += col * col
         return np.sqrt(q) / self.radius
 
-    def slices(self, xs):
-        self._require_sliceable()
-        dx = np.asarray(xs, dtype=float) - self.center[-1]
-        r2 = np.float_power(self.radius, 2) - np.float_power(dx, 2)
+    def _sections(self, origins, frame):
+        d = self.center - origins
+        center = d @ frame.T
+        r2 = np.float_power(self.radius, 2) - np.sum(np.float_power(d - center @ frame, 2), axis=1)
         present = r2 > BOUNDARY_ATOL
         radii = np.sqrt(r2, out=np.zeros_like(r2), where=present)
-        return BallSlices(self.dim - 1, present, self.center[:-1], radii)
+        return BallSlices(len(frame), present, center, radii)
 
     slice_at = ConvexBody.slice_at
 
@@ -328,7 +346,7 @@ class Ball(ConvexBody):
         return Ball(s * self.radius, s * self.center)
 
     def as_family(self, s=1.0):
-        return BallSlices(self.dim, _ONE_ROW, s * self.center, np.array([s * self.radius]))
+        return BallSlices(self.dim, _ONE_ROW, s * self.center[None], np.array([s * self.radius]))
 
     def anchor(self):
         return self.center.copy()
@@ -370,12 +388,19 @@ class Ellipsoid(ConvexBody):
     def gauge_many(self, points):
         return np.sqrt(_ellipsoid_q(points, self.semiaxes))
 
-    def slices(self, xs):
-        self._require_sliceable()
-        t = 1.0 - np.float_power(np.asarray(xs, dtype=float) / self.semiaxes[-1], 2)
+    def _sections(self, origins, frame):
+        # centred cuts only (frame A origin = 0, A the body's form); off a
+        # coordinate frame, the semiaxes are the section's principal ones
+        form = frame / self.semiaxes
+        if np.any(origins @ (form / self.semiaxes).T):
+            raise UnsupportedBodyError("no closed form for an ellipsoid section off its centre")
+        t = 1.0 - np.sum(np.float_power(origins / self.semiaxes, 2), axis=1)
         present = t > BOUNDARY_ATOL
         scale = np.sqrt(t, out=np.zeros_like(t), where=present)
-        return EllipsoidSlices(self.dim - 1, present, self.semiaxes[:-1] * scale[:, None])
+        rows, cols = np.nonzero(frame)
+        axes = (self.semiaxes[cols] if len(rows) == len(frame)
+                else 1.0 / np.sqrt(np.linalg.eigvalsh(form @ form.T)))
+        return EllipsoidSlices(len(frame), present, axes * scale[:, None])
 
     slice_at = ConvexBody.slice_at
 
@@ -460,32 +485,8 @@ class HPolytope(ConvexBody):
         ratios /= self.offsets[:, None]  # in place: one (m, k) array at a time
         return np.maximum(np.maximum.reduce(ratios, axis=0)[:k], 0.0)
 
-    def slices(self, xs):
-        """Cross-sections at last coordinates xs, decided with no LP.
-
-        Every slice keeps the facets whose normal has a head (first n-1
-        coordinates) longer than BOUNDARY_ATOL, with offsets one row of
-        ``offsets - normals[:, -1] * x``; it is absent where a head-less
-        facet excludes x. A 1-d slice, the interval its facet ratios leave,
-        is present when its half width exceeds MIN_CHEBYSHEV_RADIUS. A slice
-        of higher dimension may be present yet empty or a null set: it
-        measures 0 all the same.
-        """
-        self._require_sliceable()
-        xs = np.asarray(xs, dtype=float)
-        heads = self.normals[:, :-1]
-        cs = self.offsets - self.normals[:, -1] * xs[:, None]
-        keep = np.linalg.norm(heads, axis=1) > BOUNDARY_ATOL
-        present = ~np.any(cs[:, ~keep] < -BOUNDARY_ATOL, axis=1)
-        if not np.any(keep):
-            return SpaceSlices(self.dim - 1, present)
-        N, C = heads[keep], cs[:, keep]
-        if self.dim == 2:
-            ratios = C / N[:, 0]
-            lo = np.max(ratios[:, N[:, 0] < 0.0], axis=1, initial=-math.inf)
-            hi = np.min(ratios[:, N[:, 0] > 0.0], axis=1, initial=math.inf)
-            present &= (hi - lo) / 2.0 > MIN_CHEBYSHEV_RADIUS
-        return PolytopeSlices(self.dim - 1, present, N, C)
+    def _sections(self, origins, frame):
+        return _polytope_sections(self.normals, self.offsets, origins, frame)
 
     slice_at = ConvexBody.slice_at
 
@@ -587,9 +588,8 @@ class FullSpace(ConvexBody):
     def gauge_many(self, points):
         return np.zeros(points.shape[0])
 
-    def slices(self, xs):
-        self._require_sliceable()
-        return SpaceSlices(self.dim - 1, np.ones(len(xs), dtype=bool))
+    def _sections(self, origins, frame):
+        return SpaceSlices(len(frame), np.ones(len(origins), dtype=bool))
 
     slice_at = ConvexBody.slice_at
 
@@ -667,9 +667,6 @@ class OracleBody(ConvexBody):
         out[live] = hi
         return out
 
-    def slices(self, xs):
-        raise UnsupportedBodyError("oracle bodies do not support slicing")
-
     slice_at = ConvexBody.slice_at
 
     def circumradius(self):
@@ -695,15 +692,16 @@ class OracleBody(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class SliceFamily:
-    """Cross-sections {y : (y, x_i) in body} of one body at every x_i of a grid.
+    """The sections of one body, one per origin (``ConvexBody.sections``).
 
-    ``present[i]`` is False where slice i is empty or a null set, except
-    that a present H-polytope slice of dimension >= 2 may be empty too (it
-    measures 0). Each kind holds its slices' parameters as arrays over the
-    grid, read only where ``present``; no slice is ever built as a body. A
-    body's ``as_family`` is a one-row family. The kinds with no closed form
-    for every row, ellipsoids and H-polytopes, give a ``scorer``: for one
-    (k, dim) draw, the membership of its rows in present slice i.
+    ``present[i]`` is False where section i is empty or a null set, except
+    that a present H-polytope section of dimension >= 2 may be empty too (it
+    measures 0). Each kind holds its sections' parameters as arrays, one row
+    per section where they vary (a ball's centres among them), read only
+    where ``present``; no section is ever built as a body. A body's
+    ``as_family`` is a one-row family. The kinds with no closed form for
+    every row, ellipsoids and H-polytopes, give a ``scorer``: for one
+    (k, dim) draw, the membership of its rows in section i.
     """
 
     dim: int
@@ -731,7 +729,7 @@ class HalfspaceSlices(SliceFamily):
 @dataclass(frozen=True, eq=False)
 class BallSlices(SliceFamily):
     kind = "ball"
-    center: np.ndarray
+    center: np.ndarray  # one row per slice
     radii: np.ndarray
 
 
@@ -756,8 +754,31 @@ class PolytopeSlices(SliceFamily):
         # point, as an empty slice past the body's extent mostly does
         lows = products.min(axis=1)
         none = np.zeros(len(draw), dtype=bool)
-        return lambda i: (none if np.any(self.offsets[i] + BOUNDARY_ATOL < lows)
+        return lambda i: (none if not self.present[i]
+                          or np.any(self.offsets[i] + BOUNDARY_ATOL < lows)
                           else _facets_hold(products, self.offsets[i]))
+
+
+def _polytope_sections(normals: np.ndarray, offsets: np.ndarray, origins: np.ndarray,
+                       frame: np.ndarray) -> SliceFamily:
+    """Sections of {x : N x <= c}, with no LP: each keeps the facets whose head
+    ``N @ frame.T`` is longer than BOUNDARY_ATOL, offsets one row of
+    ``c - origins @ N.T``, and is absent where a head-less facet excludes its
+    origin. A 1-d section is present when its interval's half width exceeds
+    MIN_CHEBYSHEV_RADIUS; a higher one may be present yet empty (measure 0)."""
+    heads = normals @ frame.T
+    cs = offsets - origins @ normals.T
+    keep = np.linalg.norm(heads, axis=1) > BOUNDARY_ATOL
+    present = ~np.any(cs[:, ~keep] < -BOUNDARY_ATOL, axis=1)
+    if not np.any(keep):
+        return SpaceSlices(len(frame), present)
+    N, C = heads[keep], cs[:, keep]
+    if len(frame) == 1:
+        ratios = C / N[:, 0]
+        lo = np.max(ratios[:, N[:, 0] < 0.0], axis=1, initial=-math.inf)
+        hi = np.min(ratios[:, N[:, 0] > 0.0], axis=1, initial=math.inf)
+        present &= (hi - lo) / 2.0 > MIN_CHEBYSHEV_RADIUS
+    return PolytopeSlices(len(frame), present, N, C)
 
 
 def _ellipsoid_q(points: np.ndarray, semiaxes: np.ndarray) -> np.ndarray:

@@ -168,7 +168,8 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
     membership rule: their offsets are moved out by BOUNDARY_ATOL. A
     polygon's value is exact to absolute rounding, about 1e-16, so a tiny
     one is not exact relative to its size. The family is a body's
-    ``slices`` over a grid, or its one-row ``as_family``. Raises
+    ``sections`` (its ``slices`` over a grid among them), or its one-row
+    ``as_family``; a ball's centre is read row by row. Raises
     UnsupportedBodyError for any other family, for a polygon family with an
     unbounded row, and for ellipsoids whose series needs more than
     SERIES_TERM_CAP terms.
@@ -184,12 +185,12 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
     elif isinstance(family, HalfspaceSlices):
         values[rows] = std_normal_cdf(family.offsets[rows]
                                       / float(np.linalg.norm(family.normal)))
-    elif isinstance(family, BallSlices) and np.all(np.abs(family.center) <= BOUNDARY_ATOL):
+    elif isinstance(family, BallSlices) and np.all(np.abs(family.center[rows]) <= BOUNDARY_ATOL):
         values[rows] = special.gammainc(family.dim / 2.0,
                                         np.float_power(family.radii[rows], 2) / 2.0)
     elif family.dim == 1 and isinstance(family, BallSlices):
         r = family.radii[rows]
-        values[rows] = measure_interval(family.center[0] - r, family.center[0] + r)
+        values[rows] = measure_interval(family.center[rows, 0] - r, family.center[rows, 0] + r)
     elif family.dim == 1 and isinstance(family, EllipsoidSlices):
         a = family.semiaxes[rows, 0]
         values[rows] = measure_interval(-a, a)
@@ -206,7 +207,7 @@ def measure_slices(family: SliceFamily) -> np.ndarray:
         values[rows] = polygons
     elif isinstance(family, BallSlices):
         values[rows] = special.chndtr(np.float_power(family.radii[rows], 2), family.dim,
-                                      float(family.center @ family.center))
+                                      np.vecdot(family.center[rows], family.center[rows]))
     elif isinstance(family, EllipsoidSlices):
         series = _ellipsoid_series(family.semiaxes[rows])
         if series is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, FullSpace, Halfspace, HPolytope,
+from .convex import (TAIL_EPS, AxisBox, Ball, ConvexBody, Halfspace, HPolytope,
                      minkowski_combination, tail_radius)
 from .errors import (DimensionMismatchError, EnumerationCapExceededError, InvalidBodyError,
                      UnsupportedBodyError)
@@ -194,8 +194,8 @@ def find_coset_point_in_body(coset: Coset, body: ConvexBody) -> CosetSearch:
         shell = min(shell * 2.0, r_max)
     if bounded:
         return CosetSearch(None, "empty", r_max,
-                           note="complete enumeration of the coset inside the "
-                                "truncated body found no point")
+                           note="complete enumeration of the coset out to the body's "
+                                "circumradius plus |anchor| found no point")
     return CosetSearch(None, "truncated", r_max,
                        note=f"no intersection inside truncation after "
                             f"{_COSET_DOUBLINGS} radius doublings (unbounded body)")
@@ -277,54 +277,31 @@ def sharpness_witness(t: float) -> CheckReport:
 # Slice lemma
 # ---------------------------------------------------------------------------
 
-def _exact_subspace_slice(body: ConvexBody, sub: np.ndarray) -> ConvexBody | None:
-    """Closed-form body of {y in R^m : y @ sub in body}, when available."""
-    m = sub.shape[0]
-    if isinstance(body, Halfspace):
-        normal = sub @ body.normal
-        if np.linalg.norm(normal) <= 1e-12:
-            return FullSpace(m) if body.offset >= 0 else None
-        return Halfspace(normal, body.offset)
-    if isinstance(body, Ball) and body.symmetric:
-        return Ball(body.radius, dim=m)
-    if isinstance(body, AxisBox):
-        # exact only when the subspace rows are standard basis vectors
-        cols = []
-        for row in sub:
-            j = int(np.argmax(np.abs(row)))
-            e = np.zeros(len(row))
-            e[j] = np.sign(row[j])
-            if np.linalg.norm(row - e) > 1e-12:
-                return None
-            cols.append(j)
-        return AxisBox(body.semiwidths[cols])
-    return None
-
-
 def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
                          seed: int = 0) -> CheckReport:
     """Is the slice measure through a linear subspace still at least 1/2?
 
-    ``subspace`` holds orthonormal rows spanning M; the slice measure is the
-    m-dimensional gaussian measure of {y : y @ subspace in body}, evaluated
-    in closed form where possible and by Monte Carlo otherwise. ``violated``
-    requires its certified ``upper`` end below 1/2.
+    ``subspace`` holds orthonormal rows spanning M; the slice is the one-row
+    family ``body.sections(0, subspace)``, measured exactly where it has a
+    closed form and otherwise by its scorer's hit fraction on draw seed + 1.
+    ``violated`` requires its certified ``upper`` end below 1/2. Raises
+    UnsupportedBodyError for an OracleBody, which has no sections.
     """
     sub = np.asarray(subspace, dtype=float)
     if sub.ndim != 2 or sub.shape[1] != body.dim or not 1 <= sub.shape[0] < body.dim:
         raise ValueError("subspace must be (m, n) with 1 <= m < n")
     if np.max(np.abs(sub @ sub.T - np.eye(sub.shape[0]))) > 1e-9:
         raise ValueError("subspace rows must be orthonormal")
+    family = body.sections(0, sub)
     est = measure_auto(body, samples=samples, seed=seed)
     if est.lower < 0.5 - gaussian.FLOAT_SLACK:
         return CheckReport("lemma", "inconclusive", margin=est.value - 0.5, seed=seed,
                            measure=est, note="measure >= 1/2 not certified")
-    closed = _exact_subspace_slice(body, sub)
-    if closed is not None:
-        slice_est = measure_exact(closed)
-    else:
+    try:
+        slice_est = MeasureEstimate(float(gaussian.measure_slices(family)[0]), "exact")
+    except UnsupportedBodyError:
         slice_est = gaussian.mc_fraction(
-            sub.shape[0], lambda pts: body.contains_many(pts @ sub), samples, seed + 1)
+            sub.shape[0], lambda pts: family.scorer(pts)(0), samples, seed + 1)
     margin = slice_est.upper - 0.5
     verdict = "holds" if margin >= -gaussian.FLOAT_SLACK else "violated"
     return CheckReport("lemma", verdict, margin=margin, seed=seed, measure=slice_est,

@@ -95,7 +95,7 @@ def row_document(family, i):
     elif isinstance(family, convex.HalfspaceSlices):
         doc.update(normal=family.normal.tolist(), offset=float(family.offsets[i]))
     elif isinstance(family, convex.BallSlices):
-        doc.update(radius=float(family.radii[i]), center=family.center.tolist())
+        doc.update(radius=float(family.radii[i]), center=family.center[i].tolist())
     elif isinstance(family, convex.EllipsoidSlices):
         doc["semiaxes"] = family.semiaxes[i].tolist()
     elif isinstance(family, convex.PolytopeSlices):
@@ -300,6 +300,85 @@ class TestSlice:
         # its edges are whole lines: the profile grid falls back to truncation
         strip = lg.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
         assert strip.last_axis_extent() == (-math.inf, math.inf)
+
+
+SECTION_KINDS = ("halfspace", "ball", "off-centre-ball", "ellipsoid", "cylinder", "hpolytope")
+
+
+@st.composite
+def section_cases(draw):
+    """(body, origins, frame): a body of one kind with sections, a QR frame of
+    m < n orthonormal rows and three random origins (0 for an ellipsoid)."""
+    kind = draw(st.sampled_from(SECTION_KINDS))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "halfspace":
+        body = lg.Halfspace(rng.standard_normal(n), rng.uniform(-0.5, 1.0))
+    elif kind == "ball":
+        body = lg.Ball(rng.uniform(0.5, 2.0), dim=n)
+    elif kind == "off-centre-ball":
+        body = lg.Ball(rng.uniform(0.5, 2.0), center=rng.normal(0.0, 0.5, n))
+    elif kind == "ellipsoid":
+        body = lg.Ellipsoid(rng.uniform(0.4, 2.0, n))
+    elif kind == "cylinder":  # an axis box with one infinite width
+        widths = rng.uniform(0.4, 2.0, n)
+        widths[rng.integers(n)] = math.inf
+        body = lg.AxisBox(widths)
+    else:
+        body = lg.HPolytope(rng.standard_normal((n + 3, n)), rng.uniform(0.3, 1.5, n + 3))
+    q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    origins = np.zeros((1, n)) if kind == "ellipsoid" else rng.normal(0.0, 0.6, (3, n))
+    return body, origins, q.T
+
+
+class TestSections:
+    @given(section_cases())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_rows_are_the_sections_of_the_body(self, case):
+        body, origins, frame = case
+        m = len(frame)
+        family = body.sections(origins, frame)
+        assert family.dim == m and family.present.shape == (len(origins),)
+        turn = np.eye(m)
+        if isinstance(body, lg.Ellipsoid):  # its rows are in the section's principal axes
+            form = frame / body.semiaxes
+            turn = np.linalg.eigh(form @ form.T)[1]
+        try:
+            measures = gaussian.measure_slices(family)
+        except lg.UnsupportedBodyError:
+            measures = None
+        ys = np.random.default_rng(0).normal(0.0, 1.5, (64, m))
+        for i, origin in enumerate(origins):
+            points = origin + ys @ frame
+            clear = np.array([abs(body.containment_margin(p)) > 1e-9 for p in points])
+            inside = body.contains_many(points)
+            if hasattr(family, "scorer"):
+                got = family.scorer(ys @ turn)(i)
+            else:
+                doc = row_document(family, i)
+                got = (np.zeros(len(ys), dtype=bool) if doc is None
+                       else lg.body_from_document(doc).contains_many(ys))
+            assert np.array_equal(got[clear], inside[clear]), i
+            if measures is None:
+                continue
+            samples = 4096
+            est = gaussian.mc_fraction(
+                m, lambda pts, o=origin: body.contains_many(o + pts @ frame), samples, i)
+            # the half-width of at least one hit or miss, so the edges stay valid
+            p = min(max(est.value, 1.0 / samples), 1.0 - 1.0 / samples)
+            assert abs(measures[i] - est.value) <= 3.0 * gaussian.Z99 * math.sqrt(
+                p * (1.0 - p) / samples), i
+
+    def test_off_centre_ellipsoid_section_refused(self):
+        with pytest.raises(lg.UnsupportedBodyError, match="off its centre"):
+            lg.Ellipsoid([1.0, 2.0, 0.5]).sections([0.0, 0.1, 0.0], np.eye(3)[1:])
+
+    def test_coordinate_frame_keeps_infinite_widths(self):
+        # a cylinder section on a coordinate frame stays a box, exact in any dimension
+        family = lg.AxisBox([0.7, math.inf, math.inf, 1.1]).sections(0, np.eye(4)[[3, 1, 0]])
+        assert isinstance(family, convex.BoxSlices)
+        assert family.semiwidths.tolist() == [1.1, math.inf, 0.7]
 
 
 class TestGauge:

@@ -113,6 +113,7 @@ class TestFindCosetPoint:
         res = lg.find_coset_point_in_body(coset, lg.Ball(1.0, dim=2))
         assert res.status == "empty"
         assert "complete enumeration" in res.note
+        assert "truncated" not in res.note  # a bounded body is searched whole
 
     def test_empty_certificate_for_bounded_3d_polytope(self):
         # a polytope's circumradius is its farthest vertex in every dimension,
@@ -194,6 +195,42 @@ class TestTheoremCheck:
         coset = lg.Coset(lattice, np.array([0.3, -0.2]))
         rep = lg.check_theorem_instance(lg.Ball(1.2, dim=2), coset, seed=3)
         assert rep.verdict == "holds"
+
+    # refusals at their bounds: each input sits just past (or on) the bound it tests
+
+    def test_lattice_just_past_theta_refused(self):
+        th = lg.theta()
+        coset = lg.Coset(lg.Lattice([[th * (1.0 + 1e-6)]]), [0.0])
+        with pytest.raises(ValueError, match="not a theta-coset"):
+            lg.check_theorem_instance(lg.AxisBox([1.0]), coset)
+
+    def test_measure_just_below_half_inconclusive(self):
+        width = lg.std_normal_quantile(0.75 - 5e-10)  # gamma_1([-w, w]) = 1/2 - 1e-9
+        body = lg.AxisBox([width])
+        assert lg.measure_exact(body).value == pytest.approx(0.5 - 1e-9, abs=1e-15)
+        coset = lg.Coset(lg.Lattice([[lg.theta()]]), [0.0])
+        rep = lg.check_theorem_instance(body, coset)
+        assert rep.verdict == "inconclusive"
+        assert rep.note == "measure >= 1/2 not certified at 3 half-widths"
+
+    def test_boundary_coset_of_half_measure_interval_holds(self):
+        # gamma_1([-theta/2, theta/2]) = 1/2 exactly, and every coset point
+        # +-theta/2 + k theta of the interval lies on its boundary
+        th = lg.theta()
+        body = lg.AxisBox([th / 2.0])
+        assert lg.measure_exact(body).value == 0.5
+        rep = lg.check_theorem_instance(body, lg.Coset(lg.Lattice([[th]]), [th / 2.0]))
+        assert rep.verdict == "holds"
+        assert abs(rep.witness[0]) == th / 2.0
+
+    def test_empty_search_is_violated_with_its_certificate(self, monkeypatch):
+        note = "complete enumeration found no point"
+        monkeypatch.setattr(latgauss.minkowski, "find_coset_point_in_body",
+                            lambda coset, body: lg.CosetSearch(None, "empty", 1.0, note=note))
+        coset = lg.Coset(lg.Lattice([[lg.theta()]]), [0.0])
+        rep = lg.check_theorem_instance(lg.AxisBox([1.0]), coset)
+        assert rep.verdict == "violated"
+        assert rep.certificate == note
 
     def test_small_measure_inconclusive_or_regenerated(self):
         small = lg.Ball(0.3, dim=2)  # measure well below 1/2
@@ -323,12 +360,32 @@ class TestLemma:
         assert rep.verdict == "holds"
         assert rep.measure.value == pytest.approx(0.5, abs=3.0 * rep.measure.half_width + 1e-12)
 
-    def test_mc_path_box_rotated_subspace(self):
+    def test_rotated_box_section_is_exact(self):
+        # a 2-d section of a box is a polygon, measured by Owen's T
         body = lg.AxisBox([2.0, 2.0, 2.0])
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 2)))
-        rep = lg.check_lemma_instance(body, q.T, samples=20_000, seed=8)
+        sub = q.T
+        rep = lg.check_lemma_instance(body, sub, samples=20_000, seed=8)
+        assert rep.verdict == "holds"
+        assert rep.measure.method == "exact"
+        est = latgauss.gaussian.mc_fraction(2, lambda p: body.contains_many(p @ sub), 1 << 20, 0)
+        assert abs(rep.measure.value - est.value) <= 3.0 * est.half_width
+
+    def test_box_section_of_dimension_3_stays_monte_carlo(self):
+        # scored on the draw, and hit for hit the box's own membership of it
+        body = lg.AxisBox([2.0, 1.5, 2.5, 1.8])
+        q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 3)))
+        sub = q.T
+        rep = lg.check_lemma_instance(body, sub, samples=20_000, seed=9)
         assert rep.verdict == "holds"
         assert rep.measure.method == "monte-carlo"
+        old = latgauss.gaussian.mc_fraction(3, lambda p: body.contains_many(p @ sub), 20_000, 10)
+        assert rep.measure == old
+
+    def test_oracle_body_has_no_sections(self):
+        body = lg.OracleBody(3, lambda pts: np.linalg.norm(pts, axis=1) <= 2.0, 2.0)
+        with pytest.raises(lg.UnsupportedBodyError, match="do not support slicing"):
+            lg.check_lemma_instance(body, np.eye(3)[:2])
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
@@ -370,6 +427,17 @@ class TestEhrhard:
     def test_suite(self):
         for trial, kind, rep in lg.ehrhard_suite(16, seed=2):
             assert rep.verdict == "holds", (trial, kind)
+
+    def test_shrunk_combination_is_violated_exactly(self, monkeypatch):
+        # a test-only combination 3e-6 short of the true box: its exact
+        # margin, about -5e-6, is past the equality tolerance
+        monkeypatch.setattr(latgauss.minkowski, "minkowski_combination", lambda a, b, lam:
+                            lg.AxisBox((1.0 - 3e-6) * (lam * a.semiwidths
+                                                       + (1.0 - lam) * b.semiwidths)))
+        rep = lg.check_ehrhard(lg.AxisBox([0.9, 1.4]), lg.AxisBox([0.9, 1.4]), 0.37)
+        assert rep.note == "exact"
+        assert -1e-5 < rep.margin < -1e-6
+        assert rep.verdict == "violated"
 
     @pytest.fixture
     def monte_carlo(self, monkeypatch):
