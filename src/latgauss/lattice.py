@@ -6,11 +6,14 @@ comparisons carry the absolute tolerance ``COMPARE_ATOL``. A lattice is
 LLL-reduced once: ``Lattice.frame`` caches the reduced basis, its unimodular
 transform and the QR factors of the reduced basis, and every enumeration
 (minima, CVP, coset points, covering candidates) runs Fincke-Pohst in that
-cached frame, breadth-first with numpy so desk-scale instances (n <= 6)
-stay fast. The basis and the frame arrays are read-only, so the cache
-cannot go stale. Every enumeration shares one budget, the module constant
-``DEFAULT_NODE_CAP`` on partial nodes; passing it raises
-``EnumerationCapExceededError`` rather than truncating silently.
+cached frame. The search goes one coordinate level at a time; each level is
+expanded with numpy in blocks of ``_BLOCK`` children, with the coefficients
+held as exact float64 integers, so desk-scale instances (n <= 6) stay fast
+and temporaries stay small. Coset points are put in spiral order by one
+in-place sort of packed codes. The basis and the frame arrays are
+read-only, so the cache cannot go stale. Every enumeration shares one
+budget, the module constant ``DEFAULT_NODE_CAP`` on partial nodes; passing
+it raises ``EnumerationCapExceededError`` rather than truncating silently.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ _EPS = float(np.finfo(float).eps)
 DEFAULT_NODE_CAP = 10**8
 COVERING_GRID_CAP = 2**22  # covering_radius grid cells; with its meshgrid ~67*n MB
 _LLL_DELTA = 0.99  # Lovasz condition parameter
+_BLOCK = 2**12  # rows per block of frontier expansion, spiral packing and unpacking
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +134,19 @@ def coset_from_document(doc: dict) -> Coset:
 # Gram-Schmidt and LLL
 # ---------------------------------------------------------------------------
 
-def _gs_row(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, i: int) -> None:
-    """Write row i of the Gram-Schmidt of b in place: bstar[i] and mu[i, :i].
+def _gs_row(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norm2: np.ndarray,
+            i: int) -> None:
+    """Write row i of the Gram-Schmidt of b in place: bstar[i], mu[i, :i] and
+    norm2[i] = |bstar[i]|^2.
 
-    Reads only b[i] and bstar[:i], so once rows 0..i-1 are current a changed
-    b[i] needs this one row and nothing else.
+    Reads only b[i], bstar[:i] and norm2[:i], so once rows 0..i-1 are current
+    a changed b[i] needs this one row and nothing else.
     """
     bstar[i] = b[i]
     for j in range(i):
-        mu[i, j] = (b[i] @ bstar[j]) / (bstar[j] @ bstar[j])
+        mu[i, j] = (b[i] @ bstar[j]) / norm2[j]
         bstar[i] -= mu[i, j] * bstar[j]
+    norm2[i] = bstar[i] @ bstar[i]
 
 
 def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +157,9 @@ def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     bstar = np.empty_like(b, dtype=float)
     mu = np.eye(b.shape[0])
+    norm2 = np.empty(b.shape[0])
     for i in range(b.shape[0]):
-        _gs_row(b, bstar, mu, i)
+        _gs_row(b, bstar, mu, norm2, i)
     return bstar, mu
 
 
@@ -163,11 +171,14 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     swap rows k-1 and k, and rows past k are not read until k reaches them,
     so each step redoes only those rows, with the same float operations as a
     full recompute; the result is bitwise that of redoing it all each step.
+    The squared norms |b*_j|^2 are kept beside the rows and recomputed only
+    when row j changes.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
     bstar, mu = _gs(b)
+    norm2 = np.array([v @ v for v in bstar])
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -175,16 +186,16 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if q != 0:
                 b[k] -= q * b[j]
                 t[k] -= q * t[j]
-                _gs_row(b, bstar, mu, k)
-        if bstar[k] @ bstar[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * (bstar[k - 1] @ bstar[k - 1]):
+                _gs_row(b, bstar, mu, norm2, k)
+        if norm2[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norm2[k - 1]:
             k += 1
             if k < n:
-                _gs_row(b, bstar, mu, k)
+                _gs_row(b, bstar, mu, norm2, k)
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
             t[[k - 1, k]] = t[[k, k - 1]]
-            _gs_row(b, bstar, mu, k - 1)
-            _gs_row(b, bstar, mu, k)
+            _gs_row(b, bstar, mu, norm2, k - 1)
+            _gs_row(b, bstar, mu, norm2, k)
             k = max(k - 1, 1)
     return b, t
 
@@ -221,13 +232,23 @@ def _frame_target(lattice: Lattice, target: np.ndarray, radius: float) -> np.nda
 
 
 def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) -> np.ndarray:
-    """Integer coefficient rows c with ||c @ B - target|| <= radius.
+    """Coefficient rows c with ||c @ B - target|| <= radius, as exact float64.
 
     B is the lattice's cached reduced basis and the rows are coefficients in
-    it; the search runs breadth-first in the cached QR frame, last coordinate
-    outward, with no reduction or factorisation of its own. The closed-ball
-    boundary is widened by COMPARE_ATOL. Raises EnumerationCapExceededError
-    when the number of partial nodes passes ``DEFAULT_NODE_CAP``.
+    it, integers held exactly as float64 (``_frame_target`` keeps them below
+    2**53). The search runs level by level in the cached QR frame, last
+    coordinate outward, with no reduction or factorisation of its own. The
+    closed-ball boundary is widened by COMPARE_ATOL. Raises
+    EnumerationCapExceededError when the number of partial nodes passes
+    ``DEFAULT_NODE_CAP``.
+
+    The frontier holds its columns in level order c_{n-1}, ..., c_0, and the
+    rows returned are its column-reversed view: ``rows[:, ::-1]`` is the
+    contiguous frontier, the layout a matmul wants. Each level repeats every
+    parent row [prefix | lo] once per child and adds the child's index
+    under its parent to the new column. Parents are expanded in blocks of
+    about ``_BLOCK`` children into a preallocated frontier, so a level makes
+    no temporaries of its own size.
     """
     cap = DEFAULT_NODE_CAP  # read per call, the one place the cap is decided
     n = lattice.dim
@@ -236,36 +257,50 @@ def _enumerate_ball_coeffs(lattice: Lattice, target: np.ndarray, radius: float) 
     y = _frame_target(lattice, target, reff)
     r2 = reff * reff
 
-    # partial coefficient columns in order c_{n-1}, c_{n-2}, ...
-    partial = np.zeros((1, 0), dtype=np.int64)
+    partial = np.zeros((1, 0))
     dist2 = np.zeros(1)
     nodes = 0
     for i in range(n - 1, -1, -1):
-        if partial.shape[0] == 0:
-            return np.zeros((0, n), dtype=np.int64)
+        d = n - 1 - i  # columns set so far
         resid = y[i] - partial @ r[i, i + 1:][::-1]
-        rad = np.sqrt(np.maximum(r2 - dist2, 0.0))
-        width = rad / r[i, i]
-        center = resid / r[i, i]
-        lo = np.ceil(center - width).astype(np.int64)
-        hi = np.floor(center + width).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
+        lo, counts = _level_range(resid / r[i, i], np.sqrt(np.maximum(r2 - dist2, 0.0)) / r[i, i])
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
         nodes += total
         if nodes > cap:
             raise EnumerationCapExceededError(cap, nodes)
-        if total == 0:
-            return np.zeros((0, n), dtype=np.int64)
-        keep = counts > 0
-        idx = np.repeat(np.flatnonzero(keep), counts[keep])
-        starts = np.concatenate(([0], np.cumsum(counts[keep])[:-1]))
-        within = np.arange(total) - np.repeat(starts, counts[keep])
-        vals = np.repeat(lo[keep], counts[keep]) + within
-        new_dist2 = dist2[idx] + (vals * r[i, i] - resid[idx]) ** 2
-        ok = new_dist2 <= r2
-        partial = np.hstack([partial[idx[ok]], vals[ok, None]])
-        dist2 = new_dist2[ok]
+        parents = np.column_stack([partial, lo])
+        partial, parent_dist2 = np.empty((total, d + 1)), dist2
+        dist2 = np.empty(total if i else 0)  # the last level's distances are not read
+        cuts = np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK), side="right")
+        kept = 0
+        for p0, p1 in zip([0, *cuts], [*cuts, len(counts)]):
+            reps = counts[p0:p1]
+            rows = np.repeat(parents[p0:p1], reps, axis=0)
+            # the new column: the parent's lo plus the child's index under that parent
+            vals = rows[:, d]
+            vals += np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+            new_dist2 = (np.repeat(parent_dist2[p0:p1], reps)
+                         + (vals * r[i, i] - np.repeat(resid[p0:p1], reps)) ** 2)
+            ok = new_dist2 <= r2
+            if not ok.all():  # the interval ends can round past the ball
+                rows, new_dist2 = rows[ok], new_dist2[ok]
+            partial[kept:kept + len(rows)] = rows
+            if i:
+                dist2[kept:kept + len(rows)] = new_dist2
+            kept += len(rows)
+        partial, dist2 = partial[:kept], dist2[:kept]
     return partial[:, ::-1]
+
+
+def _level_range(center: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, counts): the integers lo, ..., lo + counts - 1 in [center - width, center + width].
+
+    A function of its own so that its level-sized temporaries are freed
+    before the level is expanded.
+    """
+    lo = np.ceil(center - width)
+    return lo, np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
 
 
 def _spiral_keys(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -291,6 +326,55 @@ def _spiral_keys(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
             keys.append(col)
             span = base
     return tuple(keys[::-1])
+
+
+def _spiral_codes(cols: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
+    """(codes, bits): the zigzag codes (see ``_spiral_keys``) of each
+    coefficient vector packed into one int64 bit field, coordinate j in
+    ``bits[j]`` bits and the first most significant, so that the codes sort
+    in the spiral order; None when they need more than 63 bits.
+
+    ``cols`` holds one row per coordinate (the vectors are its columns), as
+    integers in float64. Distinct vectors get distinct codes.
+    """
+    # 2|c| + 1 has the bit length of 2|c| for c != 0, and a zero column needs none
+    bits = [int(2 * top).bit_length()
+            for top in np.maximum(cols.max(axis=1, initial=0), -cols.min(axis=1, initial=0))]
+    if sum(bits) > 63:
+        return None
+    codes = np.empty(cols.shape[1], dtype=np.int64)
+    for block in _blocks(cols.shape[1]):
+        c = cols[:, block].astype(np.int64)
+        z = np.abs(c)
+        z <<= 1
+        z |= c < 0
+        packed = codes[block]
+        packed[:] = z[0]
+        for row, width in zip(z[1:], bits[1:]):
+            packed <<= width
+            packed |= row
+    return codes, bits
+
+
+def _unpack_spiral_codes(codes: np.ndarray, bits: list[int], out: np.ndarray) -> None:
+    """Write the coefficient rows of packed codes to ``out``: the inverse of
+    ``_spiral_codes``."""
+    shift = 0
+    for j in range(len(bits) - 1, -1, -1):
+        np.bitwise_and(codes >> shift, (1 << bits[j]) - 1, out=out[:, j])
+        shift += bits[j]
+    flip = -(out & 1)  # all ones where the code is odd, that is c < 0
+    out >>= 1
+    out ^= flip
+    out -= flip  # (x ^ -1) + 1 = -x
+
+
+def _blocks(total: int) -> list[slice]:
+    """Slices of about ``_BLOCK`` rows that cover range(total). None has a
+    single row unless total is 1: numpy hands a one-row matmul to gemv,
+    whose rounding is not gemm's."""
+    starts = list(range(0, max(total - 1, 1), _BLOCK))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [total])]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +406,7 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
     gauges = body.gauge_many(points)
     # quantized gauge first, spiral key as deterministic tie-break
     quant = np.round(gauges / COMPARE_ATOL).astype(np.int64)
-    order = np.lexsort(_spiral_keys(coeffs) + (quant,))
+    order = np.lexsort(_spiral_keys(coeffs.astype(np.int64)) + (quant,))
     points, gauges = points[order], gauges[order]
 
     lambdas = np.empty(lattice.dim)
@@ -368,7 +452,7 @@ def closest_vector(lattice: Lattice, target, return_coefficients: bool = False):
     for i in range(lattice.dim - 1, -1, -1):
         seed_coeff[i] = round((y[i] - r[i, i + 1:] @ seed_coeff[i + 1:]) / r[i, i])
     radius = float(np.linalg.norm(t - seed_coeff @ b))
-    coeffs = _enumerate_ball_coeffs(lattice, t, radius)
+    coeffs = _enumerate_ball_coeffs(lattice, t, radius).astype(np.int64)
     points = coeffs @ b
     dists = np.linalg.norm(points - t, axis=1)
     best = dists.min()
@@ -394,13 +478,29 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
         raise DimensionMismatchError("center dimension mismatch")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    trans = coset.lattice.frame[1]
-    coeffs = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius) @ trans
-    coeffs = coeffs[np.lexsort(_spiral_keys(coeffs))]
-    points = coeffs @ coset.lattice.basis + coset.offset
-    if return_coefficients:
-        return points, coeffs
-    return points
+    basis, trans = coset.lattice.basis, coset.lattice.frame[1]
+    rows = _enumerate_ball_coeffs(coset.lattice, c - coset.offset, radius)[:, ::-1]
+    # one row per coordinate; exact, as every partial sum is an integer
+    # below 2**53 (``_frame_target``)
+    cols = trans[::-1].T.astype(float) @ rows.T
+    del rows
+    packed = _spiral_codes(cols)
+    if packed is None:
+        coeffs = cols.T.astype(np.int64, order="C")
+        coeffs = coeffs[np.lexsort(_spiral_keys(coeffs))]
+        points = coeffs @ basis + coset.offset
+        return (points, coeffs) if return_coefficients else points
+    del cols
+    codes, bits = packed
+    codes.sort()  # the codes are distinct, so no stable sort is needed
+    points = np.empty((codes.shape[0], coset.dim))
+    coeffs = np.empty(points.shape if return_coefficients else (0, coset.dim), dtype=np.int64)
+    for block in _blocks(codes.shape[0]):
+        rows = coeffs[block] if return_coefficients else np.empty_like(points[block], np.int64)
+        _unpack_spiral_codes(codes[block], bits, rows)
+        np.matmul(rows.astype(float), basis, out=points[block])
+        points[block] += coset.offset
+    return (points, coeffs) if return_coefficients else points
 
 
 def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tuple[float, float]:
@@ -443,7 +543,9 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tupl
 
     center = b.sum(axis=0) / 2.0
     cand_radius = halfdiag + tau * circ * (1.0 + 1e-9)
-    cand = _enumerate_ball_coeffs(lattice, center, cand_radius) @ b
+    # contiguous, as BLAS needs: numpy runs a matmul on the column-reversed
+    # rows without it, and that rounds differently
+    cand = np.ascontiguousarray(_enumerate_ball_coeffs(lattice, center, cand_radius)) @ b
 
     fracs = (np.arange(resolution) + 0.5) / resolution
     mesh = np.meshgrid(*([fracs] * n), indexing="ij")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import latgauss as lg
 import latgauss.lattice
 from latgauss.errors import InvalidLatticeError, ResolutionTooCoarseError
-from latgauss.lattice import _gs, _spiral_keys
+from latgauss.lattice import COMPARE_ATOL, _gs, _spiral_keys
 from latgauss.minkowski import random_theta_lattice
 
 
@@ -320,6 +321,40 @@ class TestClosestVector:
         assert np.array_equal(point, np.array(expected, dtype=float))
 
 
+def _box_coefficients(basis, offset, center, radius):
+    """Every integer c with ||c @ basis + offset - center|| <= radius + COMPARE_ATOL,
+    by a scan of the coefficient box that holds the ball."""
+    inv = np.linalg.inv(basis)
+    mid = (center - offset) @ inv
+    reach = (radius + COMPARE_ATOL) * np.linalg.norm(inv, axis=0)
+    axes = [np.arange(math.floor(m - w), math.ceil(m + w) + 1) for m, w in zip(mid, reach)]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+    return box[np.linalg.norm(box @ basis + offset - center, axis=1) <= radius + COMPARE_ATOL]
+
+
+BOX_CAP = 3 * 10**5  # coefficient box rows the order oracle may scan
+
+
+@st.composite
+def _coset_searches(draw):
+    """(basis, offset, center, radius) in n = 1..6 with up to about 2000
+    points in the ball; the centre sits near the offset or some 1000 away,
+    which makes the coefficients wide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 7))  # from the seed: Hypothesis would favour n = 1
+    while True:
+        basis = rng.normal(size=(n, n))
+        if abs(np.linalg.det(basis)) >= 0.3 * np.prod(np.linalg.norm(basis, axis=1)):
+            break
+    offset = rng.uniform(-2.0, 2.0, n)
+    center = offset + rng.uniform(-2.0, 2.0, n) + draw(st.sampled_from([0.0, 1000.0]))
+    volume = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    radius = (draw(st.integers(1, 2000)) * abs(np.linalg.det(basis)) / volume) ** (1 / n)
+    box_side = 2 * radius * np.linalg.norm(np.linalg.inv(basis), axis=0) + 2
+    radius *= min(1.0, (BOX_CAP / np.prod(box_side)) ** (1 / n))
+    return basis, offset, center, radius
+
+
 class TestCosetEnumeration:
     def test_unit_ball_five_points(self):
         cs = lg.Coset(lg.Lattice(np.eye(2)), np.zeros(2))
@@ -375,6 +410,59 @@ class TestCosetEnumeration:
             "602df22d1fcaf8e90825f0bd02263ab89873e70f096b16efa1e51b187cf30289")
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == (
             "33ca285116425f61f856b549d78dc95e131f083289b5ec40faf0a8152d0ea918")
+
+    @given(_coset_searches())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_the_box_scan_in_spiral_order(self, search):
+        basis, offset, center, radius = search
+        cs = lg.Coset(lg.Lattice(basis), offset)
+        pts, coeffs = lg.enumerate_coset_in_ball(cs, center, radius, return_coefficients=True)
+        want = _box_coefficients(basis, offset, center, radius)
+        assert coeffs.dtype == np.int64
+        assert np.array_equal(coeffs, want[np.lexsort(_spiral_keys(want))])
+        assert pts.tobytes() == (coeffs @ cs.lattice.basis + offset).tobytes()
+        assert lg.enumerate_coset_in_ball(cs, center, radius).tobytes() == pts.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_integer_spheres_come_whole(self, n):
+        # a ball about the origin of Z^n whose widened radius lands on the
+        # sphere |c|^2 = k holds all of that sphere or none of it, whatever
+        # the float rounding of the search intervals
+        cs = lg.Coset(lg.Lattice(np.eye(n)), np.zeros(n))
+        for k in range(1, 40):
+            coeffs = lg.enumerate_coset_in_ball(cs, np.zeros(n), math.sqrt(k) - COMPARE_ATOL,
+                                                return_coefficients=True)[1]
+            side = range(-math.isqrt(k), math.isqrt(k) + 1)
+            norms = (np.array(list(itertools.product(side, repeat=n))) ** 2).sum(axis=1)
+            assert (coeffs ** 2).sum(axis=1).max() <= k
+            assert len(coeffs) in (np.count_nonzero(norms < k), np.count_nonzero(norms <= k))
+
+    def test_codes_past_63_bits_take_the_lexsort_path(self):
+        # coefficients near 1e4 need 15 bits in each of 5 coordinates
+        cs = lg.Coset(lg.Lattice(np.eye(5)), [0.1, -0.2, 0.3, 0.0, 0.25])
+        center = np.array([1e4 + 0.3, 1e4 - 0.2, 1e4 + 0.1, 1e4, 1e4 - 0.4])
+        pts, coeffs = lg.enumerate_coset_in_ball(cs, center, 1.6, return_coefficients=True)
+        codes = 2 * np.abs(coeffs) + (coeffs < 0)
+        assert sum(int(z).bit_length() for z in codes.max(axis=0)) > 63
+        want = _box_coefficients(np.eye(5), cs.offset, center, 1.6)
+        assert len(want) > 50
+        assert np.array_equal(coeffs, want[np.lexsort(_spiral_keys(want))])
+        assert pts.tobytes() == (coeffs @ cs.lattice.basis + cs.offset).tobytes()
+
+    def test_traced_peak_stays_near_the_outputs(self):
+        # 6-d coset with about 2e5 points: beyond its two outputs the peak
+        # holds the frontier or the packed codes plus one block of temporaries
+        cs = lg.Coset(lg.Lattice(np.eye(6)), np.full(6, 0.25))
+        cs.lattice.frame
+        tracemalloc.start()
+        try:
+            pts, coeffs = lg.enumerate_coset_in_ball(cs, np.zeros(6), 5.8,
+                                                     return_coefficients=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) > 190_000
+        assert peak < 1.3 * (pts.nbytes + coeffs.nbytes)
 
     def test_node_cap_reports_progress(self, monkeypatch):
         from latgauss.errors import EnumerationCapExceededError
