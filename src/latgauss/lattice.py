@@ -552,7 +552,10 @@ def covering_radius(lattice: Lattice, body: ConvexBody, resolution: int) -> tupl
     grid = np.stack([m.ravel() for m in mesh], axis=1) @ b
 
     lower = 0.0
-    chunk = max(1, 2_000_000 // max(cand.shape[0], 1))
+    # blocks of 2**16 cell-candidate pairs keep each temporary near 1 MB:
+    # freeing a larger one raises glibc's heap trim threshold, which then
+    # leaves up to twice that size of freed heap resident
+    chunk = max(1, 2**16 // max(cand.shape[0], 1))
     for start in range(0, grid.shape[0], chunk):
         block = grid[start:start + chunk]
         diff = block[:, None, :] - cand[None, :, :]
