@@ -10,10 +10,11 @@ cached frame. The search goes one coordinate level at a time; each level is
 expanded with numpy in blocks of ``_BLOCK`` children, with the coefficients
 held as exact float64 integers, so desk-scale instances (n <= 6) stay fast
 and temporaries stay small. Coset points are put in spiral order by one
-in-place sort of packed codes. The basis and the frame arrays are
-read-only, so the cache cannot go stale. Every enumeration shares one
-budget, the module constant ``DEFAULT_NODE_CAP`` on partial nodes; passing
-it raises ``EnumerationCapExceededError`` rather than truncating silently.
+in-place sort of packed codes, or by lexsort when they are few. The basis
+and the frame arrays are read-only, so the cache cannot go stale. Every
+enumeration shares one budget, the module constant ``DEFAULT_NODE_CAP`` on
+partial nodes; passing it raises ``EnumerationCapExceededError`` rather than
+truncating silently.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ DEFAULT_NODE_CAP = 10**8
 COVERING_GRID_CAP = 2**22  # covering_radius grid cells; with its meshgrid ~67*n MB
 _LLL_DELTA = 0.99  # Lovasz condition parameter
 _BLOCK = 2**12  # rows per block of frontier expansion, spiral packing and unpacking
+_PACKED_MIN = 2**10  # fewer coset points sort faster by lexsort than by packed codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,8 +486,8 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
     # below 2**53 (``_frame_target``)
     cols = trans[::-1].T.astype(float) @ rows.T
     del rows
-    packed = _spiral_codes(cols)
-    if packed is None:
+    packed = _spiral_codes(cols) if cols.shape[1] >= _PACKED_MIN else None
+    if packed is None:  # few points, or codes wider than 63 bits
         coeffs = cols.T.astype(np.int64, order="C")
         coeffs = coeffs[np.lexsort(_spiral_keys(coeffs))]
         points = coeffs @ basis + coset.offset

@@ -338,10 +338,11 @@ BOX_CAP = 3 * 10**5  # coefficient box rows the order oracle may scan
 @st.composite
 def _coset_searches(draw):
     """(basis, offset, center, radius) in n = 1..6 with up to about 2000
-    points in the ball; the centre sits near the offset or some 1000 away,
-    which makes the coefficients wide."""
+    points in the ball, so that both spiral sorts run; the centre sits near
+    the offset or some 1000 away, which makes the coefficients wide."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(rng.integers(1, 7))  # from the seed: Hypothesis would favour n = 1
+    # n and the size come from the seed: Hypothesis would favour small ones
+    n = int(rng.integers(1, 7))
     while True:
         basis = rng.normal(size=(n, n))
         if abs(np.linalg.det(basis)) >= 0.3 * np.prod(np.linalg.norm(basis, axis=1)):
@@ -349,7 +350,7 @@ def _coset_searches(draw):
     offset = rng.uniform(-2.0, 2.0, n)
     center = offset + rng.uniform(-2.0, 2.0, n) + draw(st.sampled_from([0.0, 1000.0]))
     volume = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    radius = (draw(st.integers(1, 2000)) * abs(np.linalg.det(basis)) / volume) ** (1 / n)
+    radius = (rng.integers(1, 2001) * abs(np.linalg.det(basis)) / volume) ** (1 / n)
     box_side = 2 * radius * np.linalg.norm(np.linalg.inv(basis), axis=0) + 2
     radius *= min(1.0, (BOX_CAP / np.prod(box_side)) ** (1 / n))
     return basis, offset, center, radius
@@ -438,14 +439,15 @@ class TestCosetEnumeration:
             assert len(coeffs) in (np.count_nonzero(norms < k), np.count_nonzero(norms <= k))
 
     def test_codes_past_63_bits_take_the_lexsort_path(self):
-        # coefficients near 1e4 need 15 bits in each of 5 coordinates
+        # coefficients near 1e4 need 15 bits in each of 5 coordinates, and
+        # the ball holds enough points for packed codes otherwise
         cs = lg.Coset(lg.Lattice(np.eye(5)), [0.1, -0.2, 0.3, 0.0, 0.25])
         center = np.array([1e4 + 0.3, 1e4 - 0.2, 1e4 + 0.1, 1e4, 1e4 - 0.4])
-        pts, coeffs = lg.enumerate_coset_in_ball(cs, center, 1.6, return_coefficients=True)
+        pts, coeffs = lg.enumerate_coset_in_ball(cs, center, 3.2, return_coefficients=True)
         codes = 2 * np.abs(coeffs) + (coeffs < 0)
         assert sum(int(z).bit_length() for z in codes.max(axis=0)) > 63
-        want = _box_coefficients(np.eye(5), cs.offset, center, 1.6)
-        assert len(want) > 50
+        want = _box_coefficients(np.eye(5), cs.offset, center, 3.2)
+        assert len(want) >= latgauss.lattice._PACKED_MIN
         assert np.array_equal(coeffs, want[np.lexsort(_spiral_keys(want))])
         assert pts.tobytes() == (coeffs @ cs.lattice.basis + cs.offset).tobytes()
 
