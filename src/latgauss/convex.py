@@ -151,9 +151,6 @@ class ConvexBody:
         """Extent of the body along the last coordinate (may be infinite)."""
         raise NotImplementedError
 
-    def to_document(self) -> dict:
-        raise UnsupportedBodyError(f"{self.kind} has no document form")
-
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConvexBody):
@@ -217,10 +214,6 @@ class Halfspace(ConvexBody):
             bound = self.offset / vn
             return (-math.inf, bound) if vn > 0 else (bound, math.inf)
         return (-math.inf, math.inf)
-
-    def to_document(self):
-        return {"kind": "halfspace", "dim": self.dim,
-                "normal": self.normal.tolist(), "offset": self.offset}
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,9 +280,6 @@ class AxisBox(ConvexBody):
     def last_axis_extent(self):
         w = self.semiwidths[-1]
         return (-w, w)
-
-    def to_document(self):
-        return {"kind": "axis_box", "dim": self.dim, "semiwidths": self.semiwidths.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,10 +349,6 @@ class Ball(ConvexBody):
         c = self.center[-1]
         return (c - self.radius, c + self.radius)
 
-    def to_document(self):
-        return {"kind": "ball", "dim": self.dim, "radius": self.radius,
-                "center": self.center.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(ConvexBody):
@@ -420,9 +406,6 @@ class Ellipsoid(ConvexBody):
     def last_axis_extent(self):
         a = self.semiaxes[-1]
         return (-a, a)
-
-    def to_document(self):
-        return {"kind": "ellipsoid", "dim": self.dim, "semiaxes": self.semiaxes.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,15 +545,11 @@ class HPolytope(ConvexBody):
         w = np.stack([-unit[j, 1], unit[j, 0]], axis=1)
         return unit, start, stop, live, stopper, j, d[j, None] * unit[j] + stop[j, None] * w
 
-    def to_document(self):
-        return {"kind": "hpolytope", "dim": self.dim,
-                "normals": self.normals.tolist(), "offsets": self.offsets.tolist(),
-                "interior_point": self.interior_point.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class FullSpace(ConvexBody):
-    """All of R^n; shows up as the degenerate slice of unbounded bodies."""
+    """All of R^n, the document kind ``space``. The degenerate slices of
+    unbounded bodies are ``SpaceSlices`` rows, not instances of this body."""
 
     dim: int
     kind: str = field(default="space", init=False)
@@ -607,9 +586,6 @@ class FullSpace(ConvexBody):
 
     def last_axis_extent(self):
         return (-math.inf, math.inf)
-
-    def to_document(self):
-        return {"kind": "space", "dim": self.dim}
 
 
 @dataclass(frozen=True, eq=False)

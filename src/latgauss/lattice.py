@@ -9,12 +9,13 @@ transform and the QR factors of the reduced basis, and every enumeration
 cached frame. The search goes one coordinate level at a time; each level is
 expanded with numpy in blocks of ``_BLOCK`` children, with the coefficients
 held as exact float64 integers, so desk-scale instances (n <= 6) stay fast
-and temporaries stay small. Coset points are put in spiral order by one
-in-place sort of packed codes, or by lexsort when they are few. The basis
-and the frame arrays are read-only, so the cache cannot go stale. Every
-enumeration shares one budget, the module constant ``DEFAULT_NODE_CAP`` on
-partial nodes; passing it raises ``EnumerationCapExceededError`` rather than
-truncating silently.
+and temporaries stay small. The spiral order of coefficient vectors has one
+encoder, ``_spiral_codes``, which packs it into int64 words: minima ties and
+small or wide coset outputs lexsort the words, and a large one-word output
+is sorted in place and unpacked. The basis and the frame arrays are
+read-only, so the cache cannot go stale. Every enumeration shares one
+budget, the module constant ``DEFAULT_NODE_CAP`` on partial nodes; passing
+it raises ``EnumerationCapExceededError`` rather than truncating silently.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ DEFAULT_NODE_CAP = 10**8
 COVERING_GRID_CAP = 2**22  # covering_radius grid cells; with its meshgrid ~67*n MB
 _LLL_DELTA = 0.99  # Lovasz condition parameter
 _BLOCK = 2**12  # rows per block of frontier expansion, spiral packing and unpacking
-_PACKED_MIN = 2**10  # fewer coset points sort faster by lexsort than by packed codes
+_PACKED_MIN = 2**10  # fewer coset points lexsort and gather faster than sort and unpack
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +93,6 @@ class Lattice:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def to_document(self) -> dict:
-        return {"basis": self.basis.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Coset:
@@ -115,9 +113,6 @@ class Coset:
     @property
     def dim(self) -> int:
         return self.lattice.dim
-
-    def to_document(self) -> dict:
-        return {"basis": self.lattice.basis.tolist(), "offset": self.offset.tolist()}
 
 
 def lattice_from_document(doc: dict) -> Lattice:
@@ -151,8 +146,9 @@ def _gs_row(b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norm2: np.ndarray,
     norm2[i] = bstar[i] @ bstar[i]
 
 
-def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Gram-Schmidt of the rows of b: (orthogonal rows, mu).
+def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized Gram-Schmidt of the rows of b: (orthogonal rows, mu,
+    their squared norms).
 
     mu is lower triangular with unit diagonal; mu[i, j] is the projection
     coefficient of row i on orthogonal row j.
@@ -162,7 +158,7 @@ def _gs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm2 = np.empty(b.shape[0])
     for i in range(b.shape[0]):
         _gs_row(b, bstar, mu, norm2, i)
-    return bstar, mu
+    return bstar, mu, norm2
 
 
 def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +175,7 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     t = np.eye(n, dtype=np.int64)
-    bstar, mu = _gs(b)
-    norm2 = np.array([v @ v for v in bstar])
+    bstar, mu, norm2 = _gs(b)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -305,62 +300,49 @@ def _level_range(center: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.
     return lo, np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
 
 
-def _spiral_keys(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """lexsort keys for the spiral order of coefficient rows, least significant first.
+def _spiral_codes(cols: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(words, bits): the spiral order of coefficient vectors as int64 words,
+    so that ``np.lexsort(words[::-1])`` sorts the vectors in that order.
 
-    The spiral order (README, "Numerical conventions") ranks rows coordinate
-    by coordinate, the first most significant, and within one coordinate by
-    |c| first, then c >= 0 before c < 0. Within one coordinate that is the
-    order of the zigzag code z = 2|c| + (c < 0), which maps 0, 1, -1, 2, -2
-    to 0, 2, 3, 4, 5. Consecutive coordinates' codes are packed into one int64
-    in mixed radix, each column's base max(z) + 1; a further key starts where
-    the product of the bases in the current one would pass 2**63. A single
-    column always fits, because ``_frame_target`` keeps |c| < 2**53.
-    """
-    z = 2 * np.abs(coeffs) + (coeffs < 0)
-    keys, span = [], 0
-    for col in z.T:  # column by column: an axis-0 max over int64 rows is slow
-        base = int(col.max(initial=0)) + 1
-        if keys and span * base <= 2**63:
-            keys[-1] = keys[-1] * base + col
-            span *= base
-        else:
-            keys.append(col)
-            span = base
-    return tuple(keys[::-1])
-
-
-def _spiral_codes(cols: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
-    """(codes, bits): the zigzag codes (see ``_spiral_keys``) of each
-    coefficient vector packed into one int64 bit field, coordinate j in
-    ``bits[j]`` bits and the first most significant, so that the codes sort
-    in the spiral order; None when they need more than 63 bits.
+    The spiral order (README, "Numerical conventions") ranks vectors
+    coordinate by coordinate, the first most significant, and within one
+    coordinate by |c| first, then c >= 0 before c < 0. Within one coordinate
+    that is the order of the zigzag code z = 2|c| + (c < 0), which maps 0, 1,
+    -1, 2, -2 to 0, 2, 3, 4, 5. Coordinate j's code takes ``bits[j]`` bits,
+    packed as bit fields with the first coordinate most significant. A word
+    holds whole coordinates and at most 63 bits, and a new word starts where
+    the next coordinate would not fit. A single coordinate always fits,
+    because ``_frame_target`` keeps |c| < 2**53.
 
     ``cols`` holds one row per coordinate (the vectors are its columns), as
-    integers in float64. Distinct vectors get distinct codes.
+    integers in float64. Distinct vectors get distinct words.
     """
     # 2|c| + 1 has the bit length of 2|c| for c != 0, and a zero column needs none
-    bits = [int(2 * top).bit_length()
-            for top in np.maximum(cols.max(axis=1, initial=0), -cols.min(axis=1, initial=0))]
-    if sum(bits) > 63:
-        return None
-    codes = np.empty(cols.shape[1], dtype=np.int64)
+    bits = [int(2 * top).bit_length() for top in np.abs(cols).max(axis=1, initial=0).tolist()]
+    starts, used = [], 64
+    for j, width in enumerate(bits):
+        if used + width > 63:
+            starts.append(j)
+            used = 0
+        used += width
+    words = np.empty((len(starts), cols.shape[1]), dtype=np.int64)
     for block in _blocks(cols.shape[1]):
         c = cols[:, block].astype(np.int64)
         z = np.abs(c)
         z <<= 1
-        z |= c < 0
-        packed = codes[block]
-        packed[:] = z[0]
-        for row, width in zip(z[1:], bits[1:]):
-            packed <<= width
-            packed |= row
-    return codes, bits
+        z -= c >> 63  # c >> 63 is -1 where c < 0
+        for word, a, b in zip(words, starts, starts[1:] + [len(bits)]):
+            packed = word[block]
+            packed[:] = z[a]
+            for row, width in zip(z[a + 1:b], bits[a + 1:b]):
+                packed <<= width
+                packed |= row
+    return words, bits
 
 
 def _unpack_spiral_codes(codes: np.ndarray, bits: list[int], out: np.ndarray) -> None:
-    """Write the coefficient rows of packed codes to ``out``: the inverse of
-    ``_spiral_codes``."""
+    """Write the coefficient rows of one-word codes to ``out``: the inverse of
+    ``_spiral_codes`` where it returns a single word."""
     shift = 0
     for j in range(len(bits) - 1, -1, -1):
         np.bitwise_and(codes >> shift, (1 << bits[j]) - 1, out=out[:, j])
@@ -406,9 +388,9 @@ def successive_minima(lattice: Lattice, body: ConvexBody) -> tuple[np.ndarray, n
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
     points = coeffs @ b
     gauges = body.gauge_many(points)
-    # quantized gauge first, spiral key as deterministic tie-break
+    # quantized gauge first, spiral order as deterministic tie-break
     quant = np.round(gauges / COMPARE_ATOL).astype(np.int64)
-    order = np.lexsort(_spiral_keys(coeffs.astype(np.int64)) + (quant,))
+    order = np.lexsort((*_spiral_codes(coeffs.T)[0][::-1], quant))
     points, gauges = points[order], gauges[order]
 
     lambdas = np.empty(lattice.dim)
@@ -486,14 +468,13 @@ def enumerate_coset_in_ball(coset: Coset, center, radius: float,
     # below 2**53 (``_frame_target``)
     cols = trans[::-1].T.astype(float) @ rows.T
     del rows
-    packed = _spiral_codes(cols) if cols.shape[1] >= _PACKED_MIN else None
-    if packed is None:  # few points, or codes wider than 63 bits
-        coeffs = cols.T.astype(np.int64, order="C")
-        coeffs = coeffs[np.lexsort(_spiral_keys(coeffs))]
+    words, bits = _spiral_codes(cols)
+    if len(words) > 1 or cols.shape[1] < _PACKED_MIN:
+        coeffs = cols.T.astype(np.int64, order="C")[np.lexsort(words[::-1])]
         points = coeffs @ basis + coset.offset
         return (points, coeffs) if return_coefficients else points
     del cols
-    codes, bits = packed
+    codes = words[0]
     codes.sort()  # the codes are distinct, so no stable sort is needed
     points = np.empty((codes.shape[0], coset.dim))
     coeffs = np.empty(points.shape if return_coefficients else (0, coset.dim), dtype=np.int64)

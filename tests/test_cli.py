@@ -9,6 +9,7 @@ import re
 import warnings
 from contextlib import redirect_stdout
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,6 +185,17 @@ CSV_ARGV = [
     ("alpha-search", "--n", "2", "--restarts", "1", "--resolution", "4"),
     ("cube-curve", "--n-values", "1,2"),
 ]
+
+
+def _disk_measure(radius, cx, cy):
+    """Standard Gaussian measure of the disk of ``radius`` about (cx, cy),
+    by mpmath quadrature over x of the density times the chord's measure."""
+    r, cx, cy = mpmath.mpf(radius), mpmath.mpf(cx), mpmath.mpf(cy)
+
+    def chord(x):
+        h = mpmath.sqrt(max(r**2 - (x - cx) ** 2, 0))
+        return mpmath.npdf(x) * (mpmath.ncdf(cy + h) - mpmath.ncdf(cy - h))
+    return mpmath.quad(chord, [cx - r, cx, cx + r])
 
 
 def run_cli(*argv):
@@ -501,11 +513,29 @@ class TestRecords:
     def test_csv_covers_every_subcommand(self):
         assert {argv[0] for argv in CSV_ARGV} == set(_COMMANDS)
 
+    # (document, its measure by an independent reference)
+    EXACT_MEASURES = [
+        (BALL, lambda: 1 - mpmath.exp(-mpmath.mpf(1.2)**2 / 2)),
+        ('{"kind": "space", "dim": 2}', lambda: 1),
+        # off-centre 1-d ball: the interval [-0.3, 1.1]
+        ('{"kind": "ball", "dim": 1, "radius": 0.7, "center": [0.4]}',
+         lambda: mpmath.ncdf(1.1) - mpmath.ncdf(-0.3)),
+        # off-centre 2-d ball: the noncentral chi-square CDF, against a quadrature
+        (OFF_CENTER_BALL, lambda: _disk_measure(1.5, 0.3, 0.0)),
+        # the box [0.5, 1.5] x [-1, 1] as facets that leave the origin out,
+        # so its interior point comes from the Chebyshev LP
+        ('{"kind": "hpolytope", "dim": 2, "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]], '
+         '"offsets": [1.5, -0.5, 1, 1]}',
+         lambda: (mpmath.ncdf(1.5) - mpmath.ncdf(0.5)) * (2 * mpmath.ncdf(1) - 1)),
+    ]
+
     def test_measure_exact_record(self):
-        code, out = run_cli("measure", "--body", BALL, "--method", "exact")
-        rec = json.loads(out)
-        assert rec["method"] == "exact"
-        assert rec["value"] == pytest.approx(1 - math.exp(-1.2**2 / 2), abs=1e-12)
+        for doc, want in self.EXACT_MEASURES:
+            code, out = run_cli("measure", "--body", doc, "--method", "exact")
+            rec = json.loads(out)
+            assert code == 0 and rec["method"] == "exact", doc
+            with mpmath.workdps(30):
+                assert rec["value"] == pytest.approx(float(want()), abs=1e-12), doc
 
     @pytest.mark.parametrize("doc, named", [
         ({"kind": "hpolytope", "dim": 3, "offsets": [1.0] * 6,

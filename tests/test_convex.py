@@ -1,6 +1,7 @@
 """Bodies: membership, slices, gauges, combinations, truncation radii."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,16 @@ def row_document(family, i):
     return doc
 
 
+def body_document(body):
+    """The document of a body, read off its fields (an H-polytope's without
+    its interior point)."""
+    fields = {"axis_box": ("semiwidths",), "ball": ("radius", "center"),
+              "halfspace": ("normal", "offset"), "ellipsoid": ("semiaxes",),
+              "hpolytope": ("normals", "offsets"), "space": ()}[body.kind]
+    return {"kind": body.kind, "dim": body.dim,
+            **{f: np.asarray(getattr(body, f)).tolist() for f in fields}}
+
+
 def reference_row_document(body, x):
     """The slice of a body at x in document form, as the scalar references
     compute it, or None where it is absent. An H-polytope slice is its
@@ -114,7 +125,7 @@ def reference_row_document(body, x):
                                          "normals": row[0].tolist(),
                                          "offsets": row[1].tolist()}
     ref = scalar_slice_reference(body, x)
-    return None if ref is None else ref.to_document()
+    return None if ref is None else body_document(ref)
 
 
 def symmetric_polytope(n, seed):
@@ -802,18 +813,21 @@ class TestValidation:
             make()
 
 
+README_BODY_DOCUMENTS = """\
+{"kind": "axis_box",  "dim": 2, "semiwidths": [0.674489750196082, Infinity]}
+{"kind": "ball",      "dim": 2, "radius": 1.2, "center": [0.0, 0.0]}
+{"kind": "halfspace", "dim": 2, "normal": [1.0, 0.0], "offset": 0.5}
+{"kind": "ellipsoid", "dim": 2, "semiaxes": [2.0, 0.5]}
+{"kind": "hpolytope", "dim": 2, "normals": [[1,0],[-1,0],[0,1],[0,-1]], "offsets": [1,1,1,1]}
+{"kind": "space",     "dim": 2}"""
+
+
 class TestDocuments:
     def test_round_trip(self):
-        bodies = [lg.AxisBox([0.5, math.inf]),
-                  lg.Ball(1.25, center=[0.1, -0.2]),
-                  lg.Halfspace([0.6, 0.8], 0.125),
-                  lg.Ellipsoid([1.0, 2.0]),
-                  lg.HPolytope([[1, 0], [-1, 0]], [1, 1]),
-                  lg.FullSpace(3)]
-        for body in bodies:
-            doc = body.to_document()
-            back = lg.body_from_document(doc)
-            assert back.kind == body.kind and back.dim == body.dim
+        # the README's documents: each body's fields give its document back
+        for line in README_BODY_DOCUMENTS.splitlines():
+            doc = json.loads(line)
+            assert body_document(lg.body_from_document(doc)) == doc
 
     def test_bit_exact_floats(self):
         x = 0.1 + 0.2  # not representable as a round decimal

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import latgauss as lg
 import latgauss.lattice
 from latgauss.errors import InvalidLatticeError, ResolutionTooCoarseError
-from latgauss.lattice import COMPARE_ATOL, _gs, _spiral_keys
+from latgauss.lattice import COMPARE_ATOL, _gs, _spiral_codes
 from latgauss.minkowski import random_theta_lattice
 
 
@@ -77,22 +78,25 @@ class TestFrame:
 
 class TestGramSchmidt:
     def test_identity(self):
-        bstar, mu = _gs(np.eye(3))
+        bstar, mu, norm2 = _gs(np.eye(3))
         assert np.allclose(bstar, np.eye(3))
         assert np.allclose(mu, np.eye(3))
+        assert np.array_equal(norm2, np.ones(3))
 
     def test_hand_example(self):
-        bstar, mu = _gs(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        bstar, mu, norm2 = _gs(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert np.allclose(bstar, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(norm2, [1.0, 1.0])
         assert mu[1, 0] == pytest.approx(1.0)
 
     def test_determinant_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             lat = _random_lattice_2d(rng)
-            bstar, _ = _gs(lat.basis)
+            bstar, _, norm2 = _gs(lat.basis)
             prod = float(np.prod(np.linalg.norm(bstar, axis=1)))
             assert prod == pytest.approx(_det(lat), rel=1e-9)
+            assert math.sqrt(np.prod(norm2)) == pytest.approx(prod, rel=1e-12)
 
 
 class TestLLL:
@@ -332,6 +336,16 @@ def _box_coefficients(basis, offset, center, radius):
     return box[np.linalg.norm(box @ basis + offset - center, axis=1) <= radius + COMPARE_ATOL]
 
 
+def _per_coordinate_order(c):
+    """The spiral order of int64 coefficient rows, stable, by one lexsort
+    key pair per coordinate: |c|, then c < 0, the first coordinate most
+    significant."""
+    keys = []
+    for j in range(c.shape[1] - 1, -1, -1):
+        keys += (c[:, j] < 0, np.abs(c[:, j]))
+    return np.lexsort(keys)
+
+
 BOX_CAP = 3 * 10**5  # coefficient box rows the order oracle may scan
 
 
@@ -420,7 +434,7 @@ class TestCosetEnumeration:
         pts, coeffs = lg.enumerate_coset_in_ball(cs, center, radius, return_coefficients=True)
         want = _box_coefficients(basis, offset, center, radius)
         assert coeffs.dtype == np.int64
-        assert np.array_equal(coeffs, want[np.lexsort(_spiral_keys(want))])
+        assert np.array_equal(coeffs, want[_per_coordinate_order(want)])
         assert pts.tobytes() == (coeffs @ cs.lattice.basis + offset).tobytes()
         assert lg.enumerate_coset_in_ball(cs, center, radius).tobytes() == pts.tobytes()
 
@@ -439,17 +453,25 @@ class TestCosetEnumeration:
             assert len(coeffs) in (np.count_nonzero(norms < k), np.count_nonzero(norms <= k))
 
     def test_codes_past_63_bits_take_the_lexsort_path(self):
-        # coefficients near 1e4 need 15 bits in each of 5 coordinates, and
-        # the ball holds enough points for packed codes otherwise
-        cs = lg.Coset(lg.Lattice(np.eye(5)), [0.1, -0.2, 0.3, 0.0, 0.25])
-        center = np.array([1e4 + 0.3, 1e4 - 0.2, 1e4 + 0.1, 1e4, 1e4 - 0.4])
-        pts, coeffs = lg.enumerate_coset_in_ball(cs, center, 3.2, return_coefficients=True)
-        codes = 2 * np.abs(coeffs) + (coeffs < 0)
-        assert sum(int(z).bit_length() for z in codes.max(axis=0)) > 63
-        want = _box_coefficients(np.eye(5), cs.offset, center, 3.2)
-        assert len(want) >= latgauss.lattice._PACKED_MIN
-        assert np.array_equal(coeffs, want[np.lexsort(_spiral_keys(want))])
-        assert pts.tobytes() == (coeffs @ cs.lattice.basis + cs.offset).tobytes()
+        # each ball holds enough points for one packed word otherwise
+        for offset, center, radius, bits in [
+            # coefficients near 1e4 need 15 bits in each of 5 coordinates
+            ([0.1, -0.2, 0.3, 0.0, 0.25], [1e4 + 0.3, 1e4 - 0.2, 1e4 + 0.1, 1e4, 1e4 - 0.4],
+             3.2, 75),
+            # 11 + 11 + 11 + 11 + 10 + 10 bits: one bit past a word, and the
+            # first code crosses 2**10, so a 64-bit word would flip its sign
+            ([0.1, -0.2, 0.3, 0.0, 0.25, -0.1], [512.2, 700.1, 700.4, 700.0, 300.3, 300.0],
+             2.5, 64),
+        ]:
+            n = len(center)
+            cs = lg.Coset(lg.Lattice(np.eye(n)), offset)
+            pts, coeffs = lg.enumerate_coset_in_ball(cs, center, radius, return_coefficients=True)
+            codes = 2 * np.abs(coeffs) + (coeffs < 0)
+            assert sum(int(z).bit_length() for z in codes.max(axis=0)) == bits
+            want = _box_coefficients(np.eye(n), cs.offset, np.array(center), radius)
+            assert len(want) >= latgauss.lattice._PACKED_MIN
+            assert np.array_equal(coeffs, want[_per_coordinate_order(want)])
+            assert pts.tobytes() == (coeffs @ cs.lattice.basis + cs.offset).tobytes()
 
     def test_traced_peak_stays_near_the_outputs(self):
         # 6-d coset with about 2e5 points: beyond its two outputs the peak
@@ -478,7 +500,7 @@ class TestCosetEnumeration:
 @st.composite
 def _coefficient_rows(draw):
     """int64 coefficient rows of 1..6 columns, some repeated, with entries
-    up to +-2**52 so that the packed spiral order needs several keys."""
+    up to +-2**52 so that the spiral order needs several words."""
     n = draw(st.integers(1, 6))
     bound = draw(st.sampled_from([1, 3, 1000, 2**52]))
     rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
@@ -489,25 +511,26 @@ def _coefficient_rows(draw):
 
 
 class TestSpiralKeys:
-    @staticmethod
-    def _per_coordinate_order(c):
-        keys = []
-        for j in range(c.shape[1] - 1, -1, -1):
-            keys += (c[:, j] < 0, np.abs(c[:, j]))
-        return np.lexsort(keys)
-
     @given(_coefficient_rows())
     @example(np.zeros((0, 4), dtype=np.int64))
     @example(np.array([[2**52, -2**52, 1], [-2**52, 2**52, -1], [2**52, -2**52, 1],
                        [0, -2**52, 0]], dtype=np.int64))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_packed_keys_keep_the_per_coordinate_order(self, c):
-        assert np.array_equal(np.lexsort(_spiral_keys(c)), self._per_coordinate_order(c))
+        words, _ = _spiral_codes(c.T.astype(float))
+        assert np.array_equal(np.lexsort(words[::-1]), _per_coordinate_order(c))
 
     def test_wide_entries_take_several_keys(self):
-        c = np.array([[2**52, -2**52, 1], [-3, 2, -2**52]], dtype=np.int64)
-        assert len(_spiral_keys(c)) == 3
-        assert len(_spiral_keys(np.array([[0, -1, 2], [1, 2, -3]], dtype=np.int64))) == 1
+        for rows, count in [
+            ([[2**52, -2**52, 1], [-3, 2, -2**52]], 3),  # 54 bits a coordinate
+            ([[0, -1, 2], [1, 2, -3]], 1),
+            ([[2**52, 255], [-1, -255]], 1),  # 54 + 9 bits fill one word
+            ([[2**52, 256], [-1, -255]], 2),  # 54 + 10 bits do not
+        ]:
+            c = np.array(rows, dtype=np.int64)
+            words, _ = _spiral_codes(c.T.astype(float))
+            assert len(words) == count
+            assert np.array_equal(np.lexsort(words[::-1]), _per_coordinate_order(c))
 
 
 class TestCoveringRadius:
@@ -556,14 +579,14 @@ class TestCoveringRadius:
 
 class TestDocuments:
     def test_lattice_round_trip(self):
-        lat = lg.Lattice([[1.5, 0.25], [0.0, 2.0]])
-        doc = lat.to_document()
-        assert np.array_equal(lg.lattice_from_document(doc).basis, lat.basis)
+        # the README's lattice document, and one whose floats are not round decimals
+        for basis in ([[1.0, 0.0], [0.0, 1.0]], [[1.5, 0.1 + 0.2], [0.0, 2.0]]):
+            assert lg.lattice_from_document({"basis": basis}).basis.tolist() == basis
 
     def test_coset_round_trip(self):
-        cs = lg.Coset(lg.Lattice(np.eye(2)), [0.5, -0.25])
-        back = lg.coset_from_document(cs.to_document())
-        assert np.array_equal(back.offset, cs.offset)
+        doc = json.loads('{"basis": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.5, 0.5]}')
+        cs = lg.coset_from_document(doc)
+        assert {"basis": cs.lattice.basis.tolist(), "offset": cs.offset.tolist()} == doc
 
     def test_coset_without_offset_is_the_lattice(self):
         cs = lg.coset_from_document({"basis": [[1.5, 0.25], [0.0, 2.0]]})
