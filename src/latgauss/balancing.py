@@ -61,8 +61,10 @@ def _sign_rows(m: int) -> np.ndarray:
     """
     if m < _LOW_BITS:
         return _sign_rows(_LOW_BITS)[:1 << m, _LOW_BITS - m:]
-    codes = np.arange(1 << m)[:, None]
-    rows = 1.0 - 2.0 * ((codes >> np.arange(m - 1, -1, -1)) & 1)
+    codes = np.arange(1 << m, dtype=np.int32)
+    rows = np.empty((1 << m, m))
+    for j in range(m):  # a column at a time, so no temporary is table-sized
+        rows[:, j] = 1.0 - 2.0 * ((codes >> (m - 1 - j)) & 1)
     rows.flags.writeable = False
     return rows
 
@@ -88,18 +90,27 @@ def _exhaustive_scan(stack: np.ndarray, body: ConvexBody) -> tuple[np.ndarray, n
     each high pattern is scanned as one gauge call on the low sums plus its
     high sum, for as many sequences at once as keep the call within 2^16
     rows. Working memory is O(2^16 * n) whatever k and c are.
+
+    When one sequence fills the 2^16 rows (k >= 18) and the body has an
+    inscribed form (see ``_screened_scan``), each high pattern takes the
+    exact gauge only on the low rows that can still reach its minimum. The
+    rows it skips cannot be a minimum, so radius and code are the same bits.
     """
     c, k, n = stack.shape
     lo = min(k - 1, _LOW_BITS)
     hi = k - 1 - lo
     low_rows, high_rows = _sign_rows(lo), _sign_rows(hi)
     per = (1 << _LOW_BITS) >> lo
+    form = body._inscribed_form() if hi else None
     radii = np.full(c, math.inf)
     codes = np.zeros(c, dtype=np.int64)
     for s in range(0, c, per):
         part = stack[s:s + per]
         low = low_rows @ part[:, 1 + hi:]
         high = part[:, :1] + high_rows @ part[:, 1:1 + hi]
+        if form is not None and _screenable(part, form[0]):  # per == 1 here
+            radii[s], codes[s] = _screened_scan(low[0], high[0], body, *form)
+            continue
         best_r, best_c = radii[s:s + per], codes[s:s + per]
         rows = np.arange(len(part))
         # high patterns ascend in the outer loop and argmin returns the first
@@ -115,6 +126,73 @@ def _exhaustive_scan(stack: np.ndarray, body: ConvexBody) -> tuple[np.ndarray, n
     return radii, codes
 
 
+def _screenable(vecs: np.ndarray, semiaxes: np.ndarray) -> bool:
+    """True when every nonzero entry of ``vecs`` lies within 2^-300..2^300 and
+    every finite semiaxis within 2^-150..2^150 (NaN and inf entries never
+    do): then every sum, square and product that the screen or a gauge forms
+    is a normal float, and its rounding is relative."""
+    a = np.abs(vecs[vecs != 0])
+    r = semiaxes[semiaxes < math.inf]
+    return bool(np.all((a >= 2.0 ** -300) & (a <= 2.0 ** 300))
+                and np.all((r >= 2.0 ** -150) & (r <= 2.0 ** 150)))
+
+
+def _screened_scan(low: np.ndarray, high: np.ndarray, body: ConvexBody,
+                   semiaxes: np.ndarray, c2: int) -> tuple[float, int]:
+    """Minimum gauge and code over the sums high[h] + low[j] of one sequence.
+
+    The screen. E = {x : sum w_k x_k^2 <= 1}, w = 1 / semiaxes^2, sits inside
+    the body and the body inside sqrt(c2) * E (``_inscribed_form``), so
+    g_E(x)^2 / c2 <= g(x)^2 <= g_E(x)^2 =: S(x). For high pattern h,
+    S(low + hh) = q_low + low @ (2 w hh) + q_hh with q = sum w x^2: one
+    matrix-vector product per pattern. Let S_min = S(x*) be its least value.
+    A row x whose gauge ties the minimum has
+    S(x) <= c2 g(x)^2 <= c2 g(x*)^2 <= c2 S_min, so it passes.
+
+    The margin. The computed S is within delta = 16 (n+2) eps (max q_low +
+    q_hh) of the exact one, at least twice its rounding error. The float
+    weights and sums, and each kind's gauge (within (n/2 + 2) eps relative),
+    move the sandwich by less than tol = 16 (n+2) eps relative. So a row
+    tying the computed minimum gauge has computed
+    S <= c2 (S_min + delta)(1 + tol) + delta, and a row passes when
+    S <= c2 (S_min + 2 delta)(1 + tol) + 2 delta: the doubled delta also
+    covers this bound's own rounding. The bounds are relative, so they hold
+    only where nothing underflows or overflows, which ``_screenable``
+    checks first.
+
+    The exact gauge runs on the passing rows (the whole block, ungathered,
+    when all pass). Its first minimum is the block's first minimum, with the
+    same bits, since every kind gauges each row alone.
+    """
+    n = low.shape[1]
+    lo = len(low).bit_length() - 1
+    tol = 16 * (n + 2) * np.finfo(float).eps
+    weights = 1.0 / semiaxes ** 2  # 0 along free axes
+    q_low = (low * low) @ weights
+    q_max = float(q_low.max())
+    block = None  # column-major copy of low and its sum buffer, once a whole block passes
+    best_r, best_c = math.inf, 0
+    for h, hh in enumerate(high):
+        q_hh = float((hh * hh) @ weights)
+        delta = tol * (q_max + q_hh)
+        screen = low @ (2.0 * weights * hh)
+        screen += q_low  # S - q_hh: q_hh moves into the bound
+        bound = c2 * (screen.min() + q_hh + 2 * delta) * (1 + tol) + 2 * delta - q_hh
+        passing = screen <= bound
+        if passing.all():  # no gather; whole columns make the sum and gauge faster
+            if block is None:
+                block = np.asfortranarray(low), np.empty_like(low, order="F")
+            rows, sums = None, np.add(block[0], hh, out=block[1])
+        else:
+            rows = np.flatnonzero(passing)
+            sums = low[rows] + hh
+        gauges = body.gauge_many(sums)
+        i = int(np.argmin(gauges))
+        if gauges[i] < best_r:  # lowest code among equal minima, as above
+            best_r, best_c = float(gauges[i]), (h << lo) | int(i if rows is None else rows[i])
+    return best_r, best_c
+
+
 def balance_exhaustive(vectors, body: ConvexBody) -> BalanceResult:
     """Exact minimum V-gauge over all sign patterns (first sign fixed +1).
 
@@ -123,6 +201,13 @@ def balance_exhaustive(vectors, body: ConvexBody) -> BalanceResult:
     The scan is a meet-in-the-middle block scan (see ``_exhaustive_scan``)
     in O(2^16 * n) memory. The sums are added in a different order than a
     direct signed sum, so the radius may differ from it in the last ulps.
+
+    From k = 18 on, against a ball, an ellipsoid or an axis box, the scan
+    gauges only the sums that the body's inscribed ellipsoid E, with E
+    inside V inside sqrt(c2) * E, cannot rule out, under a margin that
+    bounds the rounding (see ``_screened_scan``). Every sum that ties the
+    minimum is gauged, so radius and signs are bitwise those of gauging
+    all 2^(k-1) sums.
     """
     v = _check_inputs(vectors, body)
     k = v.shape[0]

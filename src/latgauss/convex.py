@@ -110,6 +110,13 @@ class ConvexBody:
     def _sections(self, origins: np.ndarray, frame: np.ndarray) -> "SliceFamily":
         raise UnsupportedBodyError(f"{self.kind} bodies do not support slicing")
 
+    def _inscribed_form(self) -> tuple[np.ndarray, int] | None:
+        """Semiaxes r and factor c2 of an axis ellipsoid E = {x : sum (x_k / r_k)^2
+        <= 1}, free along axes of infinite r_k, with E inside the body inside
+        sqrt(c2) * E, so that g_E / sqrt(c2) <= gauge <= g_E; None where a kind
+        has none. The exhaustive balancing scan screens its sums with it."""
+        return None
+
     def slices(self, xs) -> "SliceFamily":
         """Cross-sections {y : (y, x) in body} at every last coordinate in xs:
         the sections at origins x * e_n over the frame e_1..e_{n-1}."""
@@ -260,6 +267,10 @@ class AxisBox(ConvexBody):
         return _polytope_sections(np.vstack([facets, -facets]), np.concatenate([w, w]),
                                   origins, frame)
 
+    def _inscribed_form(self):
+        # the ellipsoid through the facet centres, a cylinder over infinite axes
+        return self.semiwidths, int(np.sum(self.semiwidths < math.inf))
+
     slice_at = ConvexBody.slice_at
 
     def circumradius(self):
@@ -327,6 +338,9 @@ class Ball(ConvexBody):
         radii = np.sqrt(r2, out=np.zeros_like(r2), where=present)
         return BallSlices(len(frame), present, center, radii)
 
+    def _inscribed_form(self):
+        return (np.full(self.dim, self.radius), 1) if self.symmetric else None
+
     slice_at = ConvexBody.slice_at
 
     def circumradius(self):
@@ -387,6 +401,9 @@ class Ellipsoid(ConvexBody):
         axes = (self.semiaxes[cols] if len(rows) == len(frame)
                 else 1.0 / np.sqrt(np.linalg.eigvalsh(form @ form.T)))
         return EllipsoidSlices(len(frame), present, axes * scale[:, None])
+
+    def _inscribed_form(self):
+        return self.semiaxes, 1
 
     slice_at = ConvexBody.slice_at
 

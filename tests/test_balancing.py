@@ -34,22 +34,45 @@ def _symmetric_polytope(n):
 # GAUGES plus a polytope, whose multi-row gauge is a BLAS matrix product
 TARGETS = {**GAUGES, "hpolytope": _symmetric_polytope}
 
+# the kinds with an inscribed form, at aspect ratios up to 1e4
+SCREENED = {
+    "ball": lambda n: lg.Ball(0.7, dim=n),
+    "ellipsoid": lambda n: lg.Ellipsoid(np.geomspace(1e-2, 1e2, n)),
+    "axis_box": lambda n: lg.AxisBox(np.geomspace(1e2, 1e-2, n)),
+    "axis_box_inf": lambda n: lg.AxisBox(np.r_[np.inf, np.geomspace(0.5, 5e3, n - 1)]),
+}
+
+# (rng, k, n) -> k vectors: inexact sums, exact ties, repeats, all zero
+DRAWS = {
+    "gaussian": lambda rng, k, n: rng.standard_normal((k, n)),
+    "integers": lambda rng, k, n: rng.integers(-3, 4, size=(k, n)).astype(float),
+    "repeated": lambda rng, k, n: rng.standard_normal((2, n))[rng.integers(2, size=k)],
+    "zeros": lambda rng, k, n: np.zeros((k, n)),
+}
+
 
 def _first_minimum_by_codes(vecs, body):
-    """Reference scan: pattern code c drives sign j+1 by bit (k-2-j), chunk
-    by chunk, keeping the first strict minimum in ascending code order."""
+    """Reference scan: pattern code c drives sign j+1 by bit (k-2-j), and the
+    first strict minimum in ascending code order wins. The sum of code c is
+    formed as the scan forms it, the signed sum of its high bits (vector 0
+    included) plus that of its last lo = min(k-1, 16) bits, so radii compare
+    bitwise on inexact inputs too. Every sum is gauged."""
     k = len(vecs)
-    shifts = np.arange(k - 2, -1, -1)
+    lo = min(k - 1, 16)
+    hi = k - 1 - lo
+
+    def signs(m):
+        return 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+
+    low = signs(lo) @ vecs[1 + hi:]
+    high = vecs[0] + signs(hi) @ vecs[1:1 + hi]
     best_r, best_code = math.inf, 0
-    for start in range(0, 1 << (k - 1), 1 << 14):
-        codes = np.arange(start, min(start + (1 << 14), 1 << (k - 1)))
-        signs = np.hstack([np.ones((len(codes), 1)),
-                           1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)])
-        gauges = body.gauge_many(signs @ vecs)
+    for h, hh in enumerate(high):
+        gauges = body.gauge_many(low + hh)
         j = int(np.argmin(gauges))
         if gauges[j] < best_r:
-            best_r, best_code = float(gauges[j]), start + j
-    return best_r, (1,) + tuple(1 - 2 * ((best_code >> int(s)) & 1) for s in shifts)
+            best_r, best_code = float(gauges[j]), (h << lo) + j
+    return best_r, (1,) + tuple(1 - 2 * ((best_code >> s) & 1) for s in range(k - 2, -1, -1))
 
 
 def _heuristic_reference(vectors, body, restarts=16, seed=0):
@@ -236,14 +259,54 @@ class TestBalanceExhaustive:
         assert r.signs.signs == pattern
 
     def test_scan_memory_independent_of_pattern_count(self):
-        vecs = np.random.default_rng(4).standard_normal((20, 4))
-        tracemalloc.start()
-        try:
-            lg.balance_exhaustive(vecs, lg.Ellipsoid([1.0, 2.0, 0.5, 1.5]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        for k in (20, 24):
+            vecs = np.random.default_rng(4).standard_normal((k, 4))
+            for kind in sorted(GAUGES):
+                body = GAUGES[kind](4)
+                assert _peak_bytes(lambda: lg.balance_exhaustive(vecs, body)) < 32e6, (k, kind)
+
+    def test_sign_table_built_without_table_sized_temporaries(self):
+        table = 8 * 16 << 16
+        assert _peak_bytes(lambda: balancing._sign_rows.__wrapped__(16)) < table + 2e6
+        assert np.array_equal(balancing._sign_rows(16), balancing._sign_rows.__wrapped__(16))
+
+    @pytest.mark.parametrize("kind", sorted(SCREENED))
+    @pytest.mark.parametrize("k", [18, 20])
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_screened_scan_matches_reference(self, kind, k, draw):
+        # the screen gauges only the rows that can reach each block's minimum;
+        # radius and first minimal pattern must be those of gauging every row
+        rng = np.random.default_rng(k)
+        n = 2 + k % 4
+        body = SCREENED[kind](n)
+        for scale in (1e-6, 1.0, 1e6):
+            vecs = scale * DRAWS[draw](rng, k, n)
+            radius, pattern = _first_minimum_by_codes(vecs, body)
+            r = lg.balance_exhaustive(vecs, body)
+            assert r.radius == radius
+            assert r.signs.signs == pattern
+
+    @pytest.mark.parametrize("scale", [2.0 ** -400, 1.0, 2.0 ** 400])
+    def test_scan_outside_the_screen_range_matches_reference(self, scale):
+        # entries past 2^+-300, or a semiaxis past 2^+-150, take the unscreened loop
+        vecs = scale * np.random.default_rng(3).standard_normal((18, 3))
+        for body in (lg.Ball(1.5, dim=3), lg.AxisBox([0.5, np.inf, 2.0]),
+                     lg.Ellipsoid([0.5, 1e200, 2.0])):
+            radius, pattern = _first_minimum_by_codes(vecs, body)
+            r = lg.balance_exhaustive(vecs, body)
+            assert (r.radius, r.signs.signs) == (radius, pattern)
+
+    def test_box_minimum_off_the_euclidean_minimum(self):
+        # the screen of a box is its inscribed ball, which c2 = 2 widens to
+        # the square: the l-inf nearest sum is not the l2 nearest one here
+        vecs = np.random.default_rng(5).standard_normal((18, 2))
+        box = lg.AxisBox([1.0, 1.0])
+        l2 = lg.balance_exhaustive(vecs, lg.Ball(1.0, dim=2))
+        radius, pattern = _first_minimum_by_codes(vecs, box)
+        assert pattern != l2.signs.signs
+        assert box.gauge(np.array(l2.signs.signs) @ vecs) > radius
+        r = lg.balance_exhaustive(vecs, box)
+        assert (r.radius, r.signs.signs) == (radius, pattern)
 
     @pytest.mark.parametrize("k", [18, 20])
     def test_stacked_scan_matches_each_sequence(self, k):
