@@ -8,7 +8,11 @@ ellipsoids (Ruben's mixture of chi-square CDFs, up to SERIES_TERM_CAP
 terms), bounded polygons (a signed sum of triangles, each by Owen's T
 function), the full space and every 1-d body, which is an interval; each
 is written once, in ``measure_slices``, for a family of bodies (a body
-alone is a one-row family). Everything else is seeded Monte Carlo.
+alone is a one-row family). A 3-d H-polytope has no closed form, but its
+polygon sections do, and Ehrhard's inequality makes Phi^{-1} of their
+measures concave along any axis: ``measure_bracket`` turns chords of that
+function into certified lower and upper ends, each a sum of bivariate
+normal rectangles by Owen's T. Everything else is seeded Monte Carlo.
 
 Owen's T is accurate in absolute terms, so a polygon's measure is exact to
 about 1e-16, not relative to its size: ``minkowski.w_profile`` leaves
@@ -23,7 +27,8 @@ target measure is therefore a quantile of the gauge: a root of the closed
 form where one exists, an order statistic of the seeded draw otherwise.
 
 All confidence half-widths use the two-sided 99% convention, z = 2.576,
-and every certificate reads the interval ``MeasureEstimate.lower``/``upper``.
+and every certificate reads the interval ``MeasureEstimate.lower``/``upper``,
+which for a bracket are its certified ends.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (BOUNDARY_ATOL, BallSlices, BoxSlices, ConvexBody, EllipsoidSlices,
-                     HalfspaceSlices, PolytopeSlices, SliceFamily, SpaceSlices, polygon_edges)
+                     HalfspaceSlices, HPolytope, PolytopeSlices, SliceFamily, SpaceSlices,
+                     polygon_edges, tail_radius)
 from .errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 
 Z99 = 2.576  # two-sided 99% normal quantile, one convention everywhere
@@ -54,10 +60,17 @@ MC_SHARD_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """A probability with provenance: exact closed form or Monte Carlo."""
+    """A probability with provenance: exact closed form, certified Ehrhard
+    bracket or Monte Carlo.
+
+    A Monte Carlo ``half_width`` is the 99% binomial half-width, and the
+    certified interval spans CERT_HALF_WIDTHS of them on each side. A
+    bracket's ``value`` is the midpoint of its certified ends and its
+    ``half_width`` half their distance, so its interval is value +- half_width.
+    """
 
     value: float
-    method: str  # "exact" | "monte-carlo"
+    method: str  # "exact" | "bracket" | "monte-carlo"
     half_width: float = 0.0
     samples: int = 0
 
@@ -66,20 +79,26 @@ class MeasureEstimate:
             raise ValueError(f"measure must lie in [0, 1], got {self.value}")
         if self.half_width < 0.0:
             raise ValueError("half_width must be nonnegative")
-        if self.method not in ("exact", "monte-carlo"):
+        if self.method not in ("exact", "bracket", "monte-carlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "exact" and self.half_width != 0.0:
             raise ValueError("exact estimates carry zero half_width")
 
     @property
+    def _reach(self) -> float:
+        return self.half_width * (CERT_HALF_WIDTHS if self.method == "monte-carlo" else 1.0)
+
+    @property
     def lower(self) -> float:
-        """Certified lower end: value - CERT_HALF_WIDTHS * half_width."""
-        return self.value - CERT_HALF_WIDTHS * self.half_width
+        """Certified lower end: value - CERT_HALF_WIDTHS * half_width for
+        Monte Carlo, value - half_width for a bracket."""
+        return self.value - self._reach
 
     @property
     def upper(self) -> float:
-        """Certified upper end: value + CERT_HALF_WIDTHS * half_width."""
-        return self.value + CERT_HALF_WIDTHS * self.half_width
+        """Certified upper end: value + CERT_HALF_WIDTHS * half_width for
+        Monte Carlo, value + half_width for a bracket."""
+        return self.value + self._reach
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +328,175 @@ def _ellipsoid_series(semiaxes: np.ndarray) -> np.ndarray | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Ehrhard brackets
+# ---------------------------------------------------------------------------
+
+BRACKET_NODES = 201  # section nodes of a body's bracket, the default w_profile grid
+_SECTION_ERR = 1e-14  # absolute error of an Owen's T polygon measure, per facet
+_PIECE_ERR = 1e-13  # absolute rounding of one closed-form piece of a bracket
+
+
+def measure_bracket(body: ConvexBody) -> MeasureEstimate:
+    """Certified bracket of gamma_3 of a 3-d H-polytope, with no draw.
+
+    Its sections along e_1 at BRACKET_NODES points over [-R, R],
+    R = ``tail_radius(3)``, are one ``sections`` family of polygons,
+    measured exactly by Owen's T in one ``measure_slices`` call, and
+    ``ehrhard_bracket`` turns those measures into certified ends. Like
+    every closed form it measures the membership body, offsets moved out
+    by BOUNDARY_ATOL. Raises UnsupportedBodyError for any other body, for
+    an unbounded section and for too few nonempty sections.
+    """
+    if not (isinstance(body, HPolytope) and body.dim == 3):
+        raise UnsupportedBodyError(f"no Ehrhard bracket for a {body.dim}-d {body.kind}")
+    r = tail_radius(3)
+    ts = np.linspace(-r, r, BRACKET_NODES)
+    axes = np.eye(3)
+    measures = measure_slices(body.sections(np.outer(ts, axes[0]), axes[1:]))
+    lower, upper = ehrhard_bracket(ts, measures, len(body.normals))
+    return MeasureEstimate((lower + upper) / 2.0, "bracket", half_width=(upper - lower) / 2.0)
+
+
+def ehrhard_bracket(ts: np.ndarray, measures: np.ndarray, facets: int) -> tuple[float, float]:
+    """Certified (lower, upper) of the integral of phi(t) * m(t) over the
+    line, where m(t) is the measure of the section at t of a convex body
+    and ``measures`` are its Owen's T measures at the ascending nodes ts.
+
+    By Ehrhard's inequality (Ehrhard 1983; Borell 2003), g = Phi^{-1}(m) is
+    concave where m > 0, and m vanishes off an interval. So on each
+    interval between nodes the chord of g lies below g, and the two
+    neighbouring chords, extended, lie above it. Each piece
+    int_a^b phi(t) Phi(alpha + beta t) dt is a bivariate normal rectangle
+    in closed form (``_wedge``), with no quadrature.
+
+    - **Node error.** A polygon of ``facets`` facets measures within
+      eps = facets * _SECTION_ERR of its true value (against 30-digit
+      mpmath, a hexagon's worst error is 3.3e-16). A chord below g
+      reads Phi^{-1}(m - eps) at both nodes. An extended chord grows with
+      its near node and falls with its far one, so it reads
+      Phi^{-1}(m + eps) at the near node and Phi^{-1}(m - eps) at the far
+      one. Where m - eps <= 0 that far value is -inf: the extended chord
+      bounds nothing and the other neighbour, or 1, takes its place, and
+      a chord from such a node adds nothing below. So a section of
+      measure near the float noise is sound at both ends.
+    - **Upper bound.** On each interval it is the smaller of the two
+      extended neighbours, split where they cross. Each end piece extends
+      its adjacent chord out to the nearest node that reads at most eps
+      (an empty polygon may read float noise), or to +-inf. Such a node e
+      has true measure at most 2 eps, and some node k reads above 3 eps,
+      so has more: concavity then keeps m below 2 eps everywhere past e,
+      and the mass there, at most 2 eps, is added.
+    - **Rounding.** A piece is four Owen's T and normal CDF terms of at
+      most 1, each within a few ulps, at line coefficients rounded to
+      about 1e-16 * |beta t|, which moves it by about 1e-14 at most; each
+      end moves out by _PIECE_ERR per piece summed.
+
+    Raises UnsupportedBodyError unless two adjacent nodes read above
+    3 eps, with a finite chord between them.
+    """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    err = facets * _SECTION_ERR
+    solid = measures > 3.0 * err
+    if not np.any(solid[:-1] & solid[1:]):
+        raise UnsupportedBodyError("too few nonempty sections for an Ehrhard bracket")
+    low = special.ndtri(np.maximum(measures - err, 0.0))  # -inf at 0
+    high = special.ndtri(np.minimum(measures + err, 1.0))  # +inf at 1
+    a, b = ts[:-1], ts[1:]
+    c = np.isfinite(low[:-1]) & np.isfinite(low[1:])  # the chords that bound g from below
+    below = _pieces(a[c], b[c], *_line(a[c], low[:-1][c], b[c], low[1:][c]))
+    # chord c extended rightwards past node c + 1, and leftwards past node c
+    right = _line(b, high[1:], a, low[:-1])
+    left = _line(a, high[:-1], b, low[1:])
+    read = np.flatnonzero(measures > err)
+    # intervals from the last node before the first that reads above eps to
+    # the first node after the last; on interval i, the candidates are chord
+    # i - 1 extended rightwards and chord i + 1 extended leftwards
+    i = np.arange(max(read[0] - 1, 0), min(read[-1], len(a) - 1) + 1)
+    unbounded = (np.array([math.inf]), np.zeros(1))  # no candidate: the line +inf
+    from_left = [np.concatenate([x0, x])[i] for x0, x in zip(unbounded, right)]
+    from_right = [np.concatenate([x[1:], x0])[i] for x0, x in zip(unbounded, left)]
+    # the smaller candidate at each end, split where they cross; either one
+    # bounds g, so rounding the split costs no soundness
+    t0, t1 = ts[i], ts[i + 1]
+    near, far = ((from_left[0] + from_left[1] * t <= from_right[0] + from_right[1] * t)
+                 for t in (t0, t1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (from_right[0] - from_left[0]) / (from_left[1] - from_right[1])
+    split = np.where(near == far, t1, np.clip(np.nan_to_num(cross, nan=t1), t0, t1))
+    starts, stops = [t0, split], [split, t1]
+    alphas, betas = ([np.where(p, x, y) for p in (near, far)]
+                     for x, y in zip(from_left, from_right))
+    tails = 0.0
+    if read[0] == 0:  # the support may run past the grid: chord 0 out to -inf
+        starts.append([-math.inf]), stops.append(ts[:1])
+        alphas.append(left[0][:1]), betas.append(left[1][:1])
+    else:
+        tails += 2.0 * err
+    if read[-1] == len(a):
+        starts.append(ts[-1:]), stops.append([math.inf])
+        alphas.append(right[0][-1:]), betas.append(right[1][-1:])
+    else:
+        tails += 2.0 * err
+    above = _pieces(*(np.concatenate(x) for x in (starts, stops, alphas, betas)))
+    lower = math.fsum(below) - _PIECE_ERR * below.size
+    upper = math.fsum(above) + tails + _PIECE_ERR * above.size
+    return max(lower, 0.0), min(upper, 1.0)
+
+
+def _line(t0, y0, t1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of the lines alpha + beta t through (t0, y0) and (t1, y1);
+    (+inf, 0) where y0 is +inf or y1 is -inf, a line of +inf past t0."""
+    with np.errstate(invalid="ignore"):
+        beta = (y1 - y0) / (t1 - t0)
+        alpha = y0 - beta * t0
+    infinite = ~np.isfinite(beta)
+    return np.where(infinite, math.inf, alpha), np.where(infinite, 0.0, beta)
+
+
+def _pieces(a, b, alpha, beta) -> np.ndarray:
+    """int_a^b phi(t) Phi(alpha + beta t) dt row by row, Phi read as 1 where
+    alpha is +inf: one ``_wedge`` call for both ends of every row."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    one = np.isinf(alpha)
+    alpha, beta = (np.tile(np.where(one, 0.0, x), 2) for x in (alpha, beta))
+    ends = _wedge(np.concatenate([b, a]), alpha, beta)
+    n = len(a)
+    return np.where(one, special.ndtr(b) - special.ndtr(a), ends[:n] - ends[n:])
+
+
+def _wedge(x, alpha, beta) -> np.ndarray:
+    """int_{-inf}^x phi(t) Phi(alpha + beta t) dt = P(X <= x, Y <= alpha + beta X)
+    for independent standard normals, elementwise; x may be infinite.
+
+    It is the bivariate normal CDF at (h, k) = (x, alpha / s), s^2 = 1 +
+    beta^2, with correlation -beta / s, by Owen's T (Owen 1956):
+    Phi(h) / 2 + Phi(k) / 2 - T(h, a_h) - T(k, a_k) - c, with
+    a_h = (alpha + beta h) / h, a_k = (s^2 h + alpha beta) / alpha, and
+    c = 1/2 where h and k have opposite signs, or one is 0 and the other
+    negative. h = 0 (or k = 0) is the limit from above, T(0, +-inf) = +-1/4,
+    so signed zeros are cleared first; at h = k = 0 it is
+    1/4 - atan(beta) / 2 pi.
+    """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    s2 = 1.0 + beta * beta
+    h = np.where(np.isfinite(x), x, 1.0) + 0.0
+    alpha = alpha + 0.0
+    k = alpha / np.sqrt(s2)
+    origin = (h == 0.0) & (alpha == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_h = np.where(origin, 0.0, (alpha + beta * h) / h)
+        a_k = np.where(origin, 0.0, (s2 * h + alpha * beta) / alpha)
+    c = np.where((np.sign(h) * np.sign(k) < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    inner = (0.5 * special.ndtr(h) + 0.5 * special.ndtr(k)
+             - special.owens_t(h, a_h) - special.owens_t(k, a_k) - c)
+    inner = np.where(origin, 0.25 - np.arctan(beta) / (2.0 * math.pi), inner)
+    return np.where(np.isposinf(x), special.ndtr(k), np.where(np.isneginf(x), 0.0, inner))
+
+
 def substream(seed: int, key: int) -> np.random.Generator:
     """Generator of sub-draw ``key`` of ``seed``: the one derivation behind
     every Monte Carlo shard, seeded suite trial and search restart."""
@@ -364,11 +552,15 @@ def measure_mc(body: ConvexBody, samples: int, seed: int) -> MeasureEstimate:
 
 
 def measure_auto(body: ConvexBody, samples: int = 1 << 16, seed: int = 0) -> MeasureEstimate:
-    """Exact measure when a closed form exists, Monte Carlo otherwise."""
-    try:
-        return measure_exact(body)
-    except UnsupportedBodyError:
-        return measure_mc(body, samples, seed)
+    """The exact measure where a closed form exists, else the certified
+    Ehrhard bracket of a 3-d H-polytope (``measure_bracket``), else Monte
+    Carlo on ``samples`` points of ``seed``."""
+    for measure in (measure_exact, measure_bracket):
+        try:
+            return measure(body)
+        except UnsupportedBodyError:
+            pass
+    return measure_mc(body, samples, seed)
 
 
 def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,

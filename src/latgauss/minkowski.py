@@ -206,7 +206,9 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     """Does the body meet the coset? (It must, on certified inputs.)
 
     Both preconditions are certified here, and only here: gaussian measure
-    >= 1/2 (by its certified ``lower`` end) and lambda_n <= theta
+    >= 1/2 (by the certified ``lower`` end of ``measure_auto``: exact where a
+    closed form exists, the Ehrhard bracket of a 3-d H-polytope, Monte Carlo
+    on ``mc_samples`` points otherwise) and lambda_n <= theta
     (within 1e-9). Any basis bounds lambda_n by its longest row, so the given
     basis certifies lambda_n when every row is within the bound, else the
     cached LLL basis ``lattice.frame[0]`` does; only when both miss is
@@ -446,7 +448,8 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     seeded (samples, n-1) draw, sub-draw ``grid_size`` of ``seed``, made
     only when some slice is present; an H-polytope's facet products with
     that draw are computed once for all its slices. The body itself is
-    measured exactly where it has a closed form, and otherwise on sub-draw
+    measured by ``measure_auto``: exactly where it has a closed form, by
+    its Ehrhard bracket for a 3-d H-polytope, and otherwise on sub-draw
     ``grid_size + 1`` with 4 * samples points. Slice estimates from one
     draw are correlated, so the quadrature's half-width is that of the mean
     of h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
@@ -461,7 +464,14 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     identity is max(|S_h - S_2h|, |S_2h - S_4h| / 16), plus, for a 2-d
     H-polytope, |J| * h^2 / 3 at every vertex height inside the grid
     (``_kink_error``): the slice measure changes slope there, which the
-    Richardson differences can miss. The rounded ``grid_size`` and
+    Richardson differences can miss. A bracketed body whose slices are
+    exact takes a rigorous tolerance instead: the body measure lies in the
+    Ehrhard bracket [L, U] of the profile's own slices
+    (``gaussian.ehrhard_bracket``) and in its own bracket, so the residual
+    is at most max(S_h - L, U - S_h) plus the body bracket's half width,
+    plus FLOAT_SLACK. Richardson can miss there: a facet nearly normal to
+    the last axis makes the slice measure fall within one grid step, and
+    the Simpson error outgrows its estimate. The rounded ``grid_size`` and
     ``samples`` are capped by PROFILE_GRID_CAP and PROFILE_SAMPLES_CAP.
     """
     if body.dim < 2:
@@ -524,6 +534,13 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     hw_lhs = (0.0 if lhs_terms is None
               else gaussian.Z99 * float(np.std(lhs_terms)) / math.sqrt(samples))
     tol = gaussian.CERT_HALF_WIDTHS * math.hypot(hw_lhs, rhs.half_width) + quad_err
+    if rhs.method == "bracket" and lhs_terms is None:
+        try:
+            low, high = gaussian.ehrhard_bracket(xs, measures, len(body.normals))
+        except UnsupportedBodyError:
+            pass
+        else:  # the body measure lies in both brackets
+            tol = max(lhs - low, high - lhs) + rhs.half_width + gaussian.FLOAT_SLACK
     return WProfile(xs=gx, g=g, g_half_widths=g_hw,
                     domain=(float(xs[support][0]), float(xs[support][-1])),
                     source_dim=body.dim,

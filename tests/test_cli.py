@@ -43,7 +43,11 @@ BETA_GOLDEN = (
 # slices and bodies exact; theorem-n2 and the two H-polytope profiles were
 # pinned again when Owen's T made polygons exact (the n = 2 polytope trials
 # calibrate and certify exactly, the 2-d profile spans its vertices and
-# measures its body exactly, and the 3-d profile measures its slices exactly)
+# measures its body exactly, and the 3-d profile measures its slices exactly);
+# theorem-n3 and the two 3-d H-polytope profiles were pinned again when a 3-d
+# H-polytope came to be measured by its Ehrhard bracket (the n = 3 polytope
+# trials certify by it, and the profiles take its value and their rigorous
+# identity tolerance)
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
@@ -67,7 +71,7 @@ STREAM_DIGESTS = {
     "theorem-n2": (THEOREM + ("2",),
                    "fc20aea91a94f160b5c32ce1605270f5d19924d6883d4fc8c1f223f135bb1549"),
     "theorem-n3": (THEOREM + ("3",),
-                   "d5bed4715098569e753f54ed68729af1de8c76fc54209987f24bf8fe5704315b"),
+                   "55c9046c9f56631c7ad58cacf7aa69561a65ea7624aca5d3224ae885aa232f4c"),
     "theorem-n4": (THEOREM + ("4",),
                    "4f101a249959228723a1b1d0b8b65efb84585b37845c928b740326ab98e11b53"),
     "lemma": (("check-lemma", "--trials", "8", "--seed", "7", "--max-dim", "6"),
@@ -90,13 +94,14 @@ STREAM_DIGESTS = {
     "w-profile-ellipsoid-3d": (
         PROFILE + (json.dumps({"kind": "ellipsoid", "dim": 3, "semiaxes": [0.8, 1.9, 1.3]}),),
         "6e8bbbbdf8a32d36ca0871da5276eeecc820e0be8667425fad945bd331425a95"),
-    # 3-d polytope profiles measure their polygon slices by Owen's T
+    # 3-d polytope profiles measure their polygon slices by Owen's T and
+    # bracket their body
     "w-profile-hpolytope-3d": (
         PROFILE + (json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.2] * 8,
                                "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, 0.8],
                                            [-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                            [-0.6, 0, -0.8]]}),),
-        "b7037a8b0477261745013d25271ce5463e9effa2cb7f31126cd398172b4e94dd"),
+        "c10203346fe94133ba56f4029b97315f2408b3ef4cbd0f40d72e4e9109e5de49"),
     # pinned while H-polytope slices still carried interior points: the 4-d
     # profile scores its 3-d slices by Monte Carlo, and every nonempty slice
     # of the thin slab took a Chebyshev-center LP
@@ -113,7 +118,7 @@ STREAM_DIGESTS = {
                                "normals": [[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0],
                                            [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
                                            [0.0, 0.0, -1.0]]}),),
-        "e883f6742609ef064c01d085156ba2763fef293b100456494b30e2c906461fa0"),
+        "0e990b978a8078a2e0c14de1764b22d5049d8429d8ed518d0227ac141eeb9ad4"),
     # lattice and balancing commands, pinned before their preconditions moved
     # into the bodies' gauge_many and Lattice
     "minima-3d": (("minima", "--lattice", R3),
@@ -537,21 +542,23 @@ class TestRecords:
             with mpmath.workdps(30):
                 assert rec["value"] == pytest.approx(float(want()), abs=1e-12), doc
 
-    @pytest.mark.parametrize("doc, named", [
+    @pytest.mark.parametrize("doc, named, method", [
+        # a 3-d H-polytope gets its Ehrhard bracket
         ({"kind": "hpolytope", "dim": 3, "offsets": [1.0] * 6,
           "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]},
-         "3-d hpolytope"),
+         "3-d hpolytope", "bracket"),
         # aspect 100: Ruben's series would need more terms than its cap
-        ({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.674, 67.4]}, "2-d ellipsoid"),
+        ({"kind": "ellipsoid", "dim": 2, "semiaxes": [0.674, 67.4]}, "2-d ellipsoid",
+         "monte-carlo"),
     ], ids=["hpolytope-3d", "ellipsoid-2d"])
-    def test_measure_without_closed_form(self, doc, named, capsys):
+    def test_measure_without_closed_form(self, doc, named, method, capsys):
         code, out = run_cli("measure", "--body", json.dumps(doc), "--method", "exact")
         err = capsys.readouterr().err
         assert code == 1 and out == ""
         assert f"no closed form for a {named}" in err and "Traceback" not in err
         code, out = run_cli("measure", "--body", json.dumps(doc), "--method", "auto",
                             "--samples", "4096")
-        assert code == 0 and json.loads(out)["method"] == "monte-carlo"
+        assert code == 0 and json.loads(out)["method"] == method
 
     def test_minima_record(self):
         code, out = run_cli("minima", "--lattice", Z2)
@@ -691,6 +698,14 @@ class TestRecords:
                             "--restarts", "2", "--seed", "5")
         assert code == 0
         assert out == BETA_GOLDEN
+
+    def test_thin_slab_profile_holds(self):
+        # its 2e-7 slab takes no hit of a 2^16-point Monte Carlo draw, which
+        # read a false violation; its Ehrhard bracket holds the true 3.5e-8
+        code, out = run_cli(*STREAM_DIGESTS["w-profile-hpolytope-thin-3d"][0])
+        rec = json.loads(out)
+        assert code == 0 and rec["verdict"] == "holds"
+        assert rec["identity_residual"] <= rec["identity_tol"] < 1e-8
 
     @pytest.mark.parametrize("name", STREAM_DIGESTS)
     def test_record_stream_digest(self, name):

@@ -1,5 +1,6 @@
 """Normal machinery, measures, and calibration."""
 
+import itertools
 import math
 import time
 
@@ -11,8 +12,11 @@ from scipy import integrate, special
 
 import latgauss as lg
 import latgauss.convex
+from latgauss.convex import BOUNDARY_ATOL
 from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
-from latgauss.gaussian import SERIES_TERM_CAP, _polygon_measures, measure_slices
+from latgauss.gaussian import (SERIES_TERM_CAP, _pieces, _polygon_measures, measure_bracket,
+                               measure_slices)
+from test_convex import THIN_POLYTOPE_3D, TILTED_CUP, symmetric_polytope
 
 THETA_PRINTED = 1.3489795  # reference value the constant must reproduce
 
@@ -677,6 +681,120 @@ class TestPolygonMeasure:
         assert abs(a - b) <= 2e-15
 
 
+def _mp_polytope(body):
+    """gamma_3 of a 3-d H-polytope, offsets moved out by 1e-12 as for
+    membership, by mpmath quadrature over x_1 of its exact polygon sections,
+    split at the x_1 of every vertex, between which a section's measure is
+    smooth. Every facet normal must leave the x_1 axis."""
+    N, c = body.normals, body.offsets + BOUNDARY_ATOL
+    heights = set()
+    for trio in itertools.combinations(range(len(N)), 3):
+        rows = list(trio)
+        if abs(np.linalg.det(N[rows])) > 1e-9:
+            vertex = np.linalg.solve(N[rows], c[rows])
+            if np.all(N @ vertex <= c + 1e-9):
+                heights.add(float(vertex[0]))
+
+    def integrand(x):  # measure_slices moves the offsets out by itself
+        return mp.npdf(x) * measure_slices(_polygon(N[:, 1:], body.offsets - float(x) * N[:, 0]))[0]
+
+    return float(mp.quad(integrand, sorted(heights)))
+
+
+def _seeded_polytope_3d(seed):
+    """Bench-shaped symmetric polytopes for seeds 0-2, bounded asymmetric ones after."""
+    if seed < 3:
+        return symmetric_polytope(3, seed)
+    rng = np.random.default_rng(seed)
+    while True:
+        body = lg.HPolytope(rng.standard_normal((8, 3)), rng.uniform(0.3, 1.5, 8))
+        if math.isfinite(body.circumradius()):
+            return body
+
+
+class TestEhrhardBracket:
+    @pytest.mark.parametrize("a, b, alpha, beta", [
+        (-1.3, 0.4, 0.7, -2.1),
+        (-math.inf, 0.5, -0.3, 1.7),
+        (0.2, math.inf, 1.1, -0.4),
+        (-math.inf, math.inf, -0.8, 3.0),
+        (-0.9, 1.6, 0.4, 0.0),
+        (-0.2, 0.3, 0.05, 1e6),
+        (-math.inf, 0.1, -2.0, -1e6),
+        (0.0, 1.2, -0.6, 2.5),
+        (-1.0, 0.0, 0.9, -3.0),
+        (-0.7, 0.8, 0.0, 1.9),
+        (0.0, 2.0, 0.0, -0.5),
+        (-math.inf, 0.0, 0.0, 4.0),
+    ], ids=["finite", "from-minus-inf", "to-plus-inf", "whole-line", "beta-0", "beta-1e6",
+            "beta-minus-1e6", "h-0-left", "h-0-right", "k-0", "h-and-k-0", "k-0-to-h-0"])
+    def test_piece_matches_mpmath(self, a, b, alpha, beta):
+        got = _pieces(np.array([a]), np.array([b]), np.array([alpha]), np.array([beta]))[0]
+        points = {a, b}
+        if beta:  # split where Phi(alpha + beta t) turns, a near step at |beta| = 1e6
+            points |= {t for t in -alpha / beta + np.array([-1e-4, 0.0, 1e-4]) if a < t < b}
+        with mp.workdps(30):
+            ref = mp.quad(lambda t: mp.npdf(t) * mp.ncdf(alpha + beta * t), sorted(points))
+        assert abs(got - float(ref)) <= 1e-15
+
+    def test_axis_box_is_a_product(self):
+        low, high = np.array([0.9, 0.8, 1.3]), np.array([0.7, 1.1, 0.4])
+        box = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([high, low]))
+        exact = np.prod(lg.measure_interval(-low - BOUNDARY_ATOL, high + BOUNDARY_ATOL))
+        est = lg.measure_auto(box)
+        assert est.method == "bracket" and est.lower <= exact <= est.upper
+        assert est.upper - est.lower < 0.02
+
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["along-e1", "along-e2", "along-e3"])
+    def test_prism_is_polygon_times_interval(self, axis):
+        hexagon = np.array(_HEXAGON) @ np.array([[1.0, 0.3], [-0.2, 1.0]])
+        offsets = [1.1, 0.7, 1.3, 0.9, 1.2, 0.8]
+        plane = [k for k in range(3) if k != axis]
+        normals = np.zeros((8, 3))
+        normals[:6, plane] = hexagon
+        normals[6:, axis] = [1.0, -1.0]
+        body = lg.HPolytope(normals, offsets + [0.9, 0.6])
+        exact = (measure_slices(_polygon(hexagon, offsets))[0]
+                 * lg.measure_interval(-0.6 - BOUNDARY_ATOL, 0.9 + BOUNDARY_ATOL))
+        est = measure_bracket(body)
+        assert est.lower <= exact <= est.upper
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_contains_the_mpmath_value(self, seed):
+        body = _seeded_polytope_3d(seed)
+        est = measure_bracket(body)
+        assert est.lower <= _mp_polytope(body) <= est.upper
+        assert est.upper - est.lower < 1e-2
+
+    def test_thin_slab_is_sound(self):
+        # every section is a strip of measure about 1e-7; Monte Carlo on
+        # 2^16 points takes no hit
+        delta = 1e-7 + BOUNDARY_ATOL  # |x_1 + x_3 / 2| <= delta, |x_2|, |x_3| <= 1
+        with mp.workdps(30):
+            end = 1 + mp.mpf(BOUNDARY_ATOL)
+            strip = mp.quad(lambda z: mp.npdf(z) * (mp.ncdf(delta - z / 2) - mp.ncdf(-delta - z / 2)),
+                            [-end, 0, end])
+            exact = float(strip * (mp.ncdf(end) - mp.ncdf(-end)))
+        est = measure_bracket(THIN_POLYTOPE_3D)
+        assert est.lower <= exact <= est.upper and est.lower > 0.9 * exact
+
+    def test_falls_back_to_monte_carlo(self):
+        # TILTED_CUP runs off along +x_3, so its sections along e_1 are
+        # unbounded; a slab of half width 0.01 across x_1 holds one node
+        needle = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.01, 1, 1, 0.01, 1, 1])
+        for body, reason in ((TILTED_CUP, "unbounded side"), (needle, "too few nonempty")):
+            with pytest.raises(UnsupportedBodyError, match=reason):
+                measure_bracket(body)
+            assert lg.measure_auto(body, samples=4096).method == "monte-carlo"
+
+    @pytest.mark.parametrize("body", [symmetric_polytope(4, 3), symmetric_polytope(2, 3),
+                                      lg.Ball(1.0, dim=3)], ids=["4d", "polygon", "ball"])
+    def test_only_3d_polytopes_are_bracketed(self, body):
+        with pytest.raises(UnsupportedBodyError, match="no Ehrhard bracket"):
+            measure_bracket(body)
+        assert lg.measure_auto(body, samples=4096).method != "bracket"
+
+
 class TestMeasureEstimateInvariants:
     def test_exact_requires_zero_half_width(self):
         with pytest.raises(ValueError):
@@ -691,3 +809,5 @@ class TestMeasureEstimateInvariants:
         assert (est.lower, est.upper) == (0.6 - 3.0 * 0.01, 0.6 + 3.0 * 0.01)
         exact = lg.MeasureEstimate(0.6, "exact")
         assert exact.lower == exact.value == exact.upper
+        bracket = lg.MeasureEstimate(0.6, "bracket", half_width=0.01)
+        assert (bracket.lower, bracket.upper) == (0.6 - 0.01, 0.6 + 0.01)

@@ -546,7 +546,7 @@ class TestWProfile:
 
     @pytest.mark.parametrize("body, draws", [
         (symmetric_polytope(4, 1), 2),         # one for all 3-d slices, one for the body
-        (PINNED_POLYTOPE_3D, 1),               # exact polygon slices, Monte Carlo body
+        (PINNED_POLYTOPE_3D, 0),               # exact polygon slices, bracketed body
         (symmetric_polytope(2, 5), 0),         # exact throughout, as below
         (lg.Ellipsoid([1.4, 0.9, 0.6]), 0),
         (lg.Ellipsoid([1.4, 0.9]), 0),
@@ -617,6 +617,43 @@ class TestWProfile:
                                 lambda self: (-math.inf, math.inf))
             prof = lg.w_profile(lg.HPolytope(body.normals, body.offsets), seed=seed)
             assert prof.identity_residual() <= prof.identity_tol
+
+    # Round 217 of the slice-checks stream of seed 7: a facet nearly normal to
+    # the last axis, (-0.013, -0.035, 0.999), so the slice measure falls
+    # within one grid step. The Simpson sum misses the body measure by 2.0e-3,
+    # where the Richardson estimate reads 1.1e-3; the Ehrhard bracket of the
+    # profile's own slices bounds that error.
+    def test_steep_facet_profile_holds(self):
+        normals = np.array([[0.4048787932340337, 0.8421278193600144, -0.3562216987345095],
+                            [-0.4283044128425419, -0.6274308348255456, 0.6502967610635351],
+                            [-0.5618959724568494, -0.5147097440910473, -0.6475699155106728],
+                            [-0.01296483800448363, -0.03483750410132373, 0.9993088918265002]])
+        body = lg.HPolytope(np.vstack([normals, -normals]), [1.2889395547193754] * 8)
+        prof = lg.w_profile(body, seed=758531745)
+        assert prof.identity_rhs.method == "bracket"
+        assert prof.concavity_excess <= 0.0
+        assert prof.identity_residual() <= prof.identity_tol
+        # the tolerance covers the Simpson sum's true error, read off a fine bracket
+        r = lg.tail_radius(3)
+        ts = np.linspace(-r, r, 8001)
+        fine = latgauss.gaussian.measure_slices(body.sections(np.outer(ts, [1.0, 0.0, 0.0]),
+                                                              np.eye(3)[1:]))
+        low, high = latgauss.gaussian.ehrhard_bracket(ts, fine, len(normals))
+        assert high - low < 1e-6
+        assert max(prof.identity_lhs - low, high - prof.identity_lhs) <= prof.identity_tol
+
+    def test_bench_shaped_3d_profiles_hold(self):
+        # bodies drawn as the slice-checks stream draws them: four unit
+        # normals and their mirrors, one offset in U(0.8, 1.4)
+        rng = np.random.default_rng(33)
+        for trial in range(200):
+            normals = rng.standard_normal((4, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            body = lg.HPolytope(np.vstack([normals, -normals]), [rng.uniform(0.8, 1.4)] * 8)
+            prof = lg.w_profile(body, seed=trial)
+            assert prof.identity_rhs.method == "bracket", trial
+            assert prof.concavity_excess <= 0.0, trial
+            assert prof.identity_residual() <= prof.identity_tol < 0.02, trial
 
     def test_polygon_profile_builds_its_edges_twice(self, monkeypatch):
         # the pinned hexagon's edges are built once for its extent and vertex
@@ -829,6 +866,14 @@ class TestInstanceGeneration:
                 assert est.value >= 0.5 - 1e-12
             else:
                 assert est.value - 3.0 * est.half_width >= 0.5 - 0.02  # fresh-seed slack
+
+    def test_3d_polytope_trials_are_bracketed(self):
+        # the checker certifies measure >= 1/2 by the bracket's lower end
+        for trial in range(4, 100, 5):
+            kind, body, coset, inst_seed = generate_theorem_instance(3, 21, trial)
+            report = lg.check_theorem_instance(body, coset, seed=inst_seed)
+            assert kind == "hpolytope" and report.verdict == "holds"
+            assert report.measure.method == "bracket" and report.measure.lower >= 0.5
 
     @pytest.mark.parametrize("samples", [1000, 4096, 8192])
     def test_hpolytopes_recertify_at_small_sample_counts(self, samples):
