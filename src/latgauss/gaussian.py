@@ -425,21 +425,18 @@ def ehrhard_bracket(ts: np.ndarray, measures: np.ndarray, facets: int) -> tuple[
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = (from_right[0] - from_left[0]) / (from_left[1] - from_right[1])
     split = np.where(near == far, t1, np.clip(np.nan_to_num(cross, nan=t1), t0, t1))
-    starts, stops = [t0, split], [split, t1]
-    alphas, betas = ([np.where(p, x, y) for p in (near, far)]
-                     for x, y in zip(from_left, from_right))
+    pieces = [(start, stop, *(np.where(pick, x, y) for x, y in zip(from_left, from_right)))
+              for start, stop, pick in ((t0, split, near), (split, t1, far))]
     tails = 0.0
     if read[0] == 0:  # the support may run past the grid: chord 0 out to -inf
-        starts.append([-math.inf]), stops.append(ts[:1])
-        alphas.append(left[0][:1]), betas.append(left[1][:1])
+        pieces.append(([-math.inf], ts[:1], left[0][:1], left[1][:1]))
     else:
         tails += 2.0 * err
-    if read[-1] == len(a):
-        starts.append(ts[-1:]), stops.append([math.inf])
-        alphas.append(right[0][-1:]), betas.append(right[1][-1:])
+    if read[-1] == len(a):  # and the last chord out to +inf
+        pieces.append((ts[-1:], [math.inf], right[0][-1:], right[1][-1:]))
     else:
         tails += 2.0 * err
-    above = _pieces(*(np.concatenate(x) for x in (starts, stops, alphas, betas)))
+    above = _pieces(*(np.concatenate(column) for column in zip(*pieces)))
     lower = math.fsum(below) - _PIECE_ERR * below.size
     upper = math.fsum(above) + tails + _PIECE_ERR * above.size
     return max(lower, 0.0), min(upper, 1.0)
