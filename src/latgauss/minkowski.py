@@ -598,24 +598,39 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# Headroom of a calibrated hpolytope with n >= 3, measured by Monte Carlo,
-# against the checker's certificate, in binomial sigmas sqrt(p(1-p)/samples):
-# CERT_HALF_WIDTHS * Z99 for the certificate itself plus six sigmas of the
-# noise in (calibrated measure - the checker's estimate), which is the
-# difference of two independent draws.
-_RECERT_SIGMAS = gaussian.CERT_HALF_WIDTHS * gaussian.Z99 + 6.0 * math.sqrt(2.0)
+# Sigmas of noise in (calibrated measure - the checker's Monte Carlo estimate)
+# that a calibrated hpolytope with n >= 3 keeps in hand, on top of the
+# certificate's own CERT_HALF_WIDTHS * Z99 sigmas. The noise is the difference
+# of two independent draws, the calibration's and the certificate's, which
+# may differ in size (``_recertifiable_target``).
+_RECERT_SIGMAS = 6.0
+
+# Gauge draw that calibrates an hpolytope with n >= 3: a scale only has to
+# land near its target, since the checker certifies the measure on its own,
+# and 2^12 is the smallest power of two whose target against the default
+# 2^16-point certificate stays at 0.57.
+_CALIBRATION_SAMPLES = 1 << 12
 
 
-def _recertifiable_target(samples: int) -> float:
-    """Smallest target t with t - _RECERT_SIGMAS * sigma(t) >= 1/2, or 0.57.
+def _recertifiable_target(calibration: int, certificate: int) -> float:
+    """Smallest target t >= 0.57 with t - 1/2 >= CERT_HALF_WIDTHS * Z99 *
+    sigma_m(t) + _RECERT_SIGMAS * sqrt(sigma_c(t)^2 + sigma_m(t)^2), for a
+    ``calibration`` draw of c points and a ``certificate`` draw of m.
 
-    Solving (t - 1/2)^2 = c * t * (1 - t), c = _RECERT_SIGMAS^2 / samples,
-    gives t = 1/2 + sqrt(c / (1 + c)) / 2 < 1; the default 2^16 samples
-    need only 0.532, so the fixed 0.57 governs there. The headroom matters
-    for n >= 3 only, where an hpolytope is calibrated and certified by
-    Monte Carlo; a polygon meets its target exactly.
+    The right-hand side is k * sqrt(t(1-t)), k = CERT_HALF_WIDTHS * Z99 /
+    sqrt(m) + _RECERT_SIGMAS * sqrt(1/c + 1/m). Solving (t - 1/2)^2 =
+    k^2 * t * (1 - t) gives t = 1/2 + sqrt(k^2 / (1 + k^2)) / 2 < 1; a
+    2^12-point calibration against the default 2^16-point certificate needs
+    only 0.563, so the fixed 0.57 governs there. With c = m this is
+    t - 1/2 >= (CERT_HALF_WIDTHS * Z99 + _RECERT_SIGMAS * sqrt(2)) *
+    sigma_m(t). The headroom is sized for n >= 4, where an hpolytope is
+    certified by Monte Carlo; at n = 3 its Ehrhard bracket, at most about
+    1e-2 wide, certifies the same scale, and a polygon meets its target
+    exactly.
     """
-    c = _RECERT_SIGMAS ** 2 / samples
+    k = (gaussian.CERT_HALF_WIDTHS * gaussian.Z99 / math.sqrt(certificate)
+         + _RECERT_SIGMAS * math.sqrt(1.0 / calibration + 1.0 / certificate))
+    c = k * k
     return max(0.57, 0.5 + 0.5 * math.sqrt(c / (1.0 + c)))
 
 
@@ -625,10 +640,12 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
 
     Closed-form kinds, and at n <= 2 every kind, meet the bound exactly:
     a bounded polygon calibrates by the root of its Owen's T measure. An
-    hpolytope with n >= 3 is calibrated on an ``mc_samples`` draw to clear
-    the checker's certificate (estimate - 3 half-widths >= 1/2 on its own
-    draw); certification is left to ``check_theorem_instance``, which
-    reports a miss as ``inconclusive``.
+    hpolytope with n >= 3 is scaled to the gauge quantile of a seeded draw
+    of min(``mc_samples``, 2^12) points, aimed at ``_recertifiable_target``
+    so that it clears the checker's certificate: the n = 3 Ehrhard bracket,
+    or estimate - 3 half-widths >= 1/2 on the checker's own ``mc_samples``
+    draw at n >= 4. The scale certifies nothing; certification is left to
+    ``check_theorem_instance``, which reports a miss as ``inconclusive``.
     """
     if kind == "halfspace":
         return Halfspace(_random_unit(rng, n), abs(rng.normal(0.0, 0.7)))
@@ -651,8 +668,9 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
         normals = np.stack([_random_unit(rng, n) for _ in range(pairs)])
         normals = np.vstack([normals, -normals])
         base = HPolytope(normals, np.ones(2 * pairs) * rng.uniform(0.8, 1.4))
-        target = _recertifiable_target(mc_samples)
-        return base.scale(gaussian.calibrate_scale(base, target, samples=mc_samples,
+        samples = min(mc_samples, _CALIBRATION_SAMPLES)
+        target = _recertifiable_target(samples, mc_samples)
+        return base.scale(gaussian.calibrate_scale(base, target, samples=samples,
                                                    seed=int(rng.integers(2**62))))
     raise ValueError(f"unknown body kind {kind!r}")
 

@@ -213,6 +213,16 @@ class TestTheoremCheck:
         assert rep.verdict == "inconclusive"
         assert rep.note == "measure >= 1/2 not certified at 3 half-widths"
 
+    def test_monte_carlo_measure_inside_its_certificate_inconclusive(self):
+        # scaled to hit 51% of the checker's own 2^16-point draw: the estimate
+        # clears 1/2, its lower end 3 half-widths (0.015) below does not
+        base = symmetric_polytope(4, 1)
+        body = base.scale(lg.calibrate_scale(base, 0.51, seed=3))
+        coset = lg.Coset(lg.random_theta_lattice(4, 9), np.zeros(4))
+        rep = lg.check_theorem_instance(body, coset, seed=3)
+        assert rep.measure.method == "monte-carlo" and rep.measure.value >= 0.51
+        assert rep.verdict == "inconclusive"
+
     def test_boundary_coset_of_half_measure_interval_holds(self):
         # gamma_1([-theta/2, theta/2]) = 1/2 exactly, and every coset point
         # +-theta/2 + k theta of the interval lies on its boundary
@@ -885,8 +895,46 @@ class TestInstanceGeneration:
         assert verdicts == ["holds"] * 60
 
     def test_recertifiable_target(self):
-        assert _recertifiable_target(1 << 16) == 0.57  # default seeded scales unchanged
-        for samples in (1000, 4096, 8192):
-            t = _recertifiable_target(samples)
+        cert = latgauss.gaussian.CERT_HALF_WIDTHS * latgauss.gaussian.Z99
+        for samples in (1000, 4096, 8192):  # equal sizes: one draw's identity
+            t = _recertifiable_target(samples, samples)
             assert 0.57 < t < 1.0
-            assert t - _RECERT_SIGMAS * math.sqrt(t * (1.0 - t) / samples) == pytest.approx(0.5)
+            sigmas = cert + _RECERT_SIGMAS * math.sqrt(2.0)
+            assert t - sigmas * math.sqrt(t * (1.0 - t) / samples) == pytest.approx(0.5)
+        assert _recertifiable_target(1 << 16, 1 << 16) == 0.57
+        assert _recertifiable_target(1 << 12, 1 << 16) == 0.57  # default seeded targets unchanged
+        assert _recertifiable_target(1 << 11, 1 << 16) > 0.58
+        for calibration, certificate in ((1 << 11, 1 << 16), (1000, 8192), (4096, 1000)):
+            t = _recertifiable_target(calibration, certificate)
+            sigma_c, sigma_m = (math.sqrt(t * (1.0 - t) / size)
+                                for size in (calibration, certificate))
+            bound = cert * sigma_m + _RECERT_SIGMAS * math.hypot(sigma_c, sigma_m)
+            assert t - 0.5 == pytest.approx(bound)
+
+    @pytest.mark.parametrize("n, points", [(3, 1 << 12), (4, (1 << 12) + (1 << 16))])
+    def test_polytope_trial_draw_budget(self, n, points, monkeypatch):
+        # the gauge quantile calibrates on 2^12 points; the n = 3 bracket
+        # certifies with no draw, the n = 4 Monte Carlo certificate on 2^16
+        drawn = []
+        shards = latgauss.gaussian._normal_shards
+
+        def counted(dim, samples, seed):
+            for pts in shards(dim, samples, seed):
+                drawn.append(len(pts))
+                yield pts
+
+        monkeypatch.setattr(latgauss.gaussian, "_normal_shards", counted)
+        kind, body, coset, inst_seed = generate_theorem_instance(n, 7, 4)
+        lg.check_theorem_instance(body, coset, seed=inst_seed)
+        assert kind == "hpolytope" and sum(drawn) == points
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_polytope_trials_certify_after_small_calibration(self, n):
+        # 100 polytope trials (seeds 0-4) calibrated on 2^12 points, each
+        # certified by the checker at the default 2^16 samples
+        for seed in range(5):
+            for trial in range(4, 100, 5):
+                kind, body, coset, inst_seed = generate_theorem_instance(n, seed, trial)
+                report = lg.check_theorem_instance(body, coset, seed=inst_seed)
+                assert kind == "hpolytope" and report.verdict == "holds"
+                assert report.measure.lower >= 0.5
