@@ -573,9 +573,9 @@ def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
     points. That branch needs the body's ``gauge_many``, which raises
     InvalidBodyError on a body without a gauge. An OracleBody gauge costs
     about 40 membership passes over the draw. The order statistic certifies
-    nothing off its own draw: its true measure lies within a few binomial
-    sigmas sqrt(target(1-target)/samples) of the target, so a caller that
-    certifies the measure afterwards can take a small draw
+    nothing beyond its own draw: the scaled body's true measure lies within
+    a few binomial sigmas sqrt(target(1-target)/samples) of the target, so
+    a caller that certifies the measure afterwards can take a small draw
     (``generate_certified_body`` takes 2^12 points). Raises
     CalibrationError when no scale reaches the target.
     """
