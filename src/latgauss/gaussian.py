@@ -23,8 +23,10 @@ measure changes slope there.
 Scale calibration rests on one fact: for a body K with the origin inside
 and gauge g, the dilate sK is the sublevel set {g <= s}, so
 gamma_n(sK) = P(g(X) <= s) is the distribution function of g(X). A
-target measure is therefore a quantile of the gauge: a root of the closed
-form where one exists, an order statistic of the seeded draw otherwise.
+target measure is therefore a quantile of the gauge, and the caller picks
+how to take it: ``calibrate_scale``, the root of the closed form, where the
+scale must hit its target exactly, or ``gauge_quantile``, an order
+statistic of a seeded draw, where a later certificate checks the measure.
 
 All confidence half-widths use the two-sided 99% convention, z = 2.576,
 and every certificate reads the interval ``MeasureEstimate.lower``/``upper``,
@@ -560,43 +562,24 @@ def measure_auto(body: ConvexBody, samples: int = 1 << 16, seed: int = 0) -> Mea
     return measure_mc(body, samples, seed)
 
 
-def calibrate_scale(body: ConvexBody, target: float, samples: int = 1 << 16,
-                    seed: int = 0) -> float:
-    """Scale s with gamma_n(s * body) = target: the target-quantile of g(X).
+def calibrate_scale(body: ConvexBody, target: float) -> float:
+    """Scale s with gamma_n(s * body) = target, to machine precision: one
+    bracketed root of ``measure_slices(body.as_family(s)) - target`` in s,
+    found by halving or doubling from s = 1. Each scale is measured once
+    per call, so the bracket search and brentq share their values.
 
-    Bodies with a closed form get one bracketed root of
-    ``measure_slices(body.as_family(s)) - target``, to machine precision.
-    Every other body, and an ellipsoid whose series passes SERIES_TERM_CAP
-    terms at some scale the root tries, gets the ceil(target * samples)-th
-    smallest gauge of the seeded draw that ``mc_fraction`` uses, so
-    ``measure_mc(body.scale(s), samples, seed)`` hits at least that many
-    points. That branch needs the body's ``gauge_many``, which raises
-    InvalidBodyError on a body without a gauge. An OracleBody gauge costs
-    about 40 membership passes over the draw. The order statistic certifies
-    nothing beyond its own draw: the scaled body's true measure lies within
-    a few binomial sigmas sqrt(target(1-target)/samples) of the target, so
-    a caller that certifies the measure afterwards can take a small draw
-    (``generate_certified_body`` takes 2^12 points). Raises
-    CalibrationError when no scale reaches the target.
+    Raises UnsupportedBodyError for a body with no closed form, and for an
+    ellipsoid whose series passes SERIES_TERM_CAP terms at some scale the
+    root tries; ``gauge_quantile`` aims such a body. Raises CalibrationError
+    when no scale reaches the target.
     """
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must lie in (0, 1), got {target}")
-    if not body.contains(np.zeros(body.dim)):
-        raise InvalidBodyError("calibration needs the origin inside the body")
-    try:
-        return _closed_form_root(body, target)
-    except UnsupportedBodyError:
-        gauges = np.concatenate([body.gauge_many(pts)
-                                 for pts in _normal_shards(body.dim, samples, seed)])
-        k = math.ceil(target * samples)
-        return float(np.partition(gauges, k - 1)[k - 1])
+    _check_calibration(body, target)
+    values: dict[float, float] = {}
 
-
-def _closed_form_root(body: ConvexBody, target: float) -> float:
-    """Root of ``measure_slices(body.as_family(s)) - target`` in s, bracketed
-    by halving or doubling from s = 1."""
     def excess(s: float) -> float:
-        return measure_slices(body.as_family(s))[0] - target
+        if s not in values:
+            values[s] = measure_slices(body.as_family(s))[0] - target
+        return values[s]
 
     lo = hi = 1.0
     for _ in range(64):
@@ -610,3 +593,31 @@ def _closed_form_root(body: ConvexBody, target: float) -> float:
             return float(optimize.brentq(excess, lo, hi, xtol=1e-300,
                                          rtol=4.0 * np.finfo(float).eps))
     raise CalibrationError(f"target {target} unreachable by scaling a {body.kind}")
+
+
+def gauge_quantile(body: ConvexBody, target: float, samples: int, seed: int) -> float:
+    """The ceil(target * samples)-th smallest gauge of the seeded draw that
+    ``mc_fraction`` uses, so ``measure_mc(body.scale(s), samples, seed)``
+    hits at least that many points.
+
+    It needs the body's ``gauge_many``, which raises InvalidBodyError on a
+    body without a gauge; an OracleBody gauge costs about 40 membership
+    passes over the draw. The order statistic certifies nothing beyond its
+    own draw: the scaled body's true measure lies within a few binomial
+    sigmas sqrt(target(1-target)/samples) of the target, so a caller that
+    certifies the measure afterwards can take a small draw
+    (``generate_certified_body`` takes 2^12 points).
+    """
+    _check_calibration(body, target)
+    gauges = np.concatenate([body.gauge_many(pts)
+                             for pts in _normal_shards(body.dim, samples, seed)])
+    k = math.ceil(target * samples)
+    return float(np.partition(gauges, k - 1)[k - 1])
+
+
+def _check_calibration(body: ConvexBody, target: float) -> None:
+    """Reject a target outside (0, 1), and a body whose dilates do not nest."""
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must lie in (0, 1), got {target}")
+    if not body.contains(np.zeros(body.dim)):
+        raise InvalidBodyError("calibration needs the origin inside the body")

@@ -223,7 +223,7 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
     if est.lower < 0.5 - gaussian.FLOAT_SLACK:
         return CheckReport("theorem", "inconclusive", margin=est.value - 0.5,
                            seed=seed, measure=est,
-                           note="measure >= 1/2 not certified at 3 half-widths")
+                           note="measure >= 1/2 not certified: certified lower end below 1/2")
     th = gaussian.theta()
     bound = th + 1e-9
     lattice = coset.lattice
@@ -308,49 +308,32 @@ def check_lemma_instance(body: ConvexBody, subspace, samples: int = 1 << 16,
     verdict = "holds" if margin >= -gaussian.FLOAT_SLACK else "violated"
     return CheckReport("lemma", verdict, margin=margin, seed=seed, measure=slice_est,
                        certificate="" if verdict == "holds" else
-                       "slice estimate + 3 half-widths below 1/2")
+                       "certified upper end of the slice measure below 1/2")
 
 
 # ---------------------------------------------------------------------------
 # Gaussian interpolation inequality (convex-combination concavity)
 # ---------------------------------------------------------------------------
 
-def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float,
-                  samples: int = 1 << 16, seed: int = 0) -> CheckReport:
+def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float, seed: int = 0) -> CheckReport:
     """Quantile concavity along the Minkowski interpolation of two bodies.
 
     Compares Phi^{-1}(measure(lam*A + (1-lam)*B)) against the affine
-    combination of the endpoint quantiles. Exact measures give an exact
-    margin. Monte Carlo estimates are propagated as (``lower``, ``upper``)
-    intervals through the (monotone) quantile: ``holds`` means the certified
-    lower side of the left-hand term beats the certified upper side of the right,
-    ``violated`` needs the whole intervals separated the wrong way, and
-    overlapping intervals are ``inconclusive`` (more samples needed).
+    combination lam * Phi^{-1}(measure(A)) + (1-lam) * Phi^{-1}(measure(B))
+    of the endpoint quantiles, every measure exact: the margin is their
+    difference, ``holds`` within _EXACT_MARGIN_TOL and ``violated`` past it.
+    ``seed`` only labels the report. Raises UnsupportedBodyError for a body
+    with no closed form, as ``minkowski_combination`` does for a pair it
+    cannot form.
     """
     comb = minkowski_combination(a, b, lam)
-
-    def bracket(body: ConvexBody, sub: int) -> tuple[float, float, MeasureEstimate]:
-        est = measure_auto(body, samples=samples, seed=gaussian.sub_seed(seed, sub))
-        lo, hi = gaussian.std_normal_quantile(np.clip((est.lower, est.upper), 1e-15, 1.0 - 1e-15))
-        return lo, hi, est
-
-    lhs_lo, lhs_hi, est_c = bracket(comb, 0)
-    a_lo, a_hi, est_a = bracket(a, 1)
-    b_lo, b_hi, est_b = bracket(b, 2)
-    rhs_lo = lam * a_lo + (1.0 - lam) * b_lo
-    rhs_hi = lam * a_hi + (1.0 - lam) * b_hi
-    margin = lhs_lo - rhs_hi
-    if margin >= -_EXACT_MARGIN_TOL:
-        verdict = "holds"
-    elif lhs_hi < rhs_lo - _EXACT_MARGIN_TOL:
-        verdict = "violated"  # certified: intervals separate the wrong way
-    else:
-        verdict = "inconclusive"
-    exactness = all(e.method == "exact" for e in (est_a, est_b, est_c))
-    return CheckReport("ehrhard", verdict, margin=float(margin), seed=seed,
-                       measure=est_c,
-                       note="exact" if exactness else "monte-carlo intervals",
-                       certificate="" if verdict != "violated" else
+    est_c, est_a, est_b = (measure_exact(body) for body in (comb, a, b))
+    lhs, q_a, q_b = gaussian.std_normal_quantile(
+        np.clip([est_c.value, est_a.value, est_b.value], 1e-15, 1.0 - 1e-15))
+    margin = float(lhs - (lam * q_a + (1.0 - lam) * q_b))
+    verdict = "holds" if margin >= -_EXACT_MARGIN_TOL else "violated"
+    return CheckReport("ehrhard", verdict, margin=margin, seed=seed, measure=est_c,
+                       note="exact", certificate="" if verdict == "holds" else
                        "certified interval gap below tolerance")
 
 
@@ -599,13 +582,13 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 # Sigmas of noise in (calibrated measure - the checker's Monte Carlo estimate)
-# that a calibrated hpolytope with n >= 3 keeps in hand, on top of the
+# that a calibrated hpolytope keeps in hand, on top of the
 # certificate's own CERT_HALF_WIDTHS * Z99 sigmas. The noise is the difference
 # of two independent draws, the calibration's and the certificate's, which
 # may differ in size (``_recertifiable_target``).
 _RECERT_SIGMAS = 6.0
 
-# Gauge draw that calibrates an hpolytope with n >= 3: a scale only has to
+# Gauge draw that calibrates every hpolytope: a scale only has to
 # land near its target, since the checker certifies the measure on its own,
 # and 2^12 is the smallest power of two whose target against the default
 # 2^16-point certificate stays at 0.57.
@@ -625,8 +608,7 @@ def _recertifiable_target(calibration: int, certificate: int) -> float:
     t - 1/2 >= (CERT_HALF_WIDTHS * Z99 + _RECERT_SIGMAS * sqrt(2)) *
     sigma_m(t). The headroom is sized for n >= 4, where an hpolytope is
     certified by Monte Carlo; at n = 3 its Ehrhard bracket, at most about
-    1e-2 wide, certifies the same scale, and a polygon meets its target
-    exactly.
+    1e-2 wide, and at n <= 2 its exact measure certify the same scale.
     """
     k = (gaussian.CERT_HALF_WIDTHS * gaussian.Z99 / math.sqrt(certificate)
          + _RECERT_SIGMAS * math.sqrt(1.0 / calibration + 1.0 / certificate))
@@ -638,14 +620,16 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
                             mc_samples: int = 1 << 16) -> ConvexBody:
     """Body of the requested kind with gaussian measure >= 1/2.
 
-    Closed-form kinds, and at n <= 2 every kind, meet the bound exactly:
-    a bounded polygon calibrates by the root of its Owen's T measure. An
-    hpolytope with n >= 3 is scaled to the gauge quantile of a seeded draw
-    of min(``mc_samples``, 2^12) points, aimed at ``_recertifiable_target``
-    so that it clears the checker's certificate: the n = 3 Ehrhard bracket,
-    or estimate - 3 half-widths >= 1/2 on the checker's own ``mc_samples``
-    draw at n >= 4. The scale certifies nothing; certification is left to
-    ``check_theorem_instance``, which reports a miss as ``inconclusive``.
+    A box or a ball hits a target as low as 0.505 exactly, by the closed-form
+    root ``gaussian.calibrate_scale``; a halfspace and a slab are built at
+    their measure. An hpolytope, in every dimension, is scaled to the
+    ``gaussian.gauge_quantile`` of a seeded draw of min(``mc_samples``,
+    2^12) points, aimed at ``_recertifiable_target`` so that it clears the
+    checker's certificate: the exact measure at n <= 2, the Ehrhard bracket
+    at n = 3, or estimate - 3 half-widths >= 1/2 on the checker's own
+    ``mc_samples`` draw at n >= 4. Its scale certifies nothing;
+    certification is left to ``check_theorem_instance``, which reports a
+    miss as ``inconclusive``.
     """
     if kind == "halfspace":
         return Halfspace(_random_unit(rng, n), abs(rng.normal(0.0, 0.7)))
@@ -670,8 +654,8 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
         base = HPolytope(normals, np.ones(2 * pairs) * rng.uniform(0.8, 1.4))
         samples = min(mc_samples, _CALIBRATION_SAMPLES)
         target = _recertifiable_target(samples, mc_samples)
-        return base.scale(gaussian.calibrate_scale(base, target, samples=samples,
-                                                   seed=int(rng.integers(2**62))))
+        return base.scale(gaussian.gauge_quantile(base, target, samples,
+                                                  int(rng.integers(2**62))))
     raise ValueError(f"unknown body kind {kind!r}")
 
 

@@ -49,7 +49,9 @@ BETA_GOLDEN = (
 # trials certify by it, and the profiles take its value and their rigorous
 # identity tolerance); theorem-n3 and theorem-n4 were pinned again when the
 # n >= 3 H-polytope trials came to calibrate on a 2^12-point gauge draw
-# (their scales, measures and margins move)
+# (their scales, measures and margins move); theorem-n1 and theorem-n2 were
+# pinned again when the n <= 2 H-polytope trials came to calibrate on that
+# draw too, in place of their closed-form root
 THEOREM = ("check-theorem", "--trials", "10", "--seed", "7", "--n")
 PROFILE = ("w-profile", "--seed", "3", "--body")
 R2 = json.dumps({"basis": [[1.0, 0.5], [0.3, 1.7]]})
@@ -69,9 +71,9 @@ OBLIQUE_3D = json.dumps({"kind": "hpolytope", "dim": 3, "offsets": [1.1, 0.9, 1.
                                      [0.4, -0.1, -1], [-0.7, -0.7, -0.1]]})
 STREAM_DIGESTS = {
     "theorem-n1": (THEOREM + ("1",),
-                   "e6e5c304d51e55afd1f0b1aafe727716251fe92440bcc383bf88727afa0e5f14"),
+                   "974fe39feff1e38d70d48b0a24a8bb3069c6ff62601b6c7ab823748d93c45a5d"),
     "theorem-n2": (THEOREM + ("2",),
-                   "fc20aea91a94f160b5c32ce1605270f5d19924d6883d4fc8c1f223f135bb1549"),
+                   "4f638f11e4fdf768127f8479ecb61185c7b4d0b9b6ebccb614d7faa0849b5b64"),
     "theorem-n3": (THEOREM + ("3",),
                    "68af0821bbed8335abb46d9fa5488b732d500974980aebc6f8ed26841e4c85cf"),
     "theorem-n4": (THEOREM + ("4",),

@@ -765,8 +765,7 @@ class TestOracleBody:
         # ellipsoid itself calibrates by its closed form
         draw = gaussian.normal_draw(3, 5000, 3)
         quantile = np.sort(lg.Ellipsoid(semiaxes).gauge_many(draw))[2999]
-        assert lg.calibrate_scale(oracle, 0.6, samples=5000, seed=3) == pytest.approx(
-            quantile, rel=1e-11)
+        assert lg.gauge_quantile(oracle, 0.6, 5000, 3) == pytest.approx(quantile, rel=1e-11)
 
     def test_scaling(self):
         disk = lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0,

@@ -1,5 +1,6 @@
 """Normal machinery, measures, and calibration."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -12,6 +13,7 @@ from scipy import integrate, special
 
 import latgauss as lg
 import latgauss.convex
+import latgauss.gaussian
 from latgauss.convex import BOUNDARY_ATOL
 from latgauss.errors import CalibrationError, InvalidBodyError, UnsupportedBodyError
 from latgauss.gaussian import (SERIES_TERM_CAP, _pieces, _polygon_measures, measure_bracket,
@@ -392,7 +394,51 @@ class TestCalibrate:
         simplex = lg.HPolytope([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
                                 [1.0, 1.0, 1.0]], [0.5, 0.5, 0.5, 1.0])
         with pytest.raises(InvalidBodyError):
-            lg.calibrate_scale(simplex, 0.5)
+            lg.gauge_quantile(simplex, 0.5, 4096, 0)
+
+    @pytest.mark.parametrize("body", [
+        symmetric_polytope(3, 2),
+        lg.OracleBody(2, lambda pts: np.linalg.norm(pts, axis=1) <= 1.0, 1.0,
+                      symmetric_flag=True),
+    ], ids=["hpolytope-3d", "oracle"])
+    def test_root_needs_a_closed_form(self, body):
+        # the root has no draw to fall back on; such bodies take gauge_quantile
+        with pytest.raises(UnsupportedBodyError):
+            lg.calibrate_scale(body, 0.5)
+        assert lg.gauge_quantile(body, 0.5, 4096, 0) > 0.0
+
+    @pytest.mark.parametrize("body", [lg.Ball(1.0, dim=1), lg.Ball(0.7, dim=3),
+                                      lg.AxisBox([0.5, 1.5]), lg.AxisBox([3.0, 2.5, 4.0])],
+                             ids=["ball-1d", "ball-3d", "box-2d", "box-3d"])
+    @pytest.mark.parametrize("target", [0.05, 0.505, 0.8, 0.99])
+    def test_root_measures_each_scale_once(self, body, target, monkeypatch):
+        # the bracket search and brentq share one set of values: no scale is
+        # measured twice (without it these runs repeat 3 to 6 scales each)
+        sizes = []  # a dilate's radius or first semiwidth, one per scale
+        measure = latgauss.gaussian.measure_slices
+
+        def counted(family):
+            sizes.append(float((family.radii if isinstance(body, lg.Ball)
+                                else family.semiwidths)[0]))
+            return measure(family)
+
+        monkeypatch.setattr(latgauss.gaussian, "measure_slices", counted)
+        lg.calibrate_scale(body, target)
+        assert len(sizes) == len(set(sizes)) <= 20
+
+    def test_seeded_box_and_ball_scales_are_pinned(self):
+        # sha256 of the scales, pinned while the root measured some scales
+        # twice: sharing the values leaves every scale bitwise as it was
+        rng = np.random.default_rng(7)
+        scales = []
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                target = rng.uniform(0.505, 0.8)
+                box = lg.AxisBox(rng.uniform(0.5, 1.5, size=n))
+                scales += [lg.calibrate_scale(box, target),
+                           lg.calibrate_scale(lg.Ball(1.0, dim=n), target)]
+        assert hashlib.sha256(np.array(scales).tobytes()).hexdigest() == (
+            "64be0f3745f8342f567a81366a466b597bfd5afb89e940afb1539ccda725bb9b")
 
     def test_asymmetric_polygon_calibrates_by_its_closed_form(self):
         # the 2-d counterpart has Owen's T closed form, so it needs no gauge
@@ -404,7 +450,9 @@ class TestCalibrate:
         # closed form at s = 1, but the bracket reaches scales past the cap
         body = lg.Ellipsoid([0.2, 12.0])
         assert lg.measure_exact(body).method == "exact"
-        s = lg.calibrate_scale(body, 0.99, samples=4096, seed=2)
+        with pytest.raises(UnsupportedBodyError):
+            lg.calibrate_scale(body, 0.99)
+        s = lg.gauge_quantile(body, 0.99, 4096, 2)
         est = lg.measure_mc(body.scale(s), 4096, 2)
         assert round(est.value * 4096) == math.ceil(0.99 * 4096)
 
@@ -472,7 +520,7 @@ class TestCalibrateRoundTrip:
            st.integers(1000, 40_000), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_gauge_kinds_hit_the_order_statistic(self, body, target, samples, seed):
-        s = lg.calibrate_scale(body, target, samples=samples, seed=seed)
+        s = lg.gauge_quantile(body, target, samples, seed)
         est = lg.measure_mc(body.scale(s), samples, seed)
         assert round(est.value * samples) == math.ceil(target * samples)
 

@@ -211,13 +211,13 @@ class TestTheoremCheck:
         coset = lg.Coset(lg.Lattice([[lg.theta()]]), [0.0])
         rep = lg.check_theorem_instance(body, coset)
         assert rep.verdict == "inconclusive"
-        assert rep.note == "measure >= 1/2 not certified at 3 half-widths"
+        assert rep.note == "measure >= 1/2 not certified: certified lower end below 1/2"
 
     def test_monte_carlo_measure_inside_its_certificate_inconclusive(self):
         # scaled to hit 51% of the checker's own 2^16-point draw: the estimate
         # clears 1/2, its lower end 3 half-widths (0.015) below does not
         base = symmetric_polytope(4, 1)
-        body = base.scale(lg.calibrate_scale(base, 0.51, seed=3))
+        body = base.scale(lg.gauge_quantile(base, 0.51, 1 << 16, 3))
         coset = lg.Coset(lg.random_theta_lattice(4, 9), np.zeros(4))
         rep = lg.check_theorem_instance(body, coset, seed=3)
         assert rep.measure.method == "monte-carlo" and rep.measure.value >= 0.51
@@ -449,31 +449,12 @@ class TestEhrhard:
         assert -1e-5 < rep.margin < -1e-6
         assert rep.verdict == "violated"
 
-    @pytest.fixture
-    def monte_carlo(self, monkeypatch):
-        # every closed-form pair has an exact margin; sampling them tests
-        # how Monte Carlo intervals propagate through the quantile
-        monkeypatch.setattr(latgauss.minkowski, "measure_auto",
-                            lambda body, samples, seed: lg.measure_mc(body, samples, seed))
-
-    def test_mc_near_equality_never_certifies_violation(self, monte_carlo):
-        # near-equality margins sit inside the propagated intervals, which
-        # must read as holds or inconclusive, never as a certified violation
-        a = lg.Ball(1.5, center=[0.2, 0.0])
-        b = lg.Ball(1.1, center=[0.0, 0.3])
-        for seed in range(6):
-            rep = lg.check_ehrhard(a, b, 0.4, samples=20_000, seed=seed)
-            assert rep.note == "monte-carlo intervals"
-            assert rep.verdict in ("holds", "inconclusive"), rep.verdict
-
-    def test_mc_wide_margin_certifies_holds(self, monte_carlo):
-        # opposite off-center balls recenter under interpolation, so the
-        # left quantile beats the endpoint average by a wide margin
-        a = lg.Ball(1.5, center=[1.5, 0.0])
-        b = lg.Ball(1.5, center=[-1.5, 0.0])
-        rep = lg.check_ehrhard(a, b, 0.5, samples=60_000, seed=3)
-        assert rep.verdict == "holds" and rep.note == "monte-carlo intervals"
-        assert rep.margin > 0.3
+    def test_body_without_closed_form_is_unsupported(self):
+        # one body passed twice is its own combination, but a 3-d
+        # H-polytope has only a bracket, never an exact measure
+        body = symmetric_polytope(3, 2)
+        with pytest.raises(lg.UnsupportedBodyError):
+            lg.check_ehrhard(body, body, 0.4)
 
     def test_off_center_balls_are_exact(self):
         a = lg.Ball(1.5, center=[1.5, 0.0])
@@ -911,10 +892,12 @@ class TestInstanceGeneration:
             bound = cert * sigma_m + _RECERT_SIGMAS * math.hypot(sigma_c, sigma_m)
             assert t - 0.5 == pytest.approx(bound)
 
-    @pytest.mark.parametrize("n, points", [(3, 1 << 12), (4, (1 << 12) + (1 << 16))])
+    @pytest.mark.parametrize("n, points", [(1, 1 << 12), (2, 1 << 12), (3, 1 << 12),
+                                           (4, (1 << 12) + (1 << 16))])
     def test_polytope_trial_draw_budget(self, n, points, monkeypatch):
-        # the gauge quantile calibrates on 2^12 points; the n = 3 bracket
-        # certifies with no draw, the n = 4 Monte Carlo certificate on 2^16
+        # the gauge quantile calibrates on 2^12 points in every dimension,
+        # with no closed-form root; the n <= 2 exact measure and the n = 3
+        # bracket certify with no draw, the n = 4 Monte Carlo one on 2^16
         drawn = []
         shards = latgauss.gaussian._normal_shards
 
@@ -923,8 +906,13 @@ class TestInstanceGeneration:
                 drawn.append(len(pts))
                 yield pts
 
+        def refused(family):
+            raise AssertionError("calibration took a closed-form root")
+
         monkeypatch.setattr(latgauss.gaussian, "_normal_shards", counted)
-        kind, body, coset, inst_seed = generate_theorem_instance(n, 7, 4)
+        with monkeypatch.context() as generating:
+            generating.setattr(latgauss.gaussian, "measure_slices", refused)
+            kind, body, coset, inst_seed = generate_theorem_instance(n, 7, 4)
         lg.check_theorem_instance(body, coset, seed=inst_seed)
         assert kind == "hpolytope" and sum(drawn) == points
 
