@@ -16,7 +16,8 @@ from .errors import (CalibrationError, DimensionMismatchError,
                      InvalidLatticeError, LatgaussError,
                      ResolutionTooCoarseError, UnsupportedBodyError,
                      UnsupportedCombinationError)
-from .gaussian import (MeasureEstimate, calibrate_scale, gauge_quantile, measure_auto,
+from .gaussian import (MeasureEstimate, calibrate_scale, correlation_bracket,
+                       correlation_scale, gauge_quantile, measure_auto,
                        measure_exact, measure_interval, measure_mc,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile,
                        theta)

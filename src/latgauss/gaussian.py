@@ -12,7 +12,12 @@ alone is a one-row family). A 3-d H-polytope has no closed form, but its
 polygon sections do, and Ehrhard's inequality makes Phi^{-1} of their
 measures concave along any axis: ``measure_bracket`` turns chords of that
 function into certified lower and upper ends, each a sum of bivariate
-normal rectangles by Owen's T. Everything else is seeded Monte Carlo.
+normal rectangles by Owen's T. A symmetric H-polytope in any dimension is
+the intersection of slabs, and the Gaussian correlation inequality makes
+the product of the measures of any grouping of them a lower bound:
+``correlation_bracket`` pairs them, each pair a bivariate normal rectangle
+by Owen's T, and takes the least pair as its upper end. Everything else
+is seeded Monte Carlo.
 
 Owen's T is accurate in absolute terms, so a polygon's measure is exact to
 about 1e-16, not relative to its size: ``minkowski.w_profile`` leaves
@@ -25,8 +30,10 @@ and gauge g, the dilate sK is the sublevel set {g <= s}, so
 gamma_n(sK) = P(g(X) <= s) is the distribution function of g(X). A
 target measure is therefore a quantile of the gauge, and the caller picks
 how to take it: ``calibrate_scale``, the root of the closed form, where the
-scale must hit its target exactly, or ``gauge_quantile``, an order
-statistic of a seeded draw, where a later certificate checks the measure.
+scale must hit its target exactly; ``correlation_scale``, the root of a
+symmetric H-polytope's pair bound, where a certified lower bound must hit
+it; or ``gauge_quantile``, an order statistic of a seeded draw, where a
+later certificate checks the measure. Only the last draws points.
 
 All confidence half-widths use the two-sided 99% convention, z = 2.576,
 and every certificate reads the interval ``MeasureEstimate.lower``/``upper``,
@@ -35,6 +42,7 @@ which for a bracket are its certified ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +70,8 @@ MC_SHARD_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """A probability with provenance: exact closed form, certified Ehrhard
-    bracket or Monte Carlo.
+    """A probability with provenance: exact closed form, certified bracket
+    (Ehrhard or correlation) or Monte Carlo.
 
     A Monte Carlo ``half_width`` is the 99% binomial half-width, and the
     certified interval spans CERT_HALF_WIDTHS of them on each side. A
@@ -496,6 +504,152 @@ def _wedge(x, alpha, beta) -> np.ndarray:
     return np.where(np.isposinf(x), special.ndtr(k), np.where(np.isneginf(x), 0.0, inner))
 
 
+# ---------------------------------------------------------------------------
+# Gaussian correlation brackets
+# ---------------------------------------------------------------------------
+
+MATCHING_CAP = 8  # most slabs whose best pairing is searched whole; past it, greedily
+_BLOCK_ERR = 1e-15  # absolute rounding of one block measure
+_TINY = float(np.finfo(float).tiny)
+_AIM = 1e-13  # correlation_scale aims this far above log(target), and stops within it
+
+
+def correlation_bracket(body: ConvexBody) -> MeasureEstimate:
+    """Certified bracket of gamma_n of a symmetric H-polytope, n >= 2, with no draw.
+
+    Such a body is the intersection of the slabs {|u . x| <= h}, one for a
+    facet and its mirror (``HPolytope.slabs``). For symmetric convex A and B,
+    gamma(A & B) >= gamma(A) * gamma(B): the Gaussian correlation
+    inequality, due to Sidak (1967) for slabs and to Royen (2014) in
+    general (Latala and Matlak 2017 give a short account). So the slabs,
+    grouped into blocks of one or two, give the lower end: the product of
+    the block measures, over the pairing of largest product
+    (``_best_matching``). A one-slab block measures erf(h / sqrt 2) and a
+    two-slab block is a bivariate normal rectangle by Owen's T
+    (``_rectangles``). The body lies inside every block, so the least one
+    is the upper end. Each block is exact to about 1e-16, and each end
+    moves out by _BLOCK_ERR per block. Like every closed form it measures
+    the membership body, offsets moved out by BOUNDARY_ATOL. A mirror that
+    the symmetry test accepts within its 1e-9 leaves the lower end sound,
+    and may move the upper one by about that much. Raises
+    UnsupportedBodyError for any other body.
+    """
+    if body.dim < 2:
+        raise UnsupportedBodyError(f"no correlation bracket for a 1-d {body.kind}")
+    widths, singles, rects, _, _, chosen, alone = _pairing(body, BOUNDARY_ATOL)
+    product = np.prod(rects[chosen]) * np.prod(singles[alone])
+    blocks = np.count_nonzero(chosen) + np.count_nonzero(alone)
+    lower = max(float(product) - _BLOCK_ERR * blocks, 0.0)
+    upper = min(float(min(rects.min(initial=1.0), singles.min())) + _BLOCK_ERR, 1.0)
+    return MeasureEstimate((lower + upper) / 2.0, "bracket", half_width=(upper - lower) / 2.0)
+
+
+def _pairing(body: ConvexBody, atol: float):
+    """(widths, singles, rects, heights, lines, chosen, alone) of the slabs
+    of a symmetric H-polytope (``HPolytope.slabs``): their widths and one-slab
+    measures, the rectangles and ``_pair_lines`` of every pair i < j in
+    ``np.triu_indices`` order, and the best matching (``_best_matching``)
+    as masks of its pairs and of the slabs it leaves alone. A pair gains
+    log rect - log single_i - log single_j, which is >= 0 by the inequality.
+    Raises UnsupportedBodyError for a body that is no symmetric H-polytope."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    if not isinstance(body, HPolytope):
+        raise UnsupportedBodyError(f"no slabs make up a {body.dim}-d {body.kind}")
+    units, widths = body.slabs(atol)
+    k = len(widths)
+    i, j = _pair_index(k)
+    singles = special.erf(widths / _SQRT2)
+    heights, lines = _pair_lines(units, widths, i, j)
+    rects = _rectangles(heights, lines)
+    logs = np.log(np.maximum(np.concatenate([singles, rects]), _TINY))
+    chosen = _best_matching(k, logs[k:] - logs[i] - logs[j])
+    alone = np.ones(k, dtype=bool)
+    alone[i[chosen]] = alone[j[chosen]] = False
+    return widths, singles, rects, heights, lines, chosen, alone
+
+
+@functools.lru_cache(maxsize=MATCHING_CAP + 1)
+def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, read-only and kept for the last few k: the
+    pairs i < j of k slabs."""
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _pair_lines(units: np.ndarray, widths: np.ndarray, i: np.ndarray,
+                j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(heights, lines) of the rectangles {|u_i . x| <= a, |u_j . x| <= b}
+    of the pairs (i, j): heights (a, a, b, b) and lines (b - rho a, b + rho a,
+    a - rho b, a + rho b) / sigma, row by row, where rho = u_i . u_j and
+    sigma = sqrt(1 - rho^2). With 1 - rho = |u_i - u_j|^2 / 2 and 1 + rho =
+    |u_i + u_j|^2 / 2 nothing cancels near rho = +-1. Distinct slabs are not
+    parallel, so sigma > 0. Lines over heights do not change with scale."""
+    a, b = widths[i], widths[j]
+    minus, plus = (0.5 * np.vecdot(v, v) for v in (units[i] - units[j], units[i] + units[j]))
+    sigma = np.sqrt(minus * plus)
+    lines = np.stack([b - a + a * minus, b - a + a * plus, a - b + b * minus, a - b + b * plus],
+                     axis=1) / sigma[:, None]
+    return np.stack([a, a, b, b], axis=1), lines
+
+
+def _rectangles(heights: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """gamma_2 of each rectangle of ``_pair_lines``: P(|X| <= a, |Y| <= b)
+    for standard normals of correlation rho is 1 - 2 * [T(a, (b - rho a) /
+    (a sigma)) + T(a, (b + rho a) / (a sigma)) + T(b, (a - rho b) /
+    (b sigma)) + T(b, (a + rho b) / (b sigma))] (Owen 1956), one Owen's T
+    call for every pair."""
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    return 1.0 - 2.0 * np.add.reduce(special.owens_t(heights, lines / heights), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _matchings(k: int) -> np.ndarray:
+    """Every matching of k slabs, empty and partial ones too, as the rows of
+    a boolean table over the pairs of ``_pair_index(k)``: 764 rows of 28
+    pairs at k = 8. Built on first use."""
+    column = {pair: c for c, pair in enumerate(zip(*(x.tolist() for x in _pair_index(k))))}
+    rows: list[list[int]] = []
+
+    def extend(free: list[int], taken: list[int]) -> None:
+        if len(free) < 2:
+            rows.append(taken)
+            return
+        first, rest = free[0], free[1:]
+        extend(rest, taken)
+        for n, other in enumerate(rest):
+            extend(rest[:n] + rest[n + 1:], taken + [column[first, other]])
+
+    extend(list(range(k)), [])
+    table = np.zeros((len(rows), len(column)), dtype=bool)
+    for r, taken in enumerate(rows):
+        table[r, taken] = True
+    table.flags.writeable = False
+    return table
+
+
+def _best_matching(k: int, gains: np.ndarray) -> np.ndarray:
+    """The pairs of a matching of k slabs with the largest sum of gains, as
+    a mask over ``_pair_index(k)``: searched whole up to MATCHING_CAP slabs,
+    and taken greedily past it, where the whole table would outgrow memory
+    (140152 matchings of 66 pairs at 12 slabs). Any matching gives a sound
+    product; this one only makes it large."""
+    if k <= MATCHING_CAP:
+        table = _matchings(k)
+        return table[np.argmax(table @ gains)]
+    i, j = _pair_index(k)
+    free = np.ones(k, dtype=bool)
+    chosen = np.zeros(len(gains), dtype=bool)
+    for c in np.argsort(-gains, kind="stable"):
+        if free[i[c]] and free[j[c]]:
+            chosen[c] = True
+            free[i[c]] = free[j[c]] = False
+    return chosen
+
+
 def substream(seed: int, key: int) -> np.random.Generator:
     """Generator of sub-draw ``key`` of ``seed``: the one derivation behind
     every Monte Carlo shard, seeded suite trial and search restart."""
@@ -552,9 +706,11 @@ def measure_mc(body: ConvexBody, samples: int, seed: int) -> MeasureEstimate:
 
 def measure_auto(body: ConvexBody, samples: int = 1 << 16, seed: int = 0) -> MeasureEstimate:
     """The exact measure where a closed form exists, else the certified
-    Ehrhard bracket of a 3-d H-polytope (``measure_bracket``), else Monte
-    Carlo on ``samples`` points of ``seed``."""
-    for measure in (measure_exact, measure_bracket):
+    Ehrhard bracket of a 3-d H-polytope (``measure_bracket``), else the
+    certified correlation bracket of a symmetric H-polytope
+    (``correlation_bracket``), else Monte Carlo on ``samples`` points of
+    ``seed``."""
+    for measure in (measure_exact, measure_bracket, correlation_bracket):
         try:
             return measure(body)
         except UnsupportedBodyError:
@@ -570,8 +726,9 @@ def calibrate_scale(body: ConvexBody, target: float) -> float:
 
     Raises UnsupportedBodyError for a body with no closed form, and for an
     ellipsoid whose series passes SERIES_TERM_CAP terms at some scale the
-    root tries; ``gauge_quantile`` aims such a body. Raises CalibrationError
-    when no scale reaches the target.
+    root tries; ``correlation_scale`` aims a symmetric H-polytope, and
+    ``gauge_quantile`` any body with a gauge. Raises CalibrationError when
+    no scale reaches the target.
     """
     _check_calibration(body, target)
     values: dict[float, float] = {}
@@ -595,6 +752,62 @@ def calibrate_scale(body: ConvexBody, target: float) -> float:
     raise CalibrationError(f"target {target} unreachable by scaling a {body.kind}")
 
 
+def correlation_scale(body: ConvexBody, target: float) -> float:
+    """Scale s at which the pair bound of s * body reaches ``target``: the
+    product of the block measures of ``correlation_bracket`` with the
+    matching fixed at s = 1, at offsets not moved out, with no rounding
+    terms.
+
+    Any fixed matching gives a lower bound that rises with s, and the
+    bracket of the scaled body picks its own matching, at least as good, so
+    it certifies at least the target, less its rounding terms. The root is
+    Newton's on log(bound / target) in log s, each block's log measure being
+    concave in log s (the B-theorem of Cordero-Erausquin, Fradelizi and
+    Maurey 2004, for a symmetric convex set), so after the first step it
+    rises to the root from below. It starts where every slab would measure
+    target^(1 / slabs), and stops once the bound lies within _AIM of
+    target * e^_AIM in log and is at least the target, moving up a few ulps
+    at a time where rounding leaves it short. A step is one ``ndtr`` and
+    one ``owens_t`` call: a single slab measures 2 Phi(s h) - 1, and
+    d/da P(|X| <= a, |Y| <= b) = 2 phi(a) [Phi((b - rho a) / sigma) -
+    Phi((-b - rho a) / sigma)]. Every symmetric H-polytope with positive
+    offsets qualifies, n = 1 too, where the parallel slabs leave one and the
+    bound is the exact measure. Raises UnsupportedBodyError for any other
+    body, and CalibrationError when the root does not settle.
+    """
+    from scipy import special  # deferred: lattice and balancing commands never need it
+
+    _check_calibration(body, target)
+    widths, _, _, heights, lines, chosen, alone = _pairing(body, 0.0)
+    h, heights, lines = widths[alone], heights[chosen].ravel(), lines[chosen].ravel()
+    k = len(h)
+    slopes = lines / heights
+    reach = np.concatenate([h, lines])  # Phi arguments at s = 1
+    bends = -0.5 * np.concatenate([h, heights]) ** 2  # log(phi) at s = 1, up to a constant
+    # start where every slab would measure target^(1 / slabs), on average
+    s = float(special.ndtri(0.5 + 0.5 * target ** (1.0 / len(widths))) * np.mean(1.0 / widths))
+    aim = math.log(target) + _AIM
+    for _ in range(64):
+        cdf = special.ndtr(s * reach)
+        tees = special.owens_t(s * heights, slopes).reshape(-1, 4)
+        values = np.concatenate([2.0 * cdf[:k] - 1.0, 1.0 - 2.0 * np.add.reduce(tees, axis=1)])
+        excess = float(np.add.reduce(np.log(values))) - aim
+        if abs(excess) <= _AIM:  # log(bound / target) in [0, 2 _AIM], unless rounded
+            if np.prod(values) >= target:
+                return s
+            s *= 1.0 + 4.0 * _EPS
+            continue
+        # d/ds of each block over 2 phi(0): h e^{bend s^2} for a slab, and for
+        # a pair the sum over its columns of height e^{bend s^2} (Phi - 1/2)
+        rises = np.exp(s * s * bends) * np.concatenate([h, heights * (cdf[k:] - 0.5)])
+        rises = np.concatenate([rises[:k], np.add.reduce(rises[k:].reshape(-1, 4), axis=1)])
+        step = excess / (2.0 * _INV_SQRT_2PI * s * float(np.add.reduce(rises / values)))
+        if not math.isfinite(step):
+            break
+        s *= math.exp(-step)
+    raise CalibrationError(f"no scale brings the pair bound of a {body.kind} to {target}")
+
+
 def gauge_quantile(body: ConvexBody, target: float, samples: int, seed: int) -> float:
     """The ceil(target * samples)-th smallest gauge of the seeded draw that
     ``mc_fraction`` uses, so ``measure_mc(body.scale(s), samples, seed)``
@@ -605,8 +818,9 @@ def gauge_quantile(body: ConvexBody, target: float, samples: int, seed: int) -> 
     passes over the draw. The order statistic certifies nothing beyond its
     own draw: the scaled body's true measure lies within a few binomial
     sigmas sqrt(target(1-target)/samples) of the target, so a caller that
-    certifies the measure afterwards can take a small draw
-    (``generate_certified_body`` takes 2^12 points).
+    certifies the measure afterwards can take a small draw. It aims an
+    ellipsoid past SERIES_TERM_CAP, or an OracleBody, which have no
+    closed-form root.
     """
     _check_calibration(body, target)
     gauges = np.concatenate([body.gauge_many(pts)

@@ -207,8 +207,10 @@ def check_theorem_instance(body: ConvexBody, coset: Coset,
 
     Both preconditions are certified here, and only here: gaussian measure
     >= 1/2 (by the certified ``lower`` end of ``measure_auto``: exact where a
-    closed form exists, the Ehrhard bracket of a 3-d H-polytope, Monte Carlo
-    on ``mc_samples`` points otherwise) and lambda_n <= theta
+    closed form exists, the Ehrhard bracket of a 3-d H-polytope, the
+    correlation bracket of any other symmetric H-polytope, Monte Carlo on
+    ``mc_samples`` points otherwise, so a suite trial draws no point) and
+    lambda_n <= theta
     (within 1e-9). Any basis bounds lambda_n by its longest row, so the given
     basis certifies lambda_n when every row is within the bound, else the
     cached LLL basis ``lattice.frame[0]`` does; only when both miss is
@@ -334,7 +336,8 @@ def check_ehrhard(a: ConvexBody, b: ConvexBody, lam: float, seed: int = 0) -> Ch
     verdict = "holds" if margin >= -_EXACT_MARGIN_TOL else "violated"
     return CheckReport("ehrhard", verdict, margin=margin, seed=seed, measure=est_c,
                        note="exact", certificate="" if verdict == "holds" else
-                       "certified interval gap below tolerance")
+                       f"exact margin below -{_EXACT_MARGIN_TOL:g}: the quantile of the "
+                       f"combination's measure lies under the combination of the quantiles")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +436,9 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
     that draw are computed once for all its slices. The body itself is
     measured by ``measure_auto``: exactly where it has a closed form, by
     its Ehrhard bracket for a 3-d H-polytope, and otherwise on sub-draw
-    ``grid_size + 1`` with 4 * samples points. Slice estimates from one
+    ``grid_size + 1`` with 4 * samples points, which is also the measure
+    of a body whose slices are sampled and whose ``measure_auto`` is a
+    correlation bracket. Slice estimates from one
     draw are correlated, so the quadrature's half-width is that of the mean
     of h(z) = sum_i w_i * phi(x_i) * [z in slice i] over the draw (Simpson
     weights w_i, Monte Carlo slices only), 2.576 * std(h) / sqrt(samples).
@@ -472,12 +477,18 @@ def w_profile(body: ConvexBody, grid_size: int = 201, samples: int = 1 << 14,
         lo, hi = max(lo, -r_trunc), min(hi, r_trunc)
     if not lo < hi:
         raise InvalidBodyError("degenerate profile domain (empty or single point)")
-    # the body's own draw is made and freed before the slice draw is made
-    rhs = measure_auto(body, samples=4 * samples, seed=gaussian.sub_seed(seed, grid_size + 1))
+    # the body's own draw is made and freed before the slice draw is made,
+    # or after it is freed
+    body_seed = gaussian.sub_seed(seed, grid_size + 1)
+    rhs = measure_auto(body, samples=4 * samples, seed=body_seed)
     xs = np.linspace(lo, hi, grid_size)
     weights = gaussian.std_normal_pdf(xs)
     measures, hws, lhs_terms = _slice_measures(body, xs, _simpson(xs, 1) * weights, samples,
                                                gaussian.sub_seed(seed, grid_size))
+    if rhs.method == "bracket" and lhs_terms is not None:
+        # sampled slices against a correlation bracket about 0.1 wide would
+        # test nothing: the body takes the draw it would have without one
+        rhs = gaussian.measure_mc(body, 4 * samples, body_seed)
 
     support = measures > 0.0
     if np.count_nonzero(support) < 2:
@@ -581,55 +592,19 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# Sigmas of noise in (calibrated measure - the checker's Monte Carlo estimate)
-# that a calibrated hpolytope keeps in hand, on top of the
-# certificate's own CERT_HALF_WIDTHS * Z99 sigmas. The noise is the difference
-# of two independent draws, the calibration's and the certificate's, which
-# may differ in size (``_recertifiable_target``).
-_RECERT_SIGMAS = 6.0
-
-# Gauge draw that calibrates every hpolytope: a scale only has to
-# land near its target, since the checker certifies the measure on its own,
-# and 2^12 is the smallest power of two whose target against the default
-# 2^16-point certificate stays at 0.57.
-_CALIBRATION_SAMPLES = 1 << 12
-
-
-def _recertifiable_target(calibration: int, certificate: int) -> float:
-    """Smallest target t >= 0.57 with t - 1/2 >= CERT_HALF_WIDTHS * Z99 *
-    sigma_m(t) + _RECERT_SIGMAS * sqrt(sigma_c(t)^2 + sigma_m(t)^2), for a
-    ``calibration`` draw of c points and a ``certificate`` draw of m.
-
-    The right-hand side is k * sqrt(t(1-t)), k = CERT_HALF_WIDTHS * Z99 /
-    sqrt(m) + _RECERT_SIGMAS * sqrt(1/c + 1/m). Solving (t - 1/2)^2 =
-    k^2 * t * (1 - t) gives t = 1/2 + sqrt(k^2 / (1 + k^2)) / 2 < 1; a
-    2^12-point calibration against the default 2^16-point certificate needs
-    only 0.563, so the fixed 0.57 governs there. With c = m this is
-    t - 1/2 >= (CERT_HALF_WIDTHS * Z99 + _RECERT_SIGMAS * sqrt(2)) *
-    sigma_m(t). The headroom is sized for n >= 4, where an hpolytope is
-    certified by Monte Carlo; at n = 3 its Ehrhard bracket, at most about
-    1e-2 wide, and at n <= 2 its exact measure certify the same scale.
-    """
-    k = (gaussian.CERT_HALF_WIDTHS * gaussian.Z99 / math.sqrt(certificate)
-         + _RECERT_SIGMAS * math.sqrt(1.0 / calibration + 1.0 / certificate))
-    c = k * k
-    return max(0.57, 0.5 + 0.5 * math.sqrt(c / (1.0 + c)))
-
-
-def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
-                            mc_samples: int = 1 << 16) -> ConvexBody:
+def generate_certified_body(n: int, kind: str, rng: np.random.Generator) -> ConvexBody:
     """Body of the requested kind with gaussian measure >= 1/2.
 
-    A box or a ball hits a target as low as 0.505 exactly, by the closed-form
-    root ``gaussian.calibrate_scale``; a halfspace and a slab are built at
-    their measure. An hpolytope, in every dimension, is scaled to the
-    ``gaussian.gauge_quantile`` of a seeded draw of min(``mc_samples``,
-    2^12) points, aimed at ``_recertifiable_target`` so that it clears the
-    checker's certificate: the exact measure at n <= 2, the Ehrhard bracket
-    at n = 3, or estimate - 3 half-widths >= 1/2 on the checker's own
-    ``mc_samples`` draw at n >= 4. Its scale certifies nothing;
-    certification is left to ``check_theorem_instance``, which reports a
-    miss as ``inconclusive``.
+    A box, a ball and an hpolytope aim at a target drawn from U(0.505, 0.8);
+    a halfspace and a slab are built at their measure. A box or a ball hits
+    its target exactly, by the closed-form root ``gaussian.calibrate_scale``.
+    An hpolytope, in every dimension, is scaled by
+    ``gaussian.correlation_scale`` so that the pair bound of its slabs, a
+    lower bound on its measure by the Gaussian correlation inequality, hits
+    the target. The checker's certificate, the exact measure at n <= 2, the
+    Ehrhard bracket at n = 3 and the correlation bracket at n >= 4, is then
+    at least as high, with no draw. Certification is still left to
+    ``check_theorem_instance``, which reports a miss as ``inconclusive``.
     """
     if kind == "halfspace":
         return Halfspace(_random_unit(rng, n), abs(rng.normal(0.0, 0.7)))
@@ -652,19 +627,15 @@ def generate_certified_body(n: int, kind: str, rng: np.random.Generator,
         normals = np.stack([_random_unit(rng, n) for _ in range(pairs)])
         normals = np.vstack([normals, -normals])
         base = HPolytope(normals, np.ones(2 * pairs) * rng.uniform(0.8, 1.4))
-        samples = min(mc_samples, _CALIBRATION_SAMPLES)
-        target = _recertifiable_target(samples, mc_samples)
-        return base.scale(gaussian.gauge_quantile(base, target, samples,
-                                                  int(rng.integers(2**62))))
+        return base.scale(gaussian.correlation_scale(base, rng.uniform(0.505, 0.8)))
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-def generate_theorem_instance(n: int, seed: int, trial: int,
-                              mc_samples: int = 1 << 16):
+def generate_theorem_instance(n: int, seed: int, trial: int):
     """(kind, body, coset, instance_seed) for one seeded theorem trial."""
     rng = gaussian.substream(seed, trial)
     kind = THEOREM_BODY_KINDS[trial % len(THEOREM_BODY_KINDS)]
-    body = generate_certified_body(n, kind, rng, mc_samples=mc_samples)
+    body = generate_certified_body(n, kind, rng)
     lattice = random_theta_lattice(n, int(rng.integers(2**62)))
     coset = Coset(lattice, rng.normal(0.0, 1.5, size=n))
     return kind, body, coset, int(rng.integers(2**62))
@@ -688,8 +659,7 @@ def theorem_suite(n: int, trials: int, seed: int, mc_samples: int = 1 << 16):
     _at_least("trials", trials, 0)
     _at_least("samples", mc_samples, gaussian.MIN_MC_SAMPLES)
     for trial in range(trials):
-        kind, body, coset, inst_seed = generate_theorem_instance(
-            n, seed, trial, mc_samples=mc_samples)
+        kind, body, coset, inst_seed = generate_theorem_instance(n, seed, trial)
         report = check_theorem_instance(body, coset, mc_samples=mc_samples, seed=inst_seed)
         yield trial, kind, report
 

@@ -828,19 +828,154 @@ class TestEhrhardBracket:
 
     def test_falls_back_to_monte_carlo(self):
         # TILTED_CUP runs off along +x_3, so its sections along e_1 are
-        # unbounded; a slab of half width 0.01 across x_1 holds one node
-        needle = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.01, 1, 1, 0.01, 1, 1])
+        # unbounded; a slab of half width about 0.01 across x_1 holds one
+        # node. Neither is symmetric, so no correlation bracket takes over
+        needle = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.01, 1, 1, 0.012, 1, 1])
         for body, reason in ((TILTED_CUP, "unbounded side"), (needle, "too few nonempty")):
             with pytest.raises(UnsupportedBodyError, match=reason):
                 measure_bracket(body)
             assert lg.measure_auto(body, samples=4096).method == "monte-carlo"
 
-    @pytest.mark.parametrize("body", [symmetric_polytope(4, 3), symmetric_polytope(2, 3),
-                                      lg.Ball(1.0, dim=3)], ids=["4d", "polygon", "ball"])
-    def test_only_3d_polytopes_are_bracketed(self, body):
+    def test_symmetric_needle_takes_the_correlation_bracket(self):
+        needle = lg.HPolytope(np.vstack([np.eye(3), -np.eye(3)]), [0.01, 1, 1, 0.01, 1, 1])
+        with pytest.raises(UnsupportedBodyError, match="too few nonempty"):
+            measure_bracket(needle)
+        est = lg.measure_auto(needle, samples=4096)
+        assert est == lg.correlation_bracket(needle) and est.samples == 0
+        exact = np.prod(lg.measure_interval(-np.array([0.01, 1, 1]) - BOUNDARY_ATOL,
+                                            np.array([0.01, 1, 1]) + BOUNDARY_ATOL))
+        assert abs(est.lower - exact) <= 1e-13
+
+    @pytest.mark.parametrize("body, method", [(symmetric_polytope(4, 3), "bracket"),
+                                              (symmetric_polytope(2, 3), "exact"),
+                                              (lg.Ball(1.0, dim=3), "exact")],
+                             ids=["4d", "polygon", "ball"])
+    def test_only_3d_polytopes_are_bracketed(self, body, method):
+        # a symmetric 4-d polytope takes the correlation bracket instead
         with pytest.raises(UnsupportedBodyError, match="no Ehrhard bracket"):
             measure_bracket(body)
-        assert lg.measure_auto(body, samples=4096).method != "bracket"
+        est = lg.measure_auto(body, samples=4096)
+        assert est.method == method and est.samples == 0
+        if method == "bracket":
+            assert est == lg.correlation_bracket(body)
+
+
+def _mp_rectangle(a, b, u):
+    """P(|X| <= a, |Y| <= b) for X = e_1 . Z and Y = u . Z / |u|, Z standard
+    normal in the plane, by 30-digit mpmath quadrature over X, split where
+    Y's bounds +-b given X pass within a few sigma of it, so a near step is
+    resolved. The correlation and sigma are read off u's float entries."""
+    with mp.workdps(30):
+        a, b = mp.mpf(a), mp.mpf(b)
+        norm = mp.hypot(u[0], u[1])
+        rho, sigma = mp.mpf(u[0]) / norm, abs(mp.mpf(u[1])) / norm
+        steps = {(edge - t * sigma) / rho for edge in (-b, b) for t in (-8, -2, 0, 2, 8)}
+        points = sorted({-a, mp.mpf(0), a} | {x for x in steps if -a < x < a})
+        return float(mp.quad(lambda x: mp.npdf(x) * (mp.ncdf((b - rho * x) / sigma)
+                                                     - mp.ncdf((-b - rho * x) / sigma)),
+                             points))
+
+
+def _slab_polytope(units, widths):
+    units = np.asarray(units, dtype=float)
+    return lg.HPolytope(np.vstack([units, -units]), np.tile(widths, 2))
+
+
+class TestCorrelationBracket:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_axis_polytope_is_the_box_product(self, n):
+        # every pair of orthogonal slabs is its own product, so the lower
+        # end is the box's exact measure, whichever matching is taken and
+        # whatever slab it leaves alone at odd n
+        widths = np.random.default_rng(n).uniform(0.3, 2.0, n)
+        est = lg.correlation_bracket(_slab_polytope(np.eye(n), widths))
+        exact = np.prod(lg.measure_interval(-widths - BOUNDARY_ATOL, widths + BOUNDARY_ATOL))
+        assert est.method == "bracket" and est.samples == 0
+        assert abs(est.lower - exact) <= 1e-13
+        assert est.upper >= exact
+
+    @pytest.mark.parametrize("a, b, angle", [
+        (0.9, 1.3, 0.7), (1.2, 0.4, 2.9), (0.3, 0.3, 1.5), (2.5, 1.1, 0.05),
+        (1.0, 1.0, 1e-6), (0.8, 1.7, math.pi - 1e-7),
+    ], ids=["acute", "obtuse", "thin-square", "narrow-angle", "near-duplicate",
+            "near-mirror"])
+    def test_two_slabs_match_mpmath(self, a, b, angle):
+        # one pair is one block, so both ends sit on the rectangle
+        units = [[1.0, 0.0], [math.cos(angle), math.sin(angle)]]
+        est = lg.correlation_bracket(_slab_polytope(units, [a, b]))
+        ref = _mp_rectangle(a + BOUNDARY_ATOL, b + BOUNDARY_ATOL, units[1])
+        assert est.lower <= ref <= est.upper
+        assert est.upper - est.lower <= 3e-15
+        assert abs(est.value - lg.measure_exact(_slab_polytope(units, [a, b])).value) <= 1e-14
+
+    def test_parallel_slabs_take_the_narrower(self):
+        # a duplicate, a scaled copy and a wider parallel slab leave the
+        # narrowest, in 2-d and in 1-d, where every trial polytope is so
+        units = [[1.0, 0.0], [1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -3.0]]
+        body = _slab_polytope(units, [0.9, 0.9, 2.4, 1.1, 4.5])  # widths 0.9, 1.2, 1.1, 1.5
+        exact = np.prod(lg.measure_interval(-np.array([0.9, 1.1]) - BOUNDARY_ATOL,
+                                            np.array([0.9, 1.1]) + BOUNDARY_ATOL))
+        assert abs(lg.correlation_bracket(body).lower - exact) <= 1e-15
+        line = _slab_polytope([[1.0], [2.0], [-1.0]], [0.8, 1.2, 0.8])  # widths 0.8, 0.6, 0.8
+        assert lg.correlation_scale(line, 0.6) == pytest.approx(
+            lg.std_normal_quantile(0.8) / 0.6, rel=1e-12)
+
+    def test_shuffled_facets_give_the_same_bracket(self):
+        body = symmetric_polytope(5, 2)
+        order = np.random.default_rng(3).permutation(len(body.normals))
+        flipped = lg.HPolytope(-body.normals[order], body.offsets[order])
+        assert lg.correlation_bracket(flipped) == lg.correlation_bracket(body)
+
+    def test_matching_is_searched_whole_up_to_its_cap(self, monkeypatch):
+        # 12 slabs would need 140152 matchings of 66 pairs: past 8 slabs
+        # the matching is greedy and no table is built
+        assert latgauss.gaussian._matchings(8).shape == (764, 28)
+        units = np.random.default_rng(4).standard_normal((12, 4))
+        body = _slab_polytope(units, np.linalg.norm(units, axis=1) * 1.6)
+        monkeypatch.setattr(latgauss.gaussian, "_matchings", None)
+        est = lg.correlation_bracket(body)
+        ref = lg.measure_mc(body, 1 << 18, 2)
+        assert 0.0 < est.lower <= ref.upper and est.upper >= ref.lower
+
+    @pytest.mark.parametrize("body", [
+        lg.HPolytope([[1.0], [-1.0]], [0.5, 0.5]), TILTED_CUP, lg.Ball(1.0, dim=4),
+        lg.HPolytope(np.vstack([np.eye(4), -np.eye(4)]), [1.0, 1, 1, 1, 1, 1, 1, 1.0001]),
+    ], ids=["interval", "asymmetric", "ball", "mirror-offset-differs"])
+    def test_other_bodies_are_unsupported(self, body):
+        with pytest.raises(UnsupportedBodyError):
+            lg.correlation_bracket(body)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_overlaps_a_large_monte_carlo_interval(self, n):
+        for seed in range(2):
+            body = symmetric_polytope(n, 10 * n + seed)
+            est = lg.correlation_bracket(body)
+            ref = lg.measure_mc(body, 1 << 20, seed)
+            assert est.lower <= ref.upper and ref.lower <= est.upper, (n, seed)
+
+    def test_overlaps_the_ehrhard_bracket(self):
+        # 20 seeded 3-d suite polytopes, measured both ways
+        for trial in range(4, 100, 5):
+            _, body, _, _ = latgauss.minkowski.generate_theorem_instance(3, 11, trial)
+            ehrhard, pairs = measure_bracket(body), lg.correlation_bracket(body)
+            assert max(ehrhard.lower, pairs.lower) <= min(ehrhard.upper, pairs.upper), trial
+            assert pairs.lower <= ehrhard.lower
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_scale_brings_the_pair_bound_to_its_target(self, n):
+        rng = np.random.default_rng(n)
+        for target in (0.505, 0.65, 0.8):
+            base = symmetric_polytope(n, int(rng.integers(100)))
+            s = lg.correlation_scale(base, target)
+            est = lg.correlation_bracket(base.scale(s)) if n > 1 else lg.measure_exact(
+                base.scale(s))
+            assert target - 1e-12 <= est.lower <= target + 1e-9
+
+    def test_scale_needs_a_symmetric_polytope(self):
+        with pytest.raises(UnsupportedBodyError):
+            lg.correlation_scale(TILTED_CUP, 0.6)
+        with pytest.raises(ValueError):
+            lg.correlation_scale(symmetric_polytope(3, 1), 1.0)
 
 
 class TestMeasureEstimateInvariants:

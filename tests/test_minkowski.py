@@ -13,8 +13,7 @@ import latgauss.convex
 import latgauss.gaussian
 import latgauss.lattice
 import latgauss.minkowski
-from latgauss.minkowski import (_RECERT_SIGMAS, _recertifiable_target, _simpson,
-                                 _slice_measures, generate_theorem_instance)
+from latgauss.minkowski import _simpson, _slice_measures, generate_theorem_instance
 from test_convex import (OFF_ORIGIN_SIMPLEX, OFF_ORIGIN_TRIANGLE, THIN_POLYTOPE_3D, TILTED_CUP,
                          lp_slice_reference, scalar_slice_reference, symmetric_polytope)
 
@@ -215,9 +214,13 @@ class TestTheoremCheck:
 
     def test_monte_carlo_measure_inside_its_certificate_inconclusive(self):
         # scaled to hit 51% of the checker's own 2^16-point draw: the estimate
-        # clears 1/2, its lower end 3 half-widths (0.015) below does not
+        # clears 1/2, its lower end 3 half-widths (0.015) below does not. A
+        # facet far outside, with no mirror, leaves the body as it is but
+        # not symmetric, so no correlation bracket measures it
         base = symmetric_polytope(4, 1)
-        body = base.scale(lg.gauge_quantile(base, 0.51, 1 << 16, 3))
+        scaled = base.scale(lg.gauge_quantile(base, 0.51, 1 << 16, 3))
+        body = lg.HPolytope(np.vstack([scaled.normals, np.eye(4)[:1]]),
+                            np.append(scaled.offsets, 100.0))
         coset = lg.Coset(lg.random_theta_lattice(4, 9), np.zeros(4))
         rep = lg.check_theorem_instance(body, coset, seed=3)
         assert rep.measure.method == "monte-carlo" and rep.measure.value >= 0.51
@@ -448,6 +451,8 @@ class TestEhrhard:
         assert rep.note == "exact"
         assert -1e-5 < rep.margin < -1e-6
         assert rep.verdict == "violated"
+        assert rep.certificate == ("exact margin below -1e-09: the quantile of the combination's "
+                                   "measure lies under the combination of the quantiles")
 
     def test_body_without_closed_form_is_unsupported(self):
         # one body passed twice is its own combination, but a 3-d
@@ -866,63 +871,34 @@ class TestInstanceGeneration:
             assert kind == "hpolytope" and report.verdict == "holds"
             assert report.measure.method == "bracket" and report.measure.lower >= 0.5
 
-    @pytest.mark.parametrize("samples", [1000, 4096, 8192])
-    def test_hpolytopes_recertify_at_small_sample_counts(self, samples):
-        # with a fixed 0.57 target a 4096-sample draw failed the checker's
-        # certificate on about one body in six
-        verdicts = [report.verdict for n in range(1, 5)
-                    for _, kind, report in lg.theorem_suite(n, 75, seed=8, mc_samples=samples)
-                    if kind == "hpolytope"]
-        assert verdicts == ["holds"] * 60
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_polytope_trial_draw_budget(self, n, monkeypatch):
+        # the pair bound calibrates with no draw and no closed-form root in
+        # every dimension; the n <= 2 exact measure, the n = 3 Ehrhard
+        # bracket and the n >= 4 correlation bracket certify with none
+        def refused(*args):
+            raise AssertionError("a polytope trial drew normal points")
 
-    def test_recertifiable_target(self):
-        cert = latgauss.gaussian.CERT_HALF_WIDTHS * latgauss.gaussian.Z99
-        for samples in (1000, 4096, 8192):  # equal sizes: one draw's identity
-            t = _recertifiable_target(samples, samples)
-            assert 0.57 < t < 1.0
-            sigmas = cert + _RECERT_SIGMAS * math.sqrt(2.0)
-            assert t - sigmas * math.sqrt(t * (1.0 - t) / samples) == pytest.approx(0.5)
-        assert _recertifiable_target(1 << 16, 1 << 16) == 0.57
-        assert _recertifiable_target(1 << 12, 1 << 16) == 0.57  # default seeded targets unchanged
-        assert _recertifiable_target(1 << 11, 1 << 16) > 0.58
-        for calibration, certificate in ((1 << 11, 1 << 16), (1000, 8192), (4096, 1000)):
-            t = _recertifiable_target(calibration, certificate)
-            sigma_c, sigma_m = (math.sqrt(t * (1.0 - t) / size)
-                                for size in (calibration, certificate))
-            bound = cert * sigma_m + _RECERT_SIGMAS * math.hypot(sigma_c, sigma_m)
-            assert t - 0.5 == pytest.approx(bound)
-
-    @pytest.mark.parametrize("n, points", [(1, 1 << 12), (2, 1 << 12), (3, 1 << 12),
-                                           (4, (1 << 12) + (1 << 16))])
-    def test_polytope_trial_draw_budget(self, n, points, monkeypatch):
-        # the gauge quantile calibrates on 2^12 points in every dimension,
-        # with no closed-form root; the n <= 2 exact measure and the n = 3
-        # bracket certify with no draw, the n = 4 Monte Carlo one on 2^16
-        drawn = []
-        shards = latgauss.gaussian._normal_shards
-
-        def counted(dim, samples, seed):
-            for pts in shards(dim, samples, seed):
-                drawn.append(len(pts))
-                yield pts
-
-        def refused(family):
+        def rootless(family):
             raise AssertionError("calibration took a closed-form root")
 
-        monkeypatch.setattr(latgauss.gaussian, "_normal_shards", counted)
+        monkeypatch.setattr(latgauss.gaussian, "_normal_shards", refused)
         with monkeypatch.context() as generating:
-            generating.setattr(latgauss.gaussian, "measure_slices", refused)
+            generating.setattr(latgauss.gaussian, "measure_slices", rootless)
             kind, body, coset, inst_seed = generate_theorem_instance(n, 7, 4)
-        lg.check_theorem_instance(body, coset, seed=inst_seed)
-        assert kind == "hpolytope" and sum(drawn) == points
+        report = lg.check_theorem_instance(body, coset, seed=inst_seed)
+        assert kind == "hpolytope" and report.verdict == "holds"
+        assert report.measure.samples == 0
+        if n >= 4:
+            assert report.measure.method == "bracket"
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_polytope_trials_certify_after_small_calibration(self, n):
-        # 100 polytope trials (seeds 0-4) calibrated on 2^12 points, each
-        # certified by the checker at the default 2^16 samples
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_polytope_trials_certify_by_their_pair_bound(self, n):
+        # 100 polytope trials (seeds 0-4) aimed by the pair bound at targets
+        # down to 0.505, each certified by the checker with no draw
         for seed in range(5):
             for trial in range(4, 100, 5):
                 kind, body, coset, inst_seed = generate_theorem_instance(n, seed, trial)
                 report = lg.check_theorem_instance(body, coset, seed=inst_seed)
                 assert kind == "hpolytope" and report.verdict == "holds"
-                assert report.measure.lower >= 0.5
+                assert report.measure.lower >= 0.5 and report.measure.samples == 0
