@@ -606,7 +606,7 @@ def _rectangles(heights: np.ndarray, lines: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.add.reduce(special.owens_t(heights, lines / heights), axis=1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MATCHING_CAP + 1)
 def _matchings(k: int) -> np.ndarray:
     """Every matching of k slabs, empty and partial ones too, as the rows of
     a boolean table over the pairs of ``_pair_index(k)``: 764 rows of 28
